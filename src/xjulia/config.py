@@ -4,7 +4,6 @@ Every pass/fail number used by the report lives in DEFAULT_THRESHOLDS so runs
 are auditable; individual values can be overridden from the command line.
 """
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -128,15 +127,3 @@ def validate_config(obj: dict) -> ExperimentConfig:
         thresholds.update(obj["thresholds"])
     cfg.thresholds = thresholds
     return cfg
-
-
-def load_config(path) -> ExperimentConfig:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"malformed JSON: {exc}") from exc
-    return validate_config(obj)

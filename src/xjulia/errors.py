@@ -29,8 +29,8 @@ class ConvergenceError(XjuliaError):
 
 
 class NodeConvergenceError(ConvergenceError):
-    """Quadrature node iteration failed; carries the index of the bad node."""
+    """A quadrature node left (-1, 1) or broke the ordering; carries its index."""
 
-    def __init__(self, index, message, residual=None):
+    def __init__(self, index, message):
         self.index = index
-        super().__init__(f"node {index}: {message}", residual=residual)
+        super().__init__(f"node {index}: {message}")

@@ -5,12 +5,17 @@ monomial coefficients are never formed here (they are catastrophically
 ill-conditioned at high degree).  The orthonormalization is against the
 unnormalized weight w(x) = (1-x)^alpha (1+x)^beta on [-1, 1], with positive
 leading coefficients.
+
+Gauss-Jacobi rules come from the same recurrence: Golub-Welsch eigenvalues of
+the Jacobi matrix for the nodes, two vectorized Newton steps on p_order to
+polish them, and Christoffel sums for the weights.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 from .errors import NodeConvergenceError
@@ -182,70 +187,35 @@ class QuadratureRule:
         return np.sum(self.weights * values, axis=-1)
 
 
-def _newton_node(params, order, lo, hi, f_lo):
-    """One node of p_order inside a sign-change bracket: bisection-safeguarded Newton."""
-    x = 0.5 * (lo + hi)
-    for _ in range(80):
-        fx = _eval_many(params, order, np.array(x)).real
-        dfx = eval_jacobi_derivative(params, order, np.array(x)).real
-        step = fx / dfx if dfx != 0 else np.inf
-        x_new = x - step
-        if not (lo < x_new < hi):
-            # Newton left the bracket: bisect instead
-            if (fx > 0) == (f_lo > 0):
-                lo, f_lo = x, fx
-            else:
-                hi = x
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 4e-16 * (1.0 + abs(x_new)):
-            return x_new
-        x = x_new
-    raise NodeConvergenceError(-1, "Newton/bisection stalled", residual=abs(fx))
-
-
 def gauss_jacobi_rule(params: JacobiParams, order: int) -> QuadratureRule:
     """Nodes and weights integrating degree <= 2*order-1 exactly against the weight.
 
-    Nodes are the zeros of p_order, bracketed on a Chebyshev-angle grid and
-    polished by Newton on the recurrence; weights come from the Christoffel
-    sums 1 / sum_{k<order} p_k(x)^2.
+    Nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix of the
+    recurrence (Golub & Welsch, Math. Comp. 23, 1969), polished by two Newton
+    steps on p_order: the raw eigenvalues of a symmetric weight are not
+    symmetric to rounding, which shows in the odd moments.  Weights come from
+    the Christoffel sums 1 / sum_{k<order} p_k(x)^2, which are more accurate
+    than the eigenvector weights of scipy's roots_jacobi.  The returned arrays
+    are read-only: cached_rule hands the same rule to every caller.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if order == 1:
-        a, b = _recurrence(params.alpha, params.beta, 1)
-        nodes = np.array([a[0]])
-        weights = np.array([b[0]])
-        return QuadratureRule(nodes, weights, params)
-
-    nodes = None
-    for factor in (8, 32, 128):
-        # midpoint angles never coincide with the Chebyshev-symmetric node set
-        k = factor * order
-        grid = np.cos(np.pi * (np.arange(k, 0, -1) - 0.5) / k)
-        vals = _eval_many(params, order, grid).real
-        zero_hit = vals == 0.0
-        if zero_hit.any():
-            grid = grid.copy()
-            grid[zero_hit] += 0.25 * np.pi / k
-            vals = _eval_many(params, order, grid).real
-        sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        if len(sign_change) == order:
-            nodes = np.empty(order)
-            for i, j in enumerate(sign_change):
-                try:
-                    nodes[i] = _newton_node(params, order, grid[j], grid[j + 1], vals[j])
-                except NodeConvergenceError as exc:
-                    raise NodeConvergenceError(i, "node iteration failed",
-                                               residual=exc.residual) from exc
-            break
-    if nodes is None:
-        raise NodeConvergenceError(len(sign_change), "could not bracket all nodes")
+    a, b = _recurrence(params.alpha, params.beta, order)
+    nodes = eigh_tridiagonal(a[:order], np.sqrt(b[1:order]), eigvals_only=True)
+    for _ in range(2):
+        step = _eval_many(params, order, nodes) / eval_jacobi_derivative(params, order, nodes)
+        nodes = nodes - step.real
+    outside = ~((-1.0 < nodes) & (nodes < 1.0))
+    if outside.any():
+        raise NodeConvergenceError(int(np.argmax(outside)), "node outside (-1, 1)")
+    gaps = np.diff(nodes)
+    if not np.all(gaps > 0):
+        raise NodeConvergenceError(int(np.argmin(gaps)), "nodes not increasing")
 
     table = jacobi_table(params, order - 1, nodes).real
     weights = 1.0 / np.sum(table * table, axis=0)
-    if not np.all(np.diff(nodes) > 0):
-        raise NodeConvergenceError(int(np.argmin(np.diff(nodes))), "nodes not increasing")
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return QuadratureRule(nodes, weights, params)
 
 

@@ -44,10 +44,6 @@ class Poly:
         keep = np.nonzero(mags > TRUNCATION_REL * top)[0]
         return int(keep[-1]) if len(keep) else 0
 
-    @property
-    def is_real(self) -> bool:
-        return bool(np.all(np.abs(self.coeffs.imag) <= TRUNCATION_REL * max(1.0, np.abs(self.coeffs).max())))
-
     def trimmed(self) -> "Poly":
         return Poly(self.coeffs[:self.degree + 1], self.basis)
 

@@ -9,8 +9,9 @@ from numpy.testing import assert_allclose
 from scipy.special import roots_jacobi
 
 import xjulia as xj
+from xjulia import jacobi
 from xjulia.errors import NodeConvergenceError
-from xjulia.jacobi import jacobi_table, log_leading_coeff_jacobi
+from xjulia.jacobi import cached_rule, jacobi_table, log_leading_coeff_jacobi
 
 LEGENDRE = xj.JacobiParams(0.0, 0.0)
 CHEB = xj.JacobiParams(-0.5, -0.5)
@@ -30,6 +31,56 @@ def beta_integral_oracle(alpha, beta, k):
             total += (math.comb(k, j) * mp.mpf(-1) ** (k - j)
                       * mp.mpf(2) ** (a + b + 1 + j) * mp.beta(a + 1, b + j + 1))
         return float(total)
+
+
+def mp_gauss_jacobi_oracle(alpha, beta, order, dps=40):
+    """Gauss-Jacobi nodes and weights carried out in dps-digit arithmetic.
+
+    The recurrence coefficients are formed from the exact binary values of
+    alpha and beta; each node is Newton-iterated on the orthonormal recurrence
+    (value and derivative in one sweep) from scipy's roots_jacobi start until
+    the step is below 10^(5-dps), and its weight is the Christoffel sum
+    1 / sum_{k<order} p_k(x)^2 at the converged node.
+    """
+    with mp.workdps(dps):
+        a, b = mp.mpf(alpha), mp.mpf(beta)
+        s = a + b
+        diag = [(b - a) / (s + 2)]
+        off = [mp.sqrt(2 ** (s + 1) * mp.gamma(a + 1) * mp.gamma(b + 1) / mp.gamma(s + 2)),
+               mp.sqrt(4 * (1 + a) * (1 + b) / ((2 + s) ** 2 * (3 + s)))]
+        for k in range(1, order):
+            diag.append((b * b - a * a) / ((2 * k + s) * (2 * k + s + 2)))
+            off.append(mp.sqrt(4 * (k + 1) * (k + 1 + a) * (k + 1 + b) * (k + 1 + s)
+                               / ((2 * k + 2 + s) ** 2 * (2 * k + 3 + s) * (2 * k + 1 + s))))
+
+        def sweep(x):
+            p_prev, p = mp.mpf(0), 1 / off[0]
+            d_prev, d = mp.mpf(0), mp.mpf(0)
+            christoffel = mp.mpf(0)
+            for k in range(order):
+                christoffel += p * p
+                p_prev, p, d_prev, d = (
+                    p, ((x - diag[k]) * p - off[k] * p_prev) / off[k + 1],
+                    d, (p + (x - diag[k]) * d - off[k] * d_prev) / off[k + 1])
+            return p, d, christoffel
+
+        tol = mp.mpf(10) ** (5 - dps)
+        nodes, weights = [], []
+        for start in roots_jacobi(order, alpha, beta)[0]:
+            x = mp.mpf(float(start))
+            for _ in range(10):
+                p, d, _ = sweep(x)
+                step = p / d
+                x -= step
+                if abs(step) < tol:
+                    break
+            else:
+                raise AssertionError(f"oracle Newton did not converge from {start}")
+            nodes.append(x)
+            weights.append(1 / sweep(x)[2])
+        assert all(u < v for u, v in zip(nodes, nodes[1:]))
+        return (np.array([float(v) for v in nodes]),
+                np.array([float(v) for v in weights]))
 
 
 class TestParams:
@@ -191,6 +242,21 @@ class TestQuadrature:
         assert_allclose(rule.nodes, x, atol=1e-13)
         assert_allclose(rule.weights, w, rtol=1e-10)
 
+    def test_production_order_against_mpmath_oracle(self):
+        # order 200 is what every family's normalization, norms and
+        # orthonormality gate use, at the stock exceptional weight
+        rule = xj.gauss_jacobi_rule(xj.JacobiParams(0.02, 1.2), 200)
+        x, w = mp_gauss_jacobi_oracle(0.02, 1.2, 200)
+        assert np.max(np.abs(rule.nodes - x)) <= 4e-16
+        assert np.max(np.abs(rule.weights / w - 1.0)) <= 1e-11
+
+    def test_cached_rule_arrays_are_read_only(self):
+        # cached_rule hands the same arrays to every caller
+        rule = cached_rule(0.02, 1.2, 8)
+        for arr in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     def test_nodes_strictly_increasing(self):
         rule = xj.gauss_jacobi_rule(xj.JacobiParams(4.0, 0.1), 50)
         assert np.all(np.diff(rule.nodes) > 0)
@@ -206,6 +272,13 @@ class TestQuadrature:
     def test_invalid_order(self):
         with pytest.raises(ValueError):
             xj.gauss_jacobi_rule(LEGENDRE, 0)
+
+    def test_node_check_rejects_coincident_nodes(self, monkeypatch):
+        # a failed eigensolve must raise, not return a degenerate rule
+        monkeypatch.setattr(jacobi, "eigh_tridiagonal",
+                            lambda d, e, eigvals_only: np.full(len(d), 0.1))
+        with pytest.raises(NodeConvergenceError):
+            xj.gauss_jacobi_rule(LEGENDRE, 4)
 
     def test_node_error_type_carries_index(self):
         err = NodeConvergenceError(3, "stalled")
