@@ -10,7 +10,6 @@ Errors are emitted as one JSON object on stderr.
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -173,14 +172,6 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _workers() -> int:
-    raw = os.environ.get("XJULIA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError("XJULIA_THREADS", f"must be an integer, got {raw!r}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -235,11 +226,10 @@ def cmd_brolin(cfg: ExperimentConfig) -> int:
     if not schedule:
         return 0
     datas = dynamics.batch_escape_data([poly for _, _, poly in schedule], refiners)
-    workers = _workers()
     max_moms, mean_ims, bounds = [], [], []
     for (label, n, _), e in zip(schedule, datas):
         sample = dynamics.brolin_sample(e, cfg.samples, burn_in=cfg.burn_in,
-                                        seed=cfg.seed, n_workers=workers)
+                                        seed=cfg.seed)
         mu = sample.to_measure()
         moments = measures.chebyshev_moments(mu, 6)[1:]
         max_abs = float(np.max(np.abs(moments)))

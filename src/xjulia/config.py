@@ -4,6 +4,7 @@ Every pass/fail number used by the report lives in DEFAULT_THRESHOLDS so runs
 are auditable; individual values can be overridden from the command line.
 """
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,17 +54,53 @@ class ExperimentConfig:
         return "raw_poly" in self.family
 
 
-def _require_number(obj, key, lo=None, hi=None, integer=False):
-    v = obj[key]
+def _is_number(v) -> bool:
+    """A finite JSON number; Python's json module also parses NaN and Infinity."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(key, "must be a number")
+        return False
+    return not isinstance(v, float) or math.isfinite(v)
+
+
+def _require_number(obj, key, lo=None, hi=None, integer=False, label=None):
+    v = obj[key]
+    label = label or key
+    if not _is_number(v):
+        raise ConfigError(label, "must be a finite number")
     if integer and int(v) != v:
-        raise ConfigError(key, "must be an integer")
+        raise ConfigError(label, "must be an integer")
     if lo is not None and v < lo:
-        raise ConfigError(key, f"must be >= {lo}")
+        raise ConfigError(label, f"must be >= {lo}")
     if hi is not None and v > hi:
-        raise ConfigError(key, f"must be <= {hi}")
+        raise ConfigError(label, f"must be <= {hi}")
     return int(v) if integer else float(v)
+
+
+def _validate_thresholds(thr: dict):
+    """Check each threshold against the shape of its default, in place."""
+    for key in thr:
+        if key.endswith("_max"):
+            thr[key] = _require_number(thr, key, label=f"thresholds.{key}")
+    thr["p2_growth_allowance"] = _require_number(
+        thr, "p2_growth_allowance", lo=0, integer=True, label="thresholds.p2_growth_allowance")
+    thr["p2_targets"] = _require_number(
+        thr, "p2_targets", lo=1, integer=True, label="thresholds.p2_targets")
+
+    region = thr["p2_region"]
+    if not isinstance(region, list) or len(region) != 4 or not all(map(_is_number, region)):
+        raise ConfigError("thresholds.p2_region",
+                          "must be 4 finite numbers [re_lo, re_hi, im_lo, im_hi]")
+    re_lo, re_hi, im_lo, im_hi = region
+    if re_lo > re_hi or im_lo > im_hi:
+        raise ConfigError("thresholds.p2_region", "needs re_lo <= re_hi and im_lo <= im_hi")
+    if im_lo <= 0.0 <= im_hi and re_lo <= 1.0 and re_hi >= -1.0:
+        raise ConfigError("thresholds.p2_region", "must have positive distance from [-1, 1]")
+
+    points = thr["green_test_points"]
+    if (not isinstance(points, list) or not points
+            or not all(isinstance(pt, list) and len(pt) == 2 and all(map(_is_number, pt))
+                       for pt in points)):
+        raise ConfigError("thresholds.green_test_points",
+                          "must be a nonempty list of finite [re, im] pairs")
 
 
 def validate_config(obj: dict) -> ExperimentConfig:
@@ -125,5 +162,6 @@ def validate_config(obj: dict) -> ExperimentConfig:
             if key not in DEFAULT_THRESHOLDS:
                 raise ConfigError(f"thresholds.{key}", "unknown threshold")
         thresholds.update(obj["thresholds"])
+    _validate_thresholds(thresholds)
     cfg.thresholds = thresholds
     return cfg

@@ -3,20 +3,20 @@ equilibrium-measure sampler by randomized inverse iteration, and the
 invariance / preimage-count diagnostics.
 
 Randomness comes exclusively from an explicit 64-bit seed feeding a
-counter-based generator (Philox); there is no global RNG anywhere.  Sampling
-work can be partitioned across workers, each on a jumped generator stream, and
-the output is a deterministic function of (seed, worker count).
+counter-based generator (Philox); there is no global RNG anywhere.  A sample
+is one backward orbit on that stream, so the output is a deterministic
+function of the seed and the inputs.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from . import rootfind
 from .errors import ConvergenceError, ValidationError
-from .poly import Poly
+from .poly import Poly, horner, horner_with_derivative
 
 OVERFLOW_GUARD = 1e150
 _RADIUS_CHECK_POINTS = 200
@@ -138,7 +138,7 @@ def escape_raster(e: EscapeData, center: complex = 0j, half_width: float = 2.0,
                 cur = cur[keep]
             if idx.size == 0:
                 break
-            cur = _horner(coeffs, cur)
+            cur = horner(coeffs, cur)
             bad = ~np.isfinite(cur) | (np.abs(cur.real) > OVERFLOW_GUARD) \
                 | (np.abs(cur.imag) > OVERFLOW_GUARD)
             if bad.any():
@@ -146,13 +146,6 @@ def escape_raster(e: EscapeData, center: complex = 0j, half_width: float = 2.0,
     return RasterGrid(center=complex(center), half_width=float(half_width),
                       resolution=res, max_iter=max_iter,
                       counts=counts.reshape(res, res))
-
-
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    out = np.full(z.shape, coeffs[-1], dtype=complex)
-    for ck in coeffs[-2::-1]:
-        out = out * z + ck
-    return out
 
 
 def raster_to_pgm(raster: RasterGrid) -> bytes:
@@ -191,33 +184,29 @@ class BrolinSample:
         return "\n".join(lines) + "\n"
 
 
-def _scale_bound(mono_abs: np.ndarray, r: float) -> float:
-    return float(np.sum(mono_abs * np.power(1.0 + r, np.arange(len(mono_abs)))))
-
-
 class _PreimageSolver:
     """Warm-started Aberth solves of p(z) = w along one backward orbit."""
 
     def __init__(self, coeffs: np.ndarray):
-        self.coeffs = coeffs.copy()
+        self.poly = Poly(coeffs)
         self.d = len(coeffs) - 1
-        self.mono_abs = np.abs(coeffs)
         self.prev = None
 
     def solve(self, w: complex) -> np.ndarray:
-        shifted = self.coeffs.copy()
+        shifted = self.poly.coeffs.copy()
         shifted[0] -= w
 
-        attempts = []
-        if self.prev is not None:
-            attempts.append(self.prev)
-        attempts.append(rootfind.initial_circle(shifted, self.d))
-        for z0 in attempts:
-            z, ok = rootfind.aberth_monomial(shifted, z0, 300)
+        values = partial(horner_with_derivative, shifted)
+        floor = rootfind.monomial_noise_floor(shifted)
+        for warm in (True, False):
+            if warm and self.prev is None:
+                continue
+            z0 = self.prev if warm else rootfind.initial_circle(shifted, self.d)
+            z, ok = rootfind.aberth(values, floor, z0, 300)
             if not ok:
                 continue
-            worst = np.max(np.abs(_horner(shifted, z)))
-            scale = _scale_bound(self.mono_abs, float(np.max(np.abs(z)))) + abs(w)
+            worst = np.max(np.abs(horner(shifted, z)))
+            scale = rootfind.residual_scale(self.poly, np.max(np.abs(z))) + abs(w)
             if worst <= 1e-7 * scale:
                 order = np.lexsort((z.imag, z.real))
                 z = z[order]
@@ -229,14 +218,6 @@ class _PreimageSolver:
 def solve_preimages(e: EscapeData, w: complex) -> np.ndarray:
     """All degree-many solutions of p(z) = w, sorted by (re, im)."""
     return _PreimageSolver(e.poly.monomial_coeffs()).solve(complex(w))
-
-
-def _chunk_sizes(total: int, workers: int) -> list[int]:
-    base = total // workers
-    sizes = [base] * workers
-    for i in range(total - base * workers):
-        sizes[i] += 1
-    return [s for s in sizes if s > 0]
 
 
 def _orbit_start(e: EscapeData, start: complex | None) -> complex:
@@ -276,15 +257,13 @@ def _run_orbit(coeffs: np.ndarray, d: int, count: int, burn_in: int,
 
 
 def brolin_sample(e: EscapeData, n_samples: int, burn_in: int = 100,
-                  seed: int = 0, n_workers: int = 1,
-                  start: complex | None = None) -> BrolinSample:
-    """Random backward orbit(s) of p from a start inside the escape disk.
+                  seed: int = 0, start: complex | None = None) -> BrolinSample:
+    """Random backward orbit of p from a start inside the escape disk.
 
     Each step solves p(z) = w and draws the next point uniformly among the
-    deg(p) preimages.  n_samples is split across n_workers independent orbits
-    on jumped generator streams; each orbit discards its own burn_in.  A
-    failed solve restarts the orbit on a further-jumped stream, at most five
-    times.
+    deg(p) preimages; the first burn_in points are discarded.  The orbit runs
+    on the Philox stream keyed by seed.  A failed solve restarts the orbit on
+    a further-jumped stream, at most five times.
     """
     if n_samples < 1 or n_samples > 10 ** 6:
         raise ValueError("n_samples must be in [1, 1e6]")
@@ -295,26 +274,15 @@ def brolin_sample(e: EscapeData, n_samples: int, burn_in: int = 100,
         raise ValueError("sampling needs degree >= 2")
     coeffs = e.poly.monomial_coeffs()
     w0 = _orbit_start(e, start)
-
-    sizes = _chunk_sizes(n_samples, max(1, n_workers))
-
-    def run_chunk(i: int) -> np.ndarray:
-        for restart in range(6):
-            bitgen = np.random.Philox(key=seed).jumped(i * 8 + restart)
-            try:
-                return _run_orbit(coeffs, d, sizes[i], burn_in, bitgen, w0,
-                                  refine=e.refine)
-            except ConvergenceError:
-                continue
-        raise ConvergenceError(f"orbit chunk {i} failed after 5 restarts")
-
-    if len(sizes) == 1:
-        chunks = [run_chunk(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(sizes)) as pool:
-            chunks = list(pool.map(run_chunk, range(len(sizes))))
-    points = np.concatenate(chunks)
-    return BrolinSample(points=points, seed=seed, burn_in=burn_in, degree=d)
+    for restart in range(6):
+        bitgen = np.random.Philox(key=seed).jumped(restart)
+        try:
+            points = _run_orbit(coeffs, d, n_samples, burn_in, bitgen, w0,
+                                refine=e.refine)
+        except ConvergenceError:
+            continue
+        return BrolinSample(points=points, seed=seed, burn_in=burn_in, degree=d)
+    raise ConvergenceError("orbit failed after 5 restarts")
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +299,7 @@ def forward_invariance_check(e: EscapeData, sample: BrolinSample, eps: float) ->
     """Fraction of one-step forward images within eps of some sample point."""
     if sample.size == 0:
         raise ValueError("empty sample")
-    images = _horner(e.poly.monomial_coeffs(), sample.points)
+    images = horner(e.poly.monomial_coeffs(), sample.points)
     tree = cKDTree(np.column_stack([sample.points.real, sample.points.imag]))
     dist, _ = tree.query(np.column_stack([images.real, images.imag]), k=1)
     return float(np.mean(dist <= eps))

@@ -50,7 +50,7 @@ class Poly:
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         if self.basis == MONOMIAL:
-            out = _horner(self.coeffs, z)
+            out = horner(self.coeffs, z)
         else:
             out = _clenshaw(self.coeffs, z)
         return complex(out) if out.shape == () else out
@@ -103,11 +103,22 @@ def _ascending_from_roots(roots, leading):
     return c * leading
 
 
-def _horner(coeffs, z):
+def horner(coeffs, z):
+    """Value of the monomial-basis polynomial with ascending coeffs at array z."""
     out = np.full(z.shape, coeffs[-1], dtype=complex)
     for ck in coeffs[-2::-1]:
         out = out * z + ck
     return out
+
+
+def horner_with_derivative(coeffs, z):
+    """(p(z), p'(z)) for ascending monomial coeffs, in one fused Horner pass."""
+    pv = np.full(z.shape, coeffs[-1], dtype=complex)
+    dv = np.zeros(z.shape, dtype=complex)
+    for ck in coeffs[-2::-1]:
+        dv = dv * z + pv
+        pv = pv * z + ck
+    return pv, dv
 
 
 def _clenshaw(coeffs, z):

@@ -1,7 +1,9 @@
 """Simultaneous polynomial root-finding and zero classification.
 
-The finder is an Aberth-Ehrlich sweep over all roots at once, evaluated in the
-polynomial's native basis (Horner or Clenshaw).  Classification of the
+One Aberth-Ehrlich driver, `aberth`, sweeps over all roots at once with a
+noise-floor endgame; the caller supplies the evaluation.  `roots` evaluates in
+the polynomial's native basis (Horner or Clenshaw); the sampler's preimage
+solves pass a fused monomial Horner.  Classification of the
 Darboux-family zeros into regular (simple, inside (-1,1)) and exceptional
 (everything else) rides on top of it, with a Newton polish against the
 recurrence-based evaluation so interpolation noise never reaches the reported
@@ -25,14 +27,15 @@ IMAG_TOL = 1e-8
 EDGE_TOL = 1e-12
 
 
-def residual_scale(p: Poly, r: float) -> float:
-    """Size of p near the circle |z| = 1 + r, as a residual yardstick.
+def residual_scale(p: Poly, r):
+    """Size of p near the circle |z| = 1 + |r|, as a residual yardstick.
 
-    Upper bound sum |a_i| (1+r)^i in the monomial basis; this is the natural
-    backward-error scale for evaluation at |z| <= 1 + r.
+    Upper bound sum |a_i| (1+|r|)^i in the monomial basis; this is the natural
+    backward-error scale for evaluation at |z| <= 1 + |r|.  Elementwise over
+    an array r.
     """
     mono = np.abs(p.monomial_coeffs())
-    return float(np.sum(mono * np.power(1.0 + abs(r), np.arange(len(mono)))))
+    return np.power(1.0 + np.abs(np.asarray(r))[..., None], np.arange(len(mono))) @ mono
 
 
 def initial_circle(mono: np.ndarray, d: int) -> np.ndarray:
@@ -44,76 +47,42 @@ def initial_circle(mono: np.ndarray, d: int) -> np.ndarray:
     return radius * np.exp(1j * ang) * (1.0 + 0.01 * np.sin(7.0 * ang))
 
 
-def aberth_sweeps(p_eval, dp_eval, z0: np.ndarray, max_sweeps: int = MAX_SWEEPS,
-                  noise_floor=None):
-    """Raw Aberth-Ehrlich iteration from starting points z0.
-
-    p_eval/dp_eval map a complex vector to values; returns (roots, converged).
-    A root also counts as settled once |p(z)| dips under noise_floor(z), the
-    rounding-error level of the evaluation itself; corrections cannot shrink
-    below that, whatever the sweep count.
-    """
-    z = z0.copy()
-    best = np.inf
-    stalled = 0
-    for _ in range(max_sweeps):
-        pv = p_eval(z)
-        dv = dp_eval(z)
-        dv = np.where(dv == 0, 1e-300, dv)
-        w = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
-        corr = w / (1.0 - w * s)
-        corr = np.where(np.isfinite(corr), corr, w)
-        z = z - corr
-        scaled = np.abs(corr) / (1.0 + np.abs(z))
-        worst = np.max(scaled)
-        if worst <= CONVERGENCE_REL:
-            return z, True
-        if worst < 0.5 * best:
-            best, stalled = worst, 0
-        else:
-            stalled += 1
-        if noise_floor is not None and (worst <= 1e-9 or stalled >= 10):
-            settled = (scaled <= CONVERGENCE_REL) | (np.abs(p_eval(z)) <= noise_floor(z))
-            if settled.all():
-                return z, True
-    return z, False
-
-
 def monomial_noise_floor(mono: np.ndarray):
     """Rounding-error level of Horner evaluation: ~4 eps sum |a_k| |z|^k."""
     mags = np.abs(mono)[::-1]
+    factor = 4.0 * np.finfo(float).eps * len(mags)
 
     def floor(z):
         az = np.abs(z)
         acc = np.full(az.shape, mags[0])
         for mk in mags[1:]:
             acc = acc * az + mk
-        return 4.0 * np.finfo(float).eps * len(mags) * acc
+        return factor * acc
 
     return floor
 
 
-def aberth_monomial(coeffs: np.ndarray, z0: np.ndarray, max_sweeps: int = 300):
-    """Aberth-Ehrlich specialized to monomial coefficients (hot path).
+def aberth(values, noise_floor, z0: np.ndarray, max_sweeps: int = MAX_SWEEPS):
+    """Aberth-Ehrlich iteration on all roots at once, from starting points z0.
 
-    Fuses the value/derivative Horner passes and applies the same noise-floor
-    endgame as aberth_sweeps.  Returns (roots, converged).
+    values(z) -> (p(z), p'(z)) drives the sweeps.  A root also counts as
+    settled once |p(z)| dips under noise_floor(z), the rounding-error level of
+    the evaluation itself; corrections cannot shrink below that, whatever the
+    sweep count.  Returns (roots, converged).
     """
     z = z0.copy()
-    rev = coeffs[-2::-1]
-    mags = np.abs(coeffs)[::-1]
-    eps_factor = 4.0 * np.finfo(float).eps * len(coeffs)
     best = np.inf
     stalled = 0
-    for _ in range(max_sweeps):
-        pv = np.full(z.shape, coeffs[-1])
-        dv = np.zeros(z.shape, dtype=complex)
-        for ck in rev:
-            dv = dv * z + pv
-            pv = pv * z + ck
+    pending = None
+    for sweep in range(max_sweeps + 1):
+        pv, dv = values(z)
+        # the floor test of the previous sweep reads this sweep's p(z), so an
+        # endgame that goes on costs no extra evaluation
+        if pending is not None and np.all(
+                (pending <= CONVERGENCE_REL) | (np.abs(pv) <= noise_floor(z))):
+            return z, True
+        if sweep == max_sweeps:
+            return z, False
         dv[dv == 0] = 1e-300
         w = pv / dv
         diff = z[:, None] - z[None, :]
@@ -134,17 +103,7 @@ def aberth_monomial(coeffs: np.ndarray, z0: np.ndarray, max_sweeps: int = 300):
             best, stalled = worst, 0
         else:
             stalled += 1
-        if worst <= 1e-9 or stalled >= 10:
-            pv = np.full(z.shape, coeffs[-1])
-            for ck in rev:
-                pv = pv * z + ck
-            az = np.abs(z)
-            acc = np.full(az.shape, mags[0])
-            for mk in mags[1:]:
-                acc = acc * az + mk
-            if np.all((scaled <= CONVERGENCE_REL) | (np.abs(pv) <= eps_factor * acc)):
-                return z, True
-    return z, False
+        pending = scaled if worst <= 1e-9 or stalled >= 10 else None
 
 
 def roots(p: Poly, initial=None, polish=None, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
@@ -180,16 +139,12 @@ def roots(p: Poly, initial=None, polish=None, max_sweeps: int = MAX_SWEEPS) -> n
         floor = monomial_noise_floor(mono)
     else:
         # bound |T_k(z)| by u^k with u = |z| + sqrt(|z|^2 + 1)
-        cheb_mags = np.abs(p.coeffs[:d + 1])
+        cheb_floor = monomial_noise_floor(p.coeffs[:d + 1])
 
-        def floor(z, mags=cheb_mags):
-            u = np.abs(z) + np.sqrt(np.abs(z) ** 2 + 1.0)
-            acc = np.full(u.shape, mags[-1])
-            for mk in mags[-2::-1]:
-                acc = acc * u + mk
-            return 4.0 * np.finfo(float).eps * len(mags) * acc
+        def floor(z):
+            return cheb_floor(np.abs(z) + np.sqrt(np.abs(z) ** 2 + 1.0))
 
-    z, converged = aberth_sweeps(p, dp, z0, max_sweeps, noise_floor=floor)
+    z, converged = aberth(lambda z: (p(z), dp(z)), floor, z0, max_sweeps)
     if not converged:
         worst = float(np.max(np.abs(p(z))))
         raise ConvergenceError(f"Aberth iteration did not settle in {max_sweeps} sweeps",
@@ -198,10 +153,7 @@ def roots(p: Poly, initial=None, polish=None, max_sweeps: int = MAX_SWEEPS) -> n
     if polish is not None:
         z = _newton_polish(z, polish)
 
-    mags = np.abs(mono)
-    powers = np.power(1.0 + np.abs(z)[:, None], np.arange(len(mono))[None, :])
-    scales = powers @ mags
-    worst_rel = float(np.max(np.abs(p(z)) / scales))
+    worst_rel = float(np.max(np.abs(p(z)) / residual_scale(Poly(mono), z)))
     if worst_rel > RESIDUAL_REL:
         raise ConvergenceError("root residual contract violated", residual=worst_rel)
     return z

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from xjulia.cli import main
 
@@ -204,18 +205,35 @@ class TestConfigResolution:
         assert run(["zeros", "--n", "4", "--out", str(tmp_path)]) == 2
         assert json.loads(capsys.readouterr().err)["field"] == "family"
 
-    def test_worker_env_reproducible(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("XJULIA_THREADS", "2")
-        blobs = []
-        for name in ("w1", "w2"):
-            out = tmp_path / name
-            assert run(["brolin", *PRESET_FLAGS, "--n", "5", "--samples", "300",
-                        "--burn-in", "20", "--seed", "13", "--out", str(out)]) == 0
-            blobs.append((out / "brolin_n5.csv").read_bytes())
-        assert blobs[0] == blobs[1]
+    @pytest.mark.parametrize("spec, field", [
+        ('ks_max="abc"', "thresholds.ks_max"),
+        ("moment_max=[0.1]", "thresholds.moment_max"),
+        ("green_gap_max=NaN", "thresholds.green_gap_max"),
+        ("p2_growth_allowance=-1", "thresholds.p2_growth_allowance"),
+        ("p2_growth_allowance=0.5", "thresholds.p2_growth_allowance"),
+        ("p2_targets=0", "thresholds.p2_targets"),
+        ("p2_region=[1.5, 2.5, -0.5]", "thresholds.p2_region"),
+        ('p2_region=[1.5, 2.5, -0.5, "x"]', "thresholds.p2_region"),
+        ("p2_region=[2.5, 1.5, -0.5, 0.5]", "thresholds.p2_region"),
+        ("p2_region=[0.5, 2.5, -0.5, 0.5]", "thresholds.p2_region"),
+        ("green_test_points=[]", "thresholds.green_test_points"),
+        ("green_test_points=[[2.0, 0.0], [1.0]]", "thresholds.green_test_points"),
+        ('green_test_points=[[2.0, "i"]]', "thresholds.green_test_points"),
+        ("green_test_points=[[2.0, Infinity]]", "thresholds.green_test_points"),
+    ])
+    def test_malformed_threshold_exit_two(self, tmp_path, capsys, spec, field):
+        assert run(["report", *PRESET_FLAGS, "--n-list", "10",
+                    "--threshold", spec, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["field"] == field
 
-    def test_bad_worker_env_rejected(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("XJULIA_THREADS", "many")
-        assert run(["brolin", *PRESET_FLAGS, "--n", "5", "--samples", "100",
-                    "--burn-in", "20", "--out", str(tmp_path)]) == 2
-        assert json.loads(capsys.readouterr().err)["field"] == "XJULIA_THREADS"
+    def test_malformed_threshold_in_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "family": {"preset": "x1", "alpha": 0.02, "beta": 1.2},
+            "n_list": [10],
+            "thresholds": {"p2_region": [-0.5, 0.5, 0.0, 0.2]},
+        }))
+        assert run(["report", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["field"] == "thresholds.p2_region"

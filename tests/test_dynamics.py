@@ -127,11 +127,14 @@ class TestBrolinSampler:
         b = dyn.brolin_sample(square_escape, 200, burn_in=20, seed=2)
         assert not np.array_equal(a.points, b.points)
 
-    def test_worker_partition_deterministic(self, cheb_escape):
-        a = dyn.brolin_sample(cheb_escape, 400, burn_in=20, seed=9, n_workers=3)
-        b = dyn.brolin_sample(cheb_escape, 400, burn_in=20, seed=9, n_workers=3)
-        assert np.array_equal(a.points, b.points)
-        assert a.size == 400
+    def test_stream_pinned(self):
+        # recorded values: the seed -> Philox stream mapping must not move
+        e = dyn.escape_radius(Poly([0.0, -3.0, 0.0, 1.0]))
+        s = dyn.brolin_sample(e, 3, burn_in=20, seed=42)
+        expected = np.array([-1.3912903496567095 - 7.95238983127202e-250j,
+                             0.5072756163010372 + 3.569272271895598e-250j,
+                             1.8111024728098724 + 5.218023381577579e-251j])
+        assert np.array_equal(s.points, expected)
 
     def test_sample_count_cap(self, square_escape):
         with pytest.raises(ValueError):
@@ -191,6 +194,19 @@ class TestPreimages:
         # preimages of -1 are +-i; a right-half-plane box away from them is empty
         assert dyn.preimage_count_in_set(square_escape, -1.0,
                                          (1.5, 2.5, -0.5, 0.5)) == 0
+
+    @pytest.mark.parametrize("poly, w", [
+        (Poly([0.0, -3.0, 0.0, 1.0]), 2.0),                # 2 = p(-1), p'(-1) = 0
+        (Poly.from_roots([0.3, 0.3, -1.0, 0.5j]), 0.0),    # 0.3 is inexact in binary
+    ])
+    def test_critical_value_solve(self, poly, w):
+        # at a critical value two preimages coincide and the Newton ratio there
+        # is noise over noise; the double root at 0.3 settles only through the
+        # noise-floor endgame
+        e = dyn.escape_radius(poly)
+        z = dyn.solve_preimages(e, w)
+        assert len(z) == poly.degree
+        assert np.max(np.abs(poly(z) - w)) <= 1e-12
 
     def test_rectangle_touching_interval_rejected(self, square_escape):
         with pytest.raises(ValueError):

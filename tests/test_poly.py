@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from xjulia.poly import (CHEBYSHEV, MONOMIAL, Poly, chebyshev_grid,
-                         chebyshev_transform, interpolate_to_poly)
+                         chebyshev_transform, horner_with_derivative,
+                         interpolate_to_poly)
 
 
 class TestBasics:
@@ -37,6 +38,21 @@ class TestBasics:
         assert_allclose(p.deriv().coeffs, [3.0, 4.0])
         t = Poly([0.0, 0.0, 1.0], CHEBYSHEV)  # T_2
         assert_allclose(t.deriv()(0.3), 4 * 0.3, rtol=1e-14)
+
+    def test_fused_horner_matches_value_and_deriv(self):
+        rng = np.random.default_rng(30)
+        c = rng.standard_normal(31) + 1j * rng.standard_normal(31)
+        p = Poly(c)
+        z = 1.2 * np.sqrt(rng.uniform(0, 1, 40)) * np.exp(2j * np.pi * rng.uniform(0, 1, 40))
+        pv, dv = horner_with_derivative(c, z)
+        # Horner rounding: a few eps per step on the scale sum |a_k| |z|^k
+        k = np.arange(31)
+        powers = np.abs(z)[:, None] ** k[None, :]
+        val_scale = powers @ np.abs(c)
+        der_scale = powers[:, :-1] @ (k[1:] * np.abs(c[1:]))
+        tol = 4 * 31 * np.finfo(float).eps
+        assert np.max(np.abs(pv - p(z)) / val_scale) <= tol
+        assert np.max(np.abs(dv - p.deriv()(z)) / der_scale) <= tol
 
     def test_from_roots(self):
         p = Poly.from_roots([1.0, -1.0])
