@@ -2,8 +2,9 @@
 diagnostics."""
 
 from .dynamics import (BrolinSample, EscapeData, RasterGrid, brolin_sample,
-                       escape_radius, escape_raster, forward_invariance_check,
-                       preimage_count_in_set, raster_to_pgm)
+                       escape_radius, escape_raster, exact_chebyshev_moments,
+                       forward_invariance_check, preimage_count_in_set,
+                       raster_to_pgm)
 from .errors import (ConfigError, ConvergenceError, NodeConvergenceError,
                      ValidationError, XjuliaError)
 from .exceptional import (DarbouxData, ExceptionalWeight, eval_exceptional,
@@ -29,6 +30,7 @@ __all__ = [
     "arcsine_cdf", "arcsine_quantiles", "brolin_sample", "chebyshev_moments",
     "classify_zeros", "energy", "escape_radius", "escape_raster",
     "eval_exceptional", "eval_jacobi_derivative", "eval_orthonormal_jacobi",
+    "exact_chebyshev_moments",
     "forward_invariance_check", "gauss_jacobi_rule",
     "green_complement_interval", "ks_distance_real", "leading_coeff_exceptional",
     "leading_coeff_jacobi", "log_potential", "make_x1_preset", "monomial_coeffs",

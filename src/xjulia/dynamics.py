@@ -21,6 +21,9 @@ from .poly import Poly, horner, horner_with_derivative
 OVERFLOW_GUARD = 1e150
 _RADIUS_CHECK_POINTS = 200
 _RADIUS_CHECK_SEED = 73111
+# solves a sampler remembers as warm starts: 256 * d * 16 bytes, about 210 kB
+# at degree 51
+SOLVER_MEMORY = 256
 
 
 @dataclass
@@ -185,12 +188,23 @@ class BrolinSample:
 
 
 class _PreimageSolver:
-    """Warm-started Aberth solves of p(z) = w along one backward orbit."""
+    """Aberth solves of p(z) = w along one backward orbit, each started from
+    the roots of the nearest earlier target.
+
+    The targets and sorted root sets of the last SOLVER_MEMORY solves sit in
+    two fixed arrays, overwritten oldest first; unfilled slots hold an
+    infinite target, so they are never nearest.  The targets of one orbit fill
+    the Julia set, so the nearest stored root set lies within about
+    |w - w'| / |p'| of the new preimages.  A solve that starts there and fails
+    retries from the Cauchy circle.
+    """
 
     def __init__(self, coeffs: np.ndarray):
         self.poly = Poly(coeffs)
         self.d = len(coeffs) - 1
-        self.prev = None
+        self.targets = np.full(SOLVER_MEMORY, np.inf, dtype=complex)
+        self.solved = np.zeros((SOLVER_MEMORY, self.d), dtype=complex)
+        self.count = 0
 
     def solve(self, w: complex) -> np.ndarray:
         shifted = self.poly.coeffs.copy()
@@ -198,10 +212,11 @@ class _PreimageSolver:
 
         values = partial(horner_with_derivative, shifted)
         floor = rootfind.monomial_noise_floor(shifted)
+        nearest = int(np.argmin(np.abs(self.targets - w)))
         for warm in (True, False):
-            if warm and self.prev is None:
+            if warm and not np.isfinite(self.targets[nearest]):
                 continue
-            z0 = self.prev if warm else rootfind.initial_circle(shifted, self.d)
+            z0 = self.solved[nearest] if warm else rootfind.initial_circle(shifted, self.d)
             z, ok = rootfind.aberth(values, floor, z0, 300)
             if not ok:
                 continue
@@ -210,7 +225,10 @@ class _PreimageSolver:
             if worst <= 1e-7 * scale:
                 order = np.lexsort((z.imag, z.real))
                 z = z[order]
-                self.prev = z
+                slot = self.count % SOLVER_MEMORY
+                self.targets[slot] = w
+                self.solved[slot] = z
+                self.count += 1
                 return z
         raise ConvergenceError(f"preimage solve failed at w = {w:.6g}")
 
@@ -287,6 +305,31 @@ def brolin_sample(e: EscapeData, n_samples: int, burn_in: int = 100,
 
 # ---------------------------------------------------------------------------
 # diagnostics
+
+def exact_chebyshev_moments(p: Poly, k_max: int) -> np.ndarray:
+    """Moments m_k = integral of T_k against the balanced measure of p,
+    k = 0..k_max, exactly from the coefficients.
+
+    The balanced measure mu is invariant under the pull-back (1/d) sum over
+    p(z) = w (Brolin 1965), and for k < d = deg p the power sum s_k of the
+    roots of p(z) - w does not depend on w.  Hence the integral of z^k is
+    s_k / d, with s_k from Newton's identities on a_{d-1..d-k} / a_d.
+    """
+    p = p.trimmed()
+    d = p.degree
+    if not 0 <= k_max < d:
+        raise ValueError(f"k_max must be in [0, {d - 1}] for degree {d}")
+    mono = p.monomial_coeffs()
+    c = mono[d - 1::-1][:k_max] / mono[d]
+    power = np.empty(k_max + 1, dtype=complex)
+    power[0] = d
+    for k in range(1, k_max + 1):
+        power[k] = -(k * c[k - 1] + np.dot(c[:k - 1], power[k - 1:0:-1]))
+    power /= d
+    cheb2poly = np.polynomial.chebyshev.cheb2poly
+    return np.array([np.dot(cheb2poly([0] * k + [1]), power[:k + 1])
+                     for k in range(k_max + 1)], dtype=complex)
+
 
 def median_nn_spacing(points: np.ndarray) -> float:
     pts = np.column_stack([points.real, points.imag])

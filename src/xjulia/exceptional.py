@@ -25,6 +25,12 @@ BASE_QUAD_ORDER = 200
 ORTHO_GATE_INDEX = 10
 ORTHO_GATE_TOL = 1e-8
 
+# Newton steps newton_refiner may take; it stops earlier once |P_n(z) - w|
+# stops falling or reaches the rounding level of the recurrence.  A
+# monomial-basis root at degree 41 is good to about 1e-3, which two steps do
+# not always bring down to rounding.
+REFINE_MAX_STEPS = 8
+
 
 @dataclass
 class DarbouxData:
@@ -376,7 +382,9 @@ def newton_refiner(data: DarbouxData, n: int):
     Backward-orbit sampling solves against interpolated monomial coefficients,
     whose evaluation noise floor is far above the recurrence's; refining the
     one chosen preimage per step against the recurrence removes that noise at
-    negligible cost.  Returns refine(z, w) -> z (guarded, at most two steps).
+    negligible cost.  Returns refine(z, w) -> z: guarded Newton steps, taken
+    while |P_n(z) - w| falls and is above the recurrence's rounding level, at
+    most REFINE_MAX_STEPS of them.
     """
     params = data.params
     s = params.alpha + params.beta
@@ -390,6 +398,9 @@ def newton_refiner(data: DarbouxData, n: int):
     bpc = data.b.deriv().coeffs.tolist()
     bwpc = data.bw.deriv().coeffs.tolist()
     sig = sigma_n(data, n)
+    # rounding level of the recurrence evaluation, relative to the size of the
+    # terms whose difference is P_n
+    level = 4.0 * (n + 1) * np.finfo(float).eps
 
     def horner(c, z):
         acc = c[-1]
@@ -406,19 +417,20 @@ def newton_refiner(data: DarbouxData, n: int):
         bp = horner(bpc, z)
         bwp = horner(bwpc, z)
         return ((b * dp - bw * p) / sig,
-                (bp * dp + b * ddp - bwp * p - bw * dp) / sig)
+                (bp * dp + b * ddp - bwp * p - bw * dp) / sig,
+                (abs(b * dp) + abs(bw * p)) / abs(sig))
 
     def refine(z: complex, w: complex) -> complex:
-        f, df = value_slope(z)
+        f, df, scale = value_slope(z)
         f -= w
-        for _ in range(2):
-            if df == 0:
+        for _ in range(REFINE_MAX_STEPS):
+            if df == 0 or abs(f) <= level * (scale + abs(w)):
                 break
             cand = z - f / df
-            f2, df2 = value_slope(cand)
+            f2, df2, scale2 = value_slope(cand)
             f2 -= w
             if abs(f2) < abs(f):
-                z, f, df = cand, f2, df2
+                z, f, df, scale = cand, f2, df2, scale2
             else:
                 break
         return z

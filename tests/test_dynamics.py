@@ -131,9 +131,9 @@ class TestBrolinSampler:
         # recorded values: the seed -> Philox stream mapping must not move
         e = dyn.escape_radius(Poly([0.0, -3.0, 0.0, 1.0]))
         s = dyn.brolin_sample(e, 3, burn_in=20, seed=42)
-        expected = np.array([-1.3912903496567095 - 7.95238983127202e-250j,
-                             0.5072756163010372 + 3.569272271895598e-250j,
-                             1.8111024728098724 + 5.218023381577579e-251j])
+        expected = np.array([-1.3912903496567095 - 6.647395062966384e-68j,
+                             0.5072756163010373 + 2.9835512823176676e-68j,
+                             1.8111024728098724 + 4.361740759833167e-69j])
         assert np.array_equal(s.points, expected)
 
     def test_sample_count_cap(self, square_escape):
@@ -145,6 +145,49 @@ class TestBrolinSampler:
         lines = s.to_csv().strip().splitlines()
         assert lines[0] == "re,im"
         assert len(lines) == 4
+
+
+class TestExactMoments:
+    def test_closed_forms(self):
+        # z^3 - 3z has the arcsine law on [-2, 2]: E z = 0, E T_2 = 2 E z^2 - 1 = 3
+        m = dyn.exact_chebyshev_moments(Poly([0.0, -3.0, 0.0, 1.0]), 2)
+        assert np.allclose(m, [1.0, 0.0, 3.0], rtol=0, atol=1e-15)
+        m = dyn.exact_chebyshev_moments(Poly([0.0, 0.0, 1.0]), 1)
+        assert np.allclose(m, [1.0, 0.0], rtol=0, atol=1e-15)
+
+    def test_matches_roots_of_any_target(self):
+        # for k < d the mean of T_k over the roots of p(z) - w is the same for every w
+        p = Poly.from_roots([0.3, -0.7 + 0.2j, -0.7 - 0.2j, 1.1, -0.05j], leading=2.0)
+        m = dyn.exact_chebyshev_moments(p, 4)
+        cheb = np.polynomial.chebyshev.chebval
+        for w in (0.0, 1.5 - 0.4j, -3.0 + 2.0j):
+            shifted = p.coeffs.copy()
+            shifted[0] -= w
+            z = np.roots(shifted[::-1])
+            want = [np.mean(cheb(z, np.eye(5)[k])) for k in range(5)]
+            assert np.allclose(m, want, rtol=0, atol=1e-12)
+
+    def test_degree_bound(self):
+        with pytest.raises(ValueError):
+            dyn.exact_chebyshev_moments(Poly([0.0, 0.0, 1.0]), 2)
+
+    def test_stock_values(self, stock_escape):
+        worst = [float(np.max(np.abs(dyn.exact_chebyshev_moments(stock_escape[n].poly, 6)[1:])))
+                 for n in (10, 20, 40)]
+        assert np.allclose(worst, [0.314678, 0.142213, 0.067457], rtol=0, atol=5e-7)
+
+    @pytest.mark.parametrize("n", [10, 20, 40])
+    def test_sampler_within_batch_means_error(self, stock_escape, stock_samples, n):
+        # 20 batches of 1000 consecutive orbit points; the batch means absorb the
+        # orbit's serial correlation
+        exact = dyn.exact_chebyshev_moments(stock_escape[n].poly, 6)
+        batches = stock_samples[n].points[:20000].reshape(20, 1000)
+        t_prev, t_cur = np.ones_like(batches), batches
+        for k in range(1, 7):
+            means = t_cur.mean(axis=1)
+            se = np.sqrt(np.sum(np.abs(means - means.mean()) ** 2) / 19 / 20)
+            assert abs(means.mean() - exact[k]) <= 6 * se, f"T_{k}"
+            t_prev, t_cur = t_cur, 2.0 * batches * t_cur - t_prev
 
 
 class TestInvariance:
@@ -207,6 +250,27 @@ class TestPreimages:
         z = dyn.solve_preimages(e, w)
         assert len(z) == poly.degree
         assert np.max(np.abs(poly(z) - w)) <= 1e-12
+
+    def test_solver_memory_matches_cold_solves(self, stock_escape, stock_samples):
+        # 300 targets of one degree-21 orbit through one solver: every warm start
+        # from a remembered root set lands on the cold solve's roots.  Both sit
+        # 1e-10 to 3e-10 (relative) from the exact roots of the monomial form
+        # near x = 1, so they can agree only to a few times that; starting from
+        # the previous step's roots gives differences up to about 1e-7
+        e = stock_escape[20]
+        solver = dyn._PreimageSolver(e.poly.monomial_coeffs())
+        for w in stock_samples[20].points[:300]:
+            warm = solver.solve(complex(w))
+            cold = dyn.solve_preimages(e, w)
+            assert len(warm) == len(cold) == e.degree
+            # matching by nearest root, so a dropped or doubled root shows up as
+            # an index that is hit twice
+            match = np.argmin(np.abs(warm[:, None] - cold[None, :]), axis=1)
+            assert len(set(match.tolist())) == e.degree
+            assert np.all(np.abs(warm - cold[match]) <= 1e-8 * np.abs(cold[match]))
+        assert solver.targets.shape == (dyn.SOLVER_MEMORY,)
+        assert solver.solved.shape == (dyn.SOLVER_MEMORY, e.degree)
+        assert dyn.SOLVER_MEMORY == 256
 
     def test_rectangle_touching_interval_rejected(self, square_escape):
         with pytest.raises(ValueError):

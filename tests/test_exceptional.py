@@ -140,6 +140,20 @@ class TestEvaluation:
         w = complex(ex.eval_exceptional(stock_family, 15, z0))
         assert abs(refine(z0, w) - z0) <= 1e-12
 
+    def test_refiner_converges_from_monomial_root(self, stock_family):
+        # one step of a degree-41 sampler orbit: the monomial-basis preimage z0
+        # is off by about 2e-3, and two Newton steps left |P_40(z) - w| at
+        # 4.6e-5 of the evaluation scale
+        n = 40
+        z0 = complex(0.9779537786776813, -5.538449344665533e-19)
+        w = complex(0.2164086508034827, -1.4707778899850403e-27)
+        z = ex.newton_refiner(stock_family, n)(z0, w)
+        p = xj.eval_orthonormal_jacobi(stock_family.params, n, z)
+        dp = xj.eval_jacobi_derivative(stock_family.params, n, z)
+        scale = (abs(stock_family.b(z) * dp) + abs(stock_family.bw(z) * p)) \
+            / ex.sigma_n(stock_family, n)
+        assert abs(ex.eval_exceptional(stock_family, n, z) - w) <= 1e-8 * (abs(w) + scale)
+
 
 class TestDegreesAndLeadingCoeffs:
     def test_degree_law(self, stock_family):
