@@ -9,6 +9,7 @@ norm of b p_n' - bw p_n; the closed form sqrt(c0 (n(n+alpha+beta+1)+lambda))
 is exposed as a cross-check that validates the configured lambda.
 """
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from . import jacobi, rootfind
 from .errors import ConfigError, ValidationError
 from .jacobi import JacobiParams, cached_rule
-from .poly import CHEBYSHEV, Poly, chebyshev_grid, chebyshev_transform, interpolate_to_poly
+from .poly import Poly, interpolate_to_poly
 
 # Base quadrature order for the rational inner products; geometric convergence
 # in the order makes this ample for poles at distance >~ 1e-2 from [-1, 1].
@@ -206,12 +207,14 @@ def weight(data: DarbouxData) -> ExceptionalWeight:
     return ExceptionalWeight(data, normalization_constant(data))
 
 
-def _apply_transform(data: DarbouxData, n: int, z):
-    """Unnormalized b p_n' - bw p_n at z."""
-    z = np.asarray(z, dtype=complex)
-    out = (data.b(z) * jacobi.eval_jacobi_derivative(data.params, n, z)
-           - data.bw(z) * jacobi.eval_orthonormal_jacobi(data.params, n, z))
-    return np.asarray(out, dtype=complex)
+def _transform(data: DarbouxData, n: int, z: np.ndarray):
+    """Unnormalized b p_n' - bw p_n at array z, its derivative, and the size
+    |b p_n'| + |bw p_n| of the two terms, from one recurrence pass."""
+    p, dp, ddp = jacobi.orthonormal_values(data.params, n, z)
+    b, bw = data.b(z), data.bw(z)
+    return (b * dp - bw * p,
+            data.b.deriv()(z) * dp + b * ddp - data.bw.deriv()(z) * p - bw * dp,
+            np.abs(b * dp) + np.abs(bw * p))
 
 
 def _sigma_order(data: DarbouxData, n: int) -> int:
@@ -224,7 +227,7 @@ def sigma_n(data: DarbouxData, n: int) -> float:
     if key not in data._cache:
         c0 = normalization_constant(data)
         rule = data.quad_rule(_sigma_order(data, n))
-        vals = _apply_transform(data, n, rule.nodes).real
+        vals = _transform(data, n, rule.nodes)[0].real
         bt = data.b_tilde(rule.nodes).real
         norm_sq = c0 * float(rule.integrate_values(vals * vals / bt ** 2))
         if norm_sq <= 0 or not np.isfinite(norm_sq):
@@ -250,21 +253,27 @@ def sigma_discrepancy(data: DarbouxData, n: int) -> float:
     return abs(q - c) / c
 
 
+def exceptional_values(data: DarbouxData, n: int, z: np.ndarray):
+    """(P_n, P_n', s) at array z from one recurrence pass, where
+    P_n = (b p_n' - bw p_n) / sigma_n and s = (|b p_n'| + |bw p_n|) / sigma_n
+    is the size of the two terms, the yardstick for P_n's rounding error."""
+    sig = sigma_n(data, n)
+    return tuple(v / sig for v in _transform(data, n, z))
+
+
+def _at(data: DarbouxData, n: int, z, which: int):
+    out = exceptional_values(data, n, np.asarray(z, dtype=complex))[which]
+    return complex(out) if out.shape == () else out
+
+
 def eval_exceptional(data: DarbouxData, n: int, z):
     """P_n(z) = (b(z) p_n'(z) - bw(z) p_n(z)) / sigma_n, recurrence-based."""
-    out = _apply_transform(data, n, z) / sigma_n(data, n)
-    return complex(out) if out.shape == () else out
+    return _at(data, n, z, 0)
 
 
 def eval_exceptional_derivative(data: DarbouxData, n: int, z):
-    z = np.asarray(z, dtype=complex)
-    p = jacobi.eval_orthonormal_jacobi(data.params, n, z)
-    dp = jacobi.eval_jacobi_derivative(data.params, n, z)
-    ddp = jacobi.eval_jacobi_second_derivative(data.params, n, z)
-    out = np.asarray((data.b.deriv()(z) * dp + data.b(z) * ddp
-                      - data.bw.deriv()(z) * p - data.bw(z) * dp), dtype=complex)
-    out = out / sigma_n(data, n)
-    return complex(out) if out.shape == () else out
+    """P_n'(z), from the same recurrence pass as P_n."""
+    return _at(data, n, z, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -358,24 +367,6 @@ def leading_coeff_exceptional(data: DarbouxData, n: int) -> float:
     return next(iter(matches.values()))
 
 
-def _scalar_orth_factory(params: JacobiParams, nmax: int):
-    """Plain-Python scalar evaluator for the orthonormal family (fast at one point)."""
-    a, b = jacobi._recurrence(params.alpha, params.beta, max(nmax, 1) + 1)
-    a = a.tolist()
-    sb = np.sqrt(b).tolist()
-
-    def at(n: int, z: complex) -> complex:
-        q = 1.0 / sb[0]
-        if n == 0:
-            return q
-        q_prev, q = q, (z - a[0]) * q / sb[1]
-        for k in range(1, n):
-            q_prev, q = q, ((z - a[k]) * q - sb[k] * q_prev) / sb[k + 1]
-        return q
-
-    return at
-
-
 def newton_refiner(data: DarbouxData, n: int):
     """Scalar Newton step-taker for equations P_n(z) = w.
 
@@ -384,15 +375,11 @@ def newton_refiner(data: DarbouxData, n: int):
     one chosen preimage per step against the recurrence removes that noise at
     negligible cost.  Returns refine(z, w) -> z: guarded Newton steps, taken
     while |P_n(z) - w| falls and is above the recurrence's rounding level, at
-    most REFINE_MAX_STEPS of them.
+    most REFINE_MAX_STEPS of them.  While |P_n(z) - w| is above RESIDUAL_REL
+    of its scale, a Newton step that does not lower it is replaced by a
+    Cauchy step, then by halves of the Newton step.
     """
     params = data.params
-    s = params.alpha + params.beta
-    at0 = _scalar_orth_factory(params, n)
-    at1 = _scalar_orth_factory(JacobiParams(params.alpha + 1, params.beta + 1), max(n - 1, 1))
-    at2 = _scalar_orth_factory(JacobiParams(params.alpha + 2, params.beta + 2), max(n - 2, 1))
-    fac1 = float(np.sqrt(n * (n + s + 1))) if n >= 1 else 0.0
-    fac2 = fac1 * float(np.sqrt((n - 1) * (n + s + 2))) if n >= 2 else 0.0
     bc = data.b.coeffs[:data.b.degree + 1].tolist()
     bwc = data.bw.coeffs[:data.bw.degree + 1].tolist()
     bpc = data.b.deriv().coeffs.tolist()
@@ -408,31 +395,38 @@ def newton_refiner(data: DarbouxData, n: int):
             acc = acc * z + ck
         return acc
 
-    def value_slope(z: complex):
-        p = at0(n, z)
-        dp = fac1 * at1(n - 1, z) if n >= 1 else 0.0
-        ddp = fac2 * at2(n - 2, z) if n >= 2 else 0.0
+    def value_slope(z: complex, w: complex):
+        p, dp, ddp = jacobi.orthonormal_values(params, n, z)
         b = horner(bc, z)
         bw = horner(bwc, z)
         bp = horner(bpc, z)
         bwp = horner(bwpc, z)
-        return ((b * dp - bw * p) / sig,
+        return ((b * dp - bw * p) / sig - w,
                 (bp * dp + b * ddp - bwp * p - bw * dp) / sig,
                 (abs(b * dp) + abs(bw * p)) / abs(sig))
 
     def refine(z: complex, w: complex) -> complex:
-        f, df, scale = value_slope(z)
-        f -= w
+        f, df, scale = value_slope(z, w)
         for _ in range(REFINE_MAX_STEPS):
             if df == 0 or abs(f) <= level * (scale + abs(w)):
                 break
-            cand = z - f / df
-            f2, df2, scale2 = value_slope(cand)
-            f2 -= w
-            if abs(f2) < abs(f):
-                z, f, df, scale = cand, f2, df2, scale2
-            else:
+            step = f / df
+            cand = z - step
+            f2, df2, scale2 = value_slope(cand, w)
+            if not abs(f2) < abs(f) and abs(f) > rootfind.RESIDUAL_REL * (scale + abs(w)):
+                # next to a critical point the step overshoots, and a real
+                # iterate never reaches a complex preimage: try the nearer root
+                # of the quadratic model (P_n'' from the secant of P_n'), then
+                # halves of the step down to 1/16
+                disc = cmath.sqrt(df * df - 2.0 * f * (df - df2) / step)
+                den = max(df + disc, df - disc, key=abs)
+                for cand in [z - 2.0 * f / den] + [z - step / 2 ** k for k in range(1, 5)]:
+                    f2, df2, scale2 = value_slope(cand, w)
+                    if abs(f2) < abs(f):
+                        break
+            if not abs(f2) < abs(f):
                 break
+            z, f, df, scale = cand, f2, df2, scale2
         return z
 
     return refine
@@ -450,16 +444,6 @@ def _residual_points(rng_seed: int = 20210) -> np.ndarray:
     r = 2.0 * np.sqrt(rng.uniform(0.0, 1.0, _RESIDUAL_POINTS))
     th = rng.uniform(0.0, 2.0 * np.pi, _RESIDUAL_POINTS)
     return r * np.exp(1j * th)
-
-
-def chebyshev_poly(data: DarbouxData, n: int) -> Poly:
-    """P_n as a Chebyshev series on [-1, 1] (fast transform on the extrema grid)."""
-    deg = exceptional_degree(data, n)
-    if deg == 0:
-        return Poly(np.atleast_1d(eval_exceptional(data, n, np.array(0.0))), CHEBYSHEV)
-    xs = chebyshev_grid(deg)
-    vals = eval_exceptional(data, n, xs)
-    return Poly(chebyshev_transform(vals), CHEBYSHEV)
 
 
 def monomial_coeffs(data: DarbouxData, n: int) -> Poly:
@@ -500,7 +484,7 @@ def inner_product_matrix(data: DarbouxData, kmax: int) -> np.ndarray:
     lo = first_index(data)
     rows = np.empty((kmax + 1 - lo, rule.order))
     for k in range(lo, kmax + 1):
-        rows[k - lo] = _apply_transform(data, k, rule.nodes).real / sigma_n(data, k)
+        rows[k - lo] = _transform(data, k, rule.nodes)[0].real / sigma_n(data, k)
     return c0 * (rows * (rule.weights / bt ** 2)) @ rows.T
 
 
@@ -539,7 +523,7 @@ def verify_span_property(data: DarbouxData, p: Poly, s_max: int | None = None):
 
     coeffs = np.zeros(l_max + 1)
     for l in range(first_index(data), l_max + 1):
-        pl = _apply_transform(data, l, x).real / sigma_n(data, l)
+        pl = _transform(data, l, x)[0].real / sigma_n(data, l)
         coeffs[l] = c0 * rule.integrate_values(b2p * pl / bt ** 2)
     residuals = np.abs(coeffs)
     if norm == 0.0:

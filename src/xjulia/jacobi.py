@@ -1,7 +1,8 @@
 """Classical orthonormal Jacobi polynomials.
 
-Everything is driven by the three-term recurrence in double precision; explicit
-monomial coefficients are never formed here (they are catastrophically
+Everything is driven by the three-term recurrence in double precision: one pass
+of it, differentiated twice, gives p_n, p_n' and p_n'' (orthonormal_values).
+Explicit monomial coefficients are never formed here (they are catastrophically
 ill-conditioned at high degree).  The orthonormalization is against the
 unnormalized weight w(x) = (1-x)^alpha (1+x)^beta on [-1, 1], with positive
 leading coefficients.
@@ -95,47 +96,50 @@ def jacobi_table(params: JacobiParams, nmax: int, z):
     return out
 
 
-def _eval_many(params: JacobiParams, n: int, z):
-    z = np.asarray(z, dtype=complex)
-    if n == 0:
-        return np.full(z.shape, 1.0 / np.sqrt(params.weight_mass), dtype=complex)
-    return jacobi_table(params, n, z)[n]
+def orthonormal_values(params: JacobiParams, n: int, z):
+    """(p_n, p_n', p_n'') at z in one pass of the three-term recurrence.
+
+    Differentiating sqrt(b_{k+1}) q_{k+1} = (z - a_k) q_k - sqrt(b_k) q_{k-1}
+    gives the same recurrence for q' with the extra term q_k, and for q'' with
+    2 q'_k (Gautschi, Orthogonal Polynomials, 2004).  z is a Python scalar,
+    which keeps the loop in plain Python arithmetic, or an array, evaluated in
+    complex arithmetic; p_n is formed exactly as in jacobi_table, so the two
+    agree bit for bit.
+    """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    array = isinstance(z, np.ndarray)
+    if array:
+        z = z.astype(complex, copy=False)
+    a, b = _recurrence(params.alpha, params.beta, n + 1)
+    a = a.tolist()
+    sb = np.sqrt(b).tolist()
+    q_prev, q = 0.0, 1.0 / sb[0]
+    dq_prev = dq = ddq_prev = ddq = 0.0
+    for ak, sk, sk1 in zip(a[:n], sb, sb[1:]):
+        t = z - ak
+        ddq_prev, ddq = ddq, (t * ddq + 2.0 * dq - sk * ddq_prev) / sk1
+        dq_prev, dq = dq, (t * dq + q - sk * dq_prev) / sk1
+        q_prev, q = q, (t * q - sk * q_prev) / sk1
+    if array:
+        return tuple(np.full(z.shape, v, dtype=complex) if np.ndim(v) == 0 else v
+                     for v in (q, dq, ddq))
+    return q, dq, ddq
+
+
+def _at(params: JacobiParams, n: int, z, which: int):
+    out = orthonormal_values(params, n, np.asarray(z, dtype=complex))[which]
+    return complex(out) if out.shape == () else out
 
 
 def eval_orthonormal_jacobi(params: JacobiParams, n: int, z):
     """Orthonormal Jacobi polynomial p_n at z (scalar or array, complex ok)."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    out = _eval_many(params, n, np.asarray(z, dtype=complex))
-    return complex(out) if out.shape == () else out
-
-
-def _derivative_factor(params: JacobiParams, n: int) -> float:
-    return float(np.sqrt(n * (n + params.alpha + params.beta + 1)))
-
-
-def _shifted(params: JacobiParams, by: int) -> JacobiParams:
-    return JacobiParams(params.alpha + by, params.beta + by)
+    return _at(params, n, z, 0)
 
 
 def eval_jacobi_derivative(params: JacobiParams, n: int, z):
-    """Derivative p_n'(z) = sqrt(n(n+alpha+beta+1)) p_{n-1} of the (+1,+1) family."""
-    z = np.asarray(z, dtype=complex)
-    if n == 0:
-        out = np.zeros(z.shape, dtype=complex)
-    else:
-        out = _derivative_factor(params, n) * _eval_many(_shifted(params, 1), n - 1, z)
-    return complex(out) if out.shape == () else out
-
-
-def eval_jacobi_second_derivative(params: JacobiParams, n: int, z):
-    z = np.asarray(z, dtype=complex)
-    if n <= 1:
-        out = np.zeros(z.shape, dtype=complex)
-    else:
-        f = _derivative_factor(params, n) * _derivative_factor(_shifted(params, 1), n - 1)
-        out = f * _eval_many(_shifted(params, 2), n - 2, z)
-    return complex(out) if out.shape == () else out
+    """Derivative p_n'(z) (scalar or array, complex ok)."""
+    return _at(params, n, z, 1)
 
 
 def log_leading_coeff_jacobi(params: JacobiParams, n: int) -> float:
@@ -203,8 +207,8 @@ def gauss_jacobi_rule(params: JacobiParams, order: int) -> QuadratureRule:
     a, b = _recurrence(params.alpha, params.beta, order)
     nodes = eigh_tridiagonal(a[:order], np.sqrt(b[1:order]), eigvals_only=True)
     for _ in range(2):
-        step = _eval_many(params, order, nodes) / eval_jacobi_derivative(params, order, nodes)
-        nodes = nodes - step.real
+        p, dp, _ = orthonormal_values(params, order, nodes)
+        nodes = nodes - (p / dp).real
     outside = ~((-1.0 < nodes) & (nodes < 1.0))
     if outside.any():
         raise NodeConvergenceError(int(np.argmax(outside)), "node outside (-1, 1)")

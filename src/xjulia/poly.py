@@ -1,8 +1,10 @@
-"""Dense univariate polynomials with an explicit basis (monomial or Chebyshev).
+"""Dense univariate polynomials in the monomial basis, and interpolation into it.
 
-Basis conversions run in extended precision internally: the triangular change
-of basis grows like (1+sqrt(2))^degree, which plain double precision cannot
-absorb at the degrees this package works at.
+interpolate_to_poly samples on the Chebyshev extrema grid, takes the fast
+transform and converts the Chebyshev series to monomial coefficients in
+extended precision: the triangular change of basis grows like
+(1+sqrt(2))^degree, which plain double precision cannot absorb at the degrees
+this package works at.
 """
 
 from dataclasses import dataclass
@@ -10,9 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from scipy.fft import dct
-
-MONOMIAL = "monomial"
-CHEBYSHEV = "chebyshev"
 
 # Trailing coefficients below this relative size do not count toward the degree.
 TRUNCATION_REL = 1e-14
@@ -23,11 +22,8 @@ class Poly:
     """Coefficients ascending by degree.  Treated as immutable after creation."""
 
     coeffs: np.ndarray
-    basis: str = MONOMIAL
 
     def __post_init__(self):
-        if self.basis not in (MONOMIAL, CHEBYSHEV):
-            raise ValueError(f"unknown basis {self.basis!r}")
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
         if c.ndim != 1 or len(c) == 0:
             raise ValueError("coeffs must be a nonempty 1-d sequence")
@@ -45,38 +41,20 @@ class Poly:
         return int(keep[-1]) if len(keep) else 0
 
     def trimmed(self) -> "Poly":
-        return Poly(self.coeffs[:self.degree + 1], self.basis)
+        return Poly(self.coeffs[:self.degree + 1])
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        if self.basis == MONOMIAL:
-            out = horner(self.coeffs, z)
-        else:
-            out = _clenshaw(self.coeffs, z)
+        out = horner(self.coeffs, np.asarray(z, dtype=complex))
         return complex(out) if out.shape == () else out
 
     def deriv(self) -> "Poly":
-        if self.basis == MONOMIAL:
-            if len(self.coeffs) == 1:
-                return Poly(np.zeros(1, dtype=complex))
-            k = np.arange(1, len(self.coeffs))
-            return Poly(self.coeffs[1:] * k, MONOMIAL)
-        return Poly(_cheb.chebder(self.coeffs), CHEBYSHEV)
-
-    def to_basis(self, basis: str) -> "Poly":
-        if basis == self.basis:
-            return self
-        work = self.coeffs.astype(np.clongdouble)
-        if basis == CHEBYSHEV:
-            out = _cheb.poly2cheb(work)
-        elif basis == MONOMIAL:
-            out = _cheb.cheb2poly(work)
-        else:
-            raise ValueError(f"unknown basis {basis!r}")
-        return Poly(np.asarray(out, dtype=complex), basis)
+        if len(self.coeffs) == 1:
+            return Poly(np.zeros(1, dtype=complex))
+        k = np.arange(1, len(self.coeffs))
+        return Poly(self.coeffs[1:] * k)
 
     def monomial_coeffs(self) -> np.ndarray:
-        return self.to_basis(MONOMIAL).coeffs
+        return self.coeffs
 
     def leading_coeff(self) -> complex:
         return complex(self.coeffs[self.degree])
@@ -86,14 +64,7 @@ class Poly:
 
     @classmethod
     def from_roots(cls, roots, leading=1.0) -> "Poly":
-        return cls(_ascending_from_roots(roots, leading), MONOMIAL)
-
-    def scaled_argument(self, s: float) -> "Poly":
-        """The polynomial q(x) = p(s x), same basis only for monomial."""
-        if self.basis != MONOMIAL:
-            return self.to_basis(MONOMIAL).scaled_argument(s)
-        k = np.arange(len(self.coeffs))
-        return Poly(self.coeffs * np.power(complex(s), k), MONOMIAL)
+        return cls(_ascending_from_roots(roots, leading))
 
 
 def _ascending_from_roots(roots, leading):
@@ -121,16 +92,6 @@ def horner_with_derivative(coeffs, z):
     return pv, dv
 
 
-def _clenshaw(coeffs, z):
-    if len(coeffs) == 1:
-        return np.full(z.shape, coeffs[0], dtype=complex)
-    b1 = np.zeros(z.shape, dtype=complex)
-    b2 = np.zeros(z.shape, dtype=complex)
-    for ck in coeffs[:0:-1]:
-        b1, b2 = ck + 2.0 * z * b1 - b2, b1
-    return coeffs[0] + z * b1 - b2
-
-
 def chebyshev_transform(values: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients from values at the extrema grid cos(pi*j/d), j=0..d.
 
@@ -150,20 +111,16 @@ def chebyshev_transform(values: np.ndarray) -> np.ndarray:
     return c
 
 
-def chebyshev_grid(degree: int, scale: float = 1.0) -> np.ndarray:
-    """Extrema grid scale*cos(pi*j/degree), j = 0..degree (descending in j)."""
-    return scale * np.cos(np.pi * np.arange(degree + 1) / degree)
+def chebyshev_grid(degree: int) -> np.ndarray:
+    """Extrema grid cos(pi*j/degree), j = 0..degree (descending in j)."""
+    return np.cos(np.pi * np.arange(degree + 1) / degree)
 
 
-def interpolate_to_poly(f, degree: int, scale: float = 1.0) -> Poly:
+def interpolate_to_poly(f, degree: int) -> Poly:
     """Monomial coefficients of a degree-`degree` polynomial callable f.
 
-    Samples on the scaled Chebyshev extrema grid, takes the fast transform,
-    converts basis in extended precision, and unscales the argument.
+    Samples on the Chebyshev extrema grid, takes the fast transform and
+    converts basis in extended precision.
     """
-    xs = chebyshev_grid(degree, scale)
-    c = chebyshev_transform(np.asarray(f(xs), dtype=complex))
-    mono = np.asarray(_cheb.cheb2poly(c.astype(np.clongdouble)), dtype=complex)
-    if scale != 1.0:
-        mono = mono / np.power(complex(scale), np.arange(len(mono)))
-    return Poly(mono, MONOMIAL)
+    c = chebyshev_transform(np.asarray(f(chebyshev_grid(degree)), dtype=complex))
+    return Poly(np.asarray(_cheb.cheb2poly(c.astype(np.clongdouble)), dtype=complex))

@@ -1,13 +1,12 @@
 """Simultaneous polynomial root-finding and zero classification.
 
 One Aberth-Ehrlich driver, `aberth`, sweeps over all roots at once with a
-noise-floor endgame; the caller supplies the evaluation.  `roots` evaluates in
-the polynomial's native basis (Horner or Clenshaw); the sampler's preimage
-solves pass a fused monomial Horner.  Classification of the
-Darboux-family zeros into regular (simple, inside (-1,1)) and exceptional
-(everything else) rides on top of it, with a Newton polish against the
-recurrence-based evaluation so interpolation noise never reaches the reported
-roots.
+noise-floor endgame; the caller supplies the evaluation.  `roots` evaluates a
+monomial-basis polynomial by Horner; the sampler's preimage solves pass a fused
+value-and-derivative Horner.  Classification of the Darboux-family zeros into
+regular (simple, inside (-1,1)) and exceptional (everything else) runs the same
+driver on the recurrence evaluation of P_n and P_n' itself, so no
+coefficient form stands between the zeros and the function.
 """
 
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .poly import MONOMIAL, Poly
+from .poly import Poly
 
 CONVERGENCE_REL = 1e-13
 RESIDUAL_REL = 1e-8
@@ -106,25 +105,21 @@ def aberth(values, noise_floor, z0: np.ndarray, max_sweeps: int = MAX_SWEEPS):
         pending = scaled if worst <= 1e-9 or stalled >= 10 else None
 
 
-def roots(p: Poly, initial=None, polish=None, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
+def roots(p: Poly, initial=None, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
     """All deg(p) roots of p, with multiplicity, by Aberth-Ehrlich iteration.
 
     Parameters
     ----------
     p : Poly
-        Monomial or Chebyshev basis; the iteration evaluates in that basis.
+        Evaluated by Horner on its monomial coefficients.
     initial : array_like, optional
         Starting points (deg(p) of them).  Default: perturbed circle.
-    polish : callable, optional
-        z -> (f(z), f'(z)) in a more accurate evaluation form; a few guarded
-        Newton steps are applied to the converged roots.  Used when the
-        coefficients came out of interpolation.
     """
     p = p.trimmed()
     d = p.degree
     if d < 1:
         raise ValueError("degree must be >= 1")
-    mono = p.monomial_coeffs()
+    mono = p.coeffs
     if abs(mono[-1]) <= 1e-14 * np.max(np.abs(mono)):
         raise ValidationError("leading coefficient too small relative to the rest")
     if d == 1:
@@ -135,44 +130,15 @@ def roots(p: Poly, initial=None, polish=None, max_sweeps: int = MAX_SWEEPS) -> n
     if len(z0) != d:
         raise ValueError(f"need {d} starting points, got {len(z0)}")
 
-    if p.basis == MONOMIAL:
-        floor = monomial_noise_floor(mono)
-    else:
-        # bound |T_k(z)| by u^k with u = |z| + sqrt(|z|^2 + 1)
-        cheb_floor = monomial_noise_floor(p.coeffs[:d + 1])
-
-        def floor(z):
-            return cheb_floor(np.abs(z) + np.sqrt(np.abs(z) ** 2 + 1.0))
-
-    z, converged = aberth(lambda z: (p(z), dp(z)), floor, z0, max_sweeps)
+    z, converged = aberth(lambda z: (p(z), dp(z)), monomial_noise_floor(mono), z0, max_sweeps)
     if not converged:
         worst = float(np.max(np.abs(p(z))))
         raise ConvergenceError(f"Aberth iteration did not settle in {max_sweeps} sweeps",
                                residual=worst)
 
-    if polish is not None:
-        z = _newton_polish(z, polish)
-
-    worst_rel = float(np.max(np.abs(p(z)) / residual_scale(Poly(mono), z)))
+    worst_rel = float(np.max(np.abs(p(z)) / residual_scale(p, z)))
     if worst_rel > RESIDUAL_REL:
         raise ConvergenceError("root residual contract violated", residual=worst_rel)
-    return z
-
-
-def _newton_polish(z, polish, steps: int = 4):
-    """Guarded Newton: a step is kept only while |f| decreases."""
-    z = z.copy()
-    f, df = polish(z)
-    fmag = np.abs(f)
-    for _ in range(steps):
-        step = f / np.where(df == 0, 1e-300, df)
-        cand = z - step
-        f_new, df_new = polish(cand)
-        better = np.abs(f_new) <= fmag
-        z = np.where(better, cand, z)
-        f = np.where(better, f_new, f)
-        df = np.where(better, df_new, df)
-        fmag = np.abs(f)
     return z
 
 
@@ -197,27 +163,36 @@ class ZeroClassification:
 def classify_zeros(data, n: int) -> "ZeroClassification":
     """Split the zeros of the n-th transformed family member P_n.
 
-    A zero is regular iff |Im| <= 1e-8 and Re inside the open interval with a
-    1e-12 edge margin; the count must match the actual degree (n + m on the
-    presets once the top coefficient is alive).
+    Aberth runs on the recurrence evaluation of (P_n, P_n') from
+    _classification_guesses, one start per zero of the actual degree, and stops
+    only when every correction is below CONVERGENCE_REL.  Each zero must then
+    meet the residual contract |P_n| <= RESIDUAL_REL (s + (1 + |z|) |P_n'|),
+    s = (|b p_n'| + |bw p_n|) / sigma_n the size of the terms whose difference
+    is P_n: a small residual next to those terms, or a Newton step below
+    RESIDUAL_REL of the point (the only yardstick left at a zero of b p_n'
+    when bw = 0).  A zero is regular iff |Im| <= 1e-8 and Re inside the open
+    interval with a 1e-12 edge margin.
     """
     from . import exceptional as exc_mod
 
     if n + data.m > 60:
         raise ValueError("n + m exceeds the desk-scale degree cap (60)")
-    cheb = exc_mod.chebyshev_poly(data, n)
     degree = exc_mod.exceptional_degree(data, n)
-    if cheb.degree != degree:
-        raise ValidationError(
-            f"degree law violated: expected {degree}, interpolation says {cheb.degree}")
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
 
-    guesses = _classification_guesses(data, degree)
+    def values(z):
+        return exc_mod.exceptional_values(data, n, z)[:2]
 
-    def polish(z):
-        return (exc_mod.eval_exceptional(data, n, z),
-                exc_mod.eval_exceptional_derivative(data, n, z))
-
-    found = roots(cheb, initial=guesses, polish=polish)
+    found, converged = aberth(values, lambda z: 0.0, _classification_guesses(data, degree))
+    f, df, size = exc_mod.exceptional_values(data, n, found)
+    if not converged:
+        raise ConvergenceError(f"Aberth iteration did not settle in {MAX_SWEEPS} sweeps",
+                               residual=float(np.max(np.abs(f))))
+    # a product, not a ratio: an exact zero passes and a NaN fails
+    if not np.all(np.abs(f) <= RESIDUAL_REL * (size + (1.0 + np.abs(found)) * np.abs(df))):
+        raise ConvergenceError("zero residual contract violated",
+                               residual=float(np.max(np.abs(f))))
 
     reg_mask = (np.abs(found.imag) <= IMAG_TOL) & (np.abs(found.real) < 1.0 - EDGE_TOL)
     regular = np.sort(found[reg_mask].real)
@@ -226,11 +201,7 @@ def classify_zeros(data, n: int) -> "ZeroClassification":
     if len(exceptional):
         dist = np.min(np.abs(exceptional[:, None] - bt_roots[None, :]), axis=1)
         exceptional = exceptional[np.argsort(dist)]
-
-    zc = ZeroClassification(regular=regular, exceptional=exceptional, n=n, m=data.m)
-    if zc.total != degree:
-        raise ValidationError(f"found {zc.total} zeros for degree {degree}")
-    return zc
+    return ZeroClassification(regular=regular, exceptional=exceptional, n=n, m=data.m)
 
 
 def _b_tilde_roots(data) -> np.ndarray:

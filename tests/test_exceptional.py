@@ -140,19 +140,33 @@ class TestEvaluation:
         w = complex(ex.eval_exceptional(stock_family, 15, z0))
         assert abs(refine(z0, w) - z0) <= 1e-12
 
+    @staticmethod
+    def refined_residual(family, n, z0, w):
+        """|P_n(z) - w| of the refined z, relative to |w| + the evaluation scale."""
+        z = ex.newton_refiner(family, n)(z0, w)
+        f, _, scale = ex.exceptional_values(family, n, np.array([z]))
+        return abs(f[0] - w) / (abs(w) + scale[0])
+
     def test_refiner_converges_from_monomial_root(self, stock_family):
         # one step of a degree-41 sampler orbit: the monomial-basis preimage z0
         # is off by about 2e-3, and two Newton steps left |P_40(z) - w| at
         # 4.6e-5 of the evaluation scale
-        n = 40
         z0 = complex(0.9779537786776813, -5.538449344665533e-19)
         w = complex(0.2164086508034827, -1.4707778899850403e-27)
-        z = ex.newton_refiner(stock_family, n)(z0, w)
-        p = xj.eval_orthonormal_jacobi(stock_family.params, n, z)
-        dp = xj.eval_jacobi_derivative(stock_family.params, n, z)
-        scale = (abs(stock_family.b(z) * dp) + abs(stock_family.bw(z) * p)) \
-            / ex.sigma_n(stock_family, n)
-        assert abs(ex.eval_exceptional(stock_family, n, z) - w) <= 1e-8 * (abs(w) + scale)
+        assert self.refined_residual(stock_family, 40, z0, w) <= 1e-8
+
+    @pytest.mark.parametrize("z0,w", [
+        # the full Newton step raises |P_40(z) - w|; a guarded Newton refine
+        # returns z0, at 0.19 of the scale
+        (0.9470786177912961 - 0.002885589016247743j, -0.9950323252504168 + 4.736936548823224e-15j),
+        # w lies beyond the nearby critical value, so both preimages are
+        # complex and real Newton iterates, halved or not, stall at 0.24
+        (0.9876905237839528 + 0j, -0.8033755504316018 + 0j),
+    ], ids=["overshoot", "real-axis"])
+    def test_refiner_recovers_near_critical_point(self, stock_family, z0, w):
+        # degree-41 orbit steps whose monomial-basis preimage sits next to a
+        # critical point of P_40
+        assert self.refined_residual(stock_family, 40, z0, w) <= 1e-8
 
 
 class TestDegreesAndLeadingCoeffs:

@@ -157,12 +157,42 @@ class TestDerivative:
         assert_allclose(exact, fd, rtol=1e-6, atol=1e-8)
 
     def test_second_derivative_against_differences(self):
-        from xjulia.jacobi import eval_jacobi_second_derivative
         params = xj.JacobiParams(1.0, 0.5)
         h = 1e-5
         f = lambda x: xj.eval_orthonormal_jacobi(params, 8, x)
         fd = (f(0.3 + h) - 2 * f(0.3) + f(0.3 - h)) / h ** 2
-        assert_allclose(eval_jacobi_second_derivative(params, 8, 0.3), fd, rtol=1e-5)
+        assert_allclose(jacobi.orthonormal_values(params, 8, 0.3)[2], fd, rtol=1e-5)
+
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (-0.5, -0.5), (0.7, -0.3),
+                                            (-0.98, 1.2), (2.5, 1.0), (1.02, 0.2)])
+    def test_fused_derivatives_match_shifted_families(self, alpha, beta):
+        # p_n' = sqrt(n(n+s+1)) p_{n-1}^(alpha+1,beta+1), s = alpha + beta, and
+        # p_n'' = sqrt(n(n+s+1)) sqrt((n-1)(n+s+2)) p_{n-2}^(alpha+2,beta+2)
+        params = xj.JacobiParams(alpha, beta)
+        x = np.linspace(-1.0, 1.0, 101)
+        grid = np.concatenate([x + 0j, 1.1 * x + 0.4j * np.sin(3 * x)])
+        s = alpha + beta
+        one = jacobi_table(xj.JacobiParams(alpha + 1, beta + 1), 59, grid)
+        two = jacobi_table(xj.JacobiParams(alpha + 2, beta + 2), 58, grid)
+        for n in range(1, 61):
+            p, dp, ddp = jacobi.orthonormal_values(params, n, grid)
+            assert np.array_equal(p, jacobi_table(params, n, grid)[n])
+            want = np.sqrt(n * (n + s + 1)) * one[n - 1]
+            assert np.max(np.abs(dp - want)) <= 1e-13 * np.max(np.abs(want))
+            if n >= 2:
+                want = np.sqrt(n * (n + s + 1) * (n - 1) * (n + s + 2)) * two[n - 2]
+                assert np.max(np.abs(ddp - want)) <= 1e-13 * np.max(np.abs(want))
+            else:
+                assert np.all(ddp == 0)
+
+    def test_scalar_matches_array(self):
+        params = xj.JacobiParams(0.7, -0.3)
+        z = np.array([0.3 + 0.0j, -0.95 + 0.1j, 1.4 - 0.2j])
+        arr = jacobi.orthonormal_values(params, 37, z)
+        for i, zi in enumerate(z):
+            got = jacobi.orthonormal_values(params, 37, complex(zi))
+            assert all(isinstance(v, complex) for v in got)
+            assert_allclose(got, [v[i] for v in arr], rtol=1e-14)
 
 
 class TestLeadingCoefficient:

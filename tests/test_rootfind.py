@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import xjulia as xj
+from xjulia import exceptional as ex
 from xjulia.errors import ConvergenceError
-from xjulia.poly import CHEBYSHEV, Poly
+from xjulia.poly import Poly
 from xjulia.rootfind import classification_to_csv, residual_scale
 
 
@@ -29,12 +30,7 @@ class TestRoots:
         assert_allclose(xj.roots(Poly([3.0, -2.0])), [1.5], rtol=1e-14)
 
     def test_chebyshev_20_closed_form_zeros(self):
-        t20 = Poly(np.eye(21)[20], CHEBYSHEV).to_basis("monomial")
-        expected = np.cos((2 * np.arange(1, 21) - 1) * np.pi / 40)
-        assert match_roots(xj.roots(t20), expected) <= 1e-10
-
-    def test_chebyshev_basis_direct(self):
-        t20 = Poly(np.eye(21)[20], CHEBYSHEV)
+        t20 = Poly(np.polynomial.chebyshev.cheb2poly(np.eye(21)[20]))
         expected = np.cos((2 * np.arange(1, 21) - 1) * np.pi / 40)
         assert match_roots(xj.roots(t20), expected) <= 1e-10
 
@@ -98,10 +94,37 @@ class TestClassification:
         assert len(zc.regular) == 0
         assert len(zc.exceptional) == 1
         assert abs(zc.exceptional[0].real) > 1
+        # the zero is exact, so the residual and the size of its terms are
+        # both 0: the contract must pass it, not read 0/0
+        f, _, size = ex.exceptional_values(stock_family, 0, zc.exceptional)
+        assert f[0] == 0 and size[0] == 0
+
+    @pytest.mark.parametrize("alpha,beta", [(0.2411501343380934, 1.3615219434124648),
+                                            (0.04169591552740745, 1.2146599053667033)])
+    def test_degree_fifty_zeros_solve_the_equation(self, alpha, beta):
+        # through the Chebyshev interpolant these gave 49 + 2 and 50 + 1 zeros,
+        # each with one "zero" of residual 1.0 of the scale
+        data = xj.make_x1_preset(xj.JacobiParams(alpha, beta))
+        zc = xj.classify_zeros(data, 50)
+        assert len(zc.regular) == 50 and len(zc.exceptional) == 1
+        z = np.concatenate([zc.regular.astype(complex), zc.exceptional])
+        f, _, size = ex.exceptional_values(data, 50, z)
+        assert np.all(np.abs(f) <= 1e-8 * size)
+
+    @pytest.mark.parametrize("n", [10, 50])
+    def test_overstated_degree_raises(self, stock_family, monkeypatch, n):
+        # one start too many has no zero to settle on
+        degree = ex.exceptional_degree
+        monkeypatch.setattr(ex, "exceptional_degree", lambda data, n: degree(data, n) + 1)
+        # the spare start runs off to overflow; the warnings say nothing here
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+            xj.classify_zeros(stock_family, n)
 
     def test_classical_degenerate_config(self):
         # b = 1, bw = 0 turns the transform into plain differentiation: the
-        # resulting family is the shifted classical one, all zeros regular
+        # resulting family is the shifted classical one, all zeros regular;
+        # with bw = 0 the size of the terms is |P_n| itself, so the residual
+        # contract passes these zeros on its Newton-step term
         params = xj.JacobiParams(0.5, 0.5)
         data_cfg = {"alpha": 0.5, "beta": 0.5, "eps1": 1, "eps2": 1,
                     "b": [1.0], "bw": [0.0], "lambda_tilde": 0.0}
