@@ -215,17 +215,10 @@ def cmd_julia(cfg: ExperimentConfig) -> int:
 
 
 def cmd_brolin(cfg: ExperimentConfig) -> int:
-    if cfg.is_raw:
-        schedule = _poly_schedule(cfg)
-        refiners = [None for _ in schedule]
-    else:
-        data = _family_data(cfg)
-        schedule = [(f"n{n}", n, exceptional.monomial_coeffs(data, n))
-                    for n in cfg.n_list]
-        refiners = [exceptional.newton_refiner(data, n) for n in cfg.n_list]
+    schedule = _poly_schedule(cfg)
     if not schedule:
         return 0
-    datas = dynamics.batch_escape_data([poly for _, _, poly in schedule], refiners)
+    datas = dynamics.batch_escape_data([poly for _, _, poly in schedule])
     max_moms, mean_ims, bounds = [], [], []
     for (label, n, _), e in zip(schedule, datas):
         sample = dynamics.brolin_sample(e, cfg.samples, burn_in=cfg.burn_in,

@@ -30,12 +30,14 @@ SOLVER_MEMORY = 256
 class EscapeData:
     """A polynomial with its certified escape radius.
 
+    poly: evaluated in root-product form when it carries its zeros; the
+    raster, the radius certificate and the exact moments read its coeffs.
     r_escape: one application of the polynomial at |z| > r_escape at least
     doubles the modulus (triangle-inequality certificate, degree >= 2).
     r_uniform: a radius meant to bound the filled Julia sets of a whole batch;
     defaults to r_escape, set to the batch maximum in batch mode.
-    refine: optional scalar (z, w) -> z step against a more accurate
-    evaluation form; the sampler applies it to each chosen orbit point.
+    refine: optional scalar (z, w) -> z step against another evaluation form
+    of the polynomial; the sampler applies it to each chosen orbit point.
     """
 
     poly: Poly
@@ -191,40 +193,62 @@ class _PreimageSolver:
     """Aberth solves of p(z) = w along one backward orbit, each started from
     the roots of the nearest earlier target.
 
+    A Poly with zeros is evaluated by Poly.values, with the noise floor
+    4 (d+1) eps (|p(z)| + |w|) from the same sweep's p(z), and its starts are
+    nudged off the real axis, where from real points at a real w Aberth would
+    stay: a stored root set by 1e-6; with none stored, the zeros by 1e-3.
+    Otherwise Horner runs on the coeffs of p - w.
+
     The targets and sorted root sets of the last SOLVER_MEMORY solves sit in
     two fixed arrays, overwritten oldest first; unfilled slots hold an
     infinite target, so they are never nearest.  The targets of one orbit fill
     the Julia set, so the nearest stored root set lies within about
-    |w - w'| / |p'| of the new preimages.  A solve that starts there and fails
-    retries from the Cauchy circle.
+    |w - w'| / |p'| of the new preimages.  A solve that fails from one start
+    retries from the next, the Cauchy circle last.
     """
 
-    def __init__(self, coeffs: np.ndarray):
-        self.poly = Poly(coeffs)
-        self.d = len(coeffs) - 1
+    def __init__(self, poly: Poly):
+        self.poly = poly
+        self.d = len(poly.coeffs) - 1
         self.targets = np.full(SOLVER_MEMORY, np.inf, dtype=complex)
         self.solved = np.zeros((SOLVER_MEMORY, self.d), dtype=complex)
         self.count = 0
+        self.nudge = None if poly.zeros is None else np.exp(
+            1j * (2.0 * np.pi * np.arange(self.d) / self.d + 0.4))
+
+    def _starts(self, w: complex, shifted: np.ndarray):
+        nearest = int(np.argmin(np.abs(self.targets - w)))
+        if np.isfinite(self.targets[nearest]):
+            warm = self.solved[nearest]
+            yield warm if self.nudge is None else warm + 1e-6 * self.nudge
+        if self.nudge is not None:
+            yield self.poly.zeros + 1e-3 * self.nudge
+        yield rootfind.initial_circle(shifted, self.d)
 
     def solve(self, w: complex) -> np.ndarray:
         shifted = self.poly.coeffs.copy()
         shifted[0] -= w
+        if self.poly.zeros is None:
+            values = partial(horner_with_derivative, shifted)
+            floor = rootfind.monomial_noise_floor(shifted)
+        else:
+            level = 4.0 * (self.d + 1) * np.finfo(float).eps
 
-        values = partial(horner_with_derivative, shifted)
-        floor = rootfind.monomial_noise_floor(shifted)
-        nearest = int(np.argmin(np.abs(self.targets - w)))
-        for warm in (True, False):
-            if warm and not np.isfinite(self.targets[nearest]):
-                continue
-            z0 = self.solved[nearest] if warm else rootfind.initial_circle(shifted, self.d)
+            def values(z):
+                pv, dv = self.poly.values(z)
+                return pv - w, dv
+
+            def floor(z, pv):
+                return level * (np.abs(pv + w) + abs(w))
+
+        for z0 in self._starts(w, shifted):
             z, ok = rootfind.aberth(values, floor, z0, 300)
             if not ok:
                 continue
-            worst = np.max(np.abs(horner(shifted, z)))
+            worst = np.max(np.abs(values(z)[0]))
             scale = rootfind.residual_scale(self.poly, np.max(np.abs(z))) + abs(w)
             if worst <= 1e-7 * scale:
-                order = np.lexsort((z.imag, z.real))
-                z = z[order]
+                z = z[np.lexsort((z.imag, z.real))]
                 slot = self.count % SOLVER_MEMORY
                 self.targets[slot] = w
                 self.solved[slot] = z
@@ -235,7 +259,7 @@ class _PreimageSolver:
 
 def solve_preimages(e: EscapeData, w: complex) -> np.ndarray:
     """All degree-many solutions of p(z) = w, sorted by (re, im)."""
-    return _PreimageSolver(e.poly.monomial_coeffs()).solve(complex(w))
+    return _PreimageSolver(e.poly).solve(complex(w))
 
 
 def _orbit_start(e: EscapeData, start: complex | None) -> complex:
@@ -256,10 +280,10 @@ def _orbit_start(e: EscapeData, start: complex | None) -> complex:
     return w0
 
 
-def _run_orbit(coeffs: np.ndarray, d: int, count: int, burn_in: int,
+def _run_orbit(poly: Poly, d: int, count: int, burn_in: int,
                bitgen, start: complex, refine=None) -> np.ndarray:
     rng = np.random.Generator(bitgen)
-    solver = _PreimageSolver(coeffs)
+    solver = _PreimageSolver(poly)
     out = np.empty(count, dtype=complex)
     w = start
     total = burn_in + count
@@ -290,12 +314,11 @@ def brolin_sample(e: EscapeData, n_samples: int, burn_in: int = 100,
     d = e.degree
     if d < 2:
         raise ValueError("sampling needs degree >= 2")
-    coeffs = e.poly.monomial_coeffs()
     w0 = _orbit_start(e, start)
     for restart in range(6):
         bitgen = np.random.Philox(key=seed).jumped(restart)
         try:
-            points = _run_orbit(coeffs, d, n_samples, burn_in, bitgen, w0,
+            points = _run_orbit(e.poly, d, n_samples, burn_in, bitgen, w0,
                                 refine=e.refine)
         except ConvergenceError:
             continue
@@ -342,7 +365,7 @@ def forward_invariance_check(e: EscapeData, sample: BrolinSample, eps: float) ->
     """Fraction of one-step forward images within eps of some sample point."""
     if sample.size == 0:
         raise ValueError("empty sample")
-    images = horner(e.poly.monomial_coeffs(), sample.points)
+    images = e.poly(sample.points)
     tree = cKDTree(np.column_stack([sample.points.real, sample.points.imag]))
     dist, _ = tree.query(np.column_stack([images.real, images.imag]), k=1)
     return float(np.mean(dist <= eps))
@@ -375,7 +398,7 @@ def boundary_preimage_containment(e: EscapeData, n_points: int = 20,
     r = radius if radius is not None else max(1.0, e.r_uniform)
     theta = 2.0 * np.pi * (np.arange(n_points) + 0.37) / n_points
     worst = 0.0
-    solver = _PreimageSolver(e.poly.monomial_coeffs())
+    solver = _PreimageSolver(e.poly)
     for w in r * np.exp(1j * theta):
         z = solver.solve(complex(w))
         worst = max(worst, float(np.max(np.abs(z))) / r)
@@ -396,7 +419,7 @@ def pullback_refinement_gap(e: EscapeData, sample: BrolinSample,
     rng = np.random.Generator(np.random.Philox(key=seed))
     count = min(n_sub, sample.size)
     chosen = rng.choice(sample.size, size=count, replace=False)
-    solver = _PreimageSolver(e.poly.monomial_coeffs())
+    solver = _PreimageSolver(e.poly)
     acc = 0.0 + 0j
     for i in chosen:
         z = solver.solve(complex(sample.points[i]))

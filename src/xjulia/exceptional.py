@@ -17,7 +17,7 @@ import numpy as np
 from . import jacobi, rootfind
 from .errors import ConfigError, ValidationError
 from .jacobi import JacobiParams, cached_rule
-from .poly import Poly, interpolate_to_poly
+from .poly import Poly
 
 # Base quadrature order for the rational inner products; geometric convergence
 # in the order makes this ample for poles at distance >~ 1e-2 from [-1, 1].
@@ -27,9 +27,8 @@ ORTHO_GATE_INDEX = 10
 ORTHO_GATE_TOL = 1e-8
 
 # Newton steps newton_refiner may take; it stops earlier once |P_n(z) - w|
-# stops falling or reaches the rounding level of the recurrence.  A
-# monomial-basis root at degree 41 is good to about 1e-3, which two steps do
-# not always bring down to rounding.
+# stops falling or reaches the rounding level of the recurrence.  Eight bring a
+# degree-41 root of monomial coefficients, good to about 1e-3, to rounding.
 REFINE_MAX_STEPS = 8
 
 
@@ -370,10 +369,9 @@ def leading_coeff_exceptional(data: DarbouxData, n: int) -> float:
 def newton_refiner(data: DarbouxData, n: int):
     """Scalar Newton step-taker for equations P_n(z) = w.
 
-    Backward-orbit sampling solves against interpolated monomial coefficients,
-    whose evaluation noise floor is far above the recurrence's; refining the
-    one chosen preimage per step against the recurrence removes that noise at
-    negligible cost.  Returns refine(z, w) -> z: guarded Newton steps, taken
+    The sampler can apply it to the one chosen preimage per step, moving it
+    from the root of the product form onto the root of the recurrence
+    evaluation.  Returns refine(z, w) -> z: guarded Newton steps, taken
     while |P_n(z) - w| falls and is above the recurrence's rounding level, at
     most REFINE_MAX_STEPS of them.  While |P_n(z) - w| is above RESIDUAL_REL
     of its scale, a Newton step that does not lower it is replaced by a
@@ -433,38 +431,27 @@ def newton_refiner(data: DarbouxData, n: int):
 
 
 # ---------------------------------------------------------------------------
-# coefficient extraction
-
-_RESIDUAL_POINTS = 20
-_RESIDUAL_TOL = 1e-8
-
-
-def _residual_points(rng_seed: int = 20210) -> np.ndarray:
-    rng = np.random.default_rng(rng_seed)
-    r = 2.0 * np.sqrt(rng.uniform(0.0, 1.0, _RESIDUAL_POINTS))
-    th = rng.uniform(0.0, 2.0 * np.pi, _RESIDUAL_POINTS)
-    return r * np.exp(1j * th)
-
+# root-product form
 
 def monomial_coeffs(data: DarbouxData, n: int) -> Poly:
-    """P_n in the monomial basis, by interpolation + basis conversion.
+    """P_n in root-product form a_d prod (z - zeta_i), with expanded coefficients.
 
-    Gate: the result must reproduce the recurrence evaluation at 20 fixed
-    points in the disk of radius 2 to 1e-8 of the largest sampled magnitude.
+    The zeros come from classify_zeros, found on the recurrence, and a_d from
+    leading_coeff_exceptional; the Poly evaluates the product, and its coeffs
+    are the product expanded.  P_0 = -bw p_0 / sigma_0 keeps plain
+    coefficients, since the leading-coefficient formula needs n >= 1.
     """
     if n + data.m > jacobi.DEGREE_CAP:
         raise ValueError(f"n + m = {n + data.m} exceeds the degree cap {jacobi.DEGREE_CAP}")
     key = ("mono", n)
     if key not in data._cache:
-        deg = exceptional_degree(data, n)
-        p = interpolate_to_poly(lambda x: eval_exceptional(data, n, x), deg)
-        zs = _residual_points()
-        ref = eval_exceptional(data, n, zs)
-        err = np.max(np.abs(p(zs) - ref))
-        scale = np.max(np.abs(ref))
-        if err > _RESIDUAL_TOL * scale:
-            raise ValidationError(
-                f"coefficient extraction residual {err:.3e} exceeds {_RESIDUAL_TOL:g} * {scale:.3e}")
+        if n == 0:
+            p0 = jacobi.eval_orthonormal_jacobi(data.params, 0, 0.0)
+            p = Poly(-data.bw.coeffs * p0 / sigma_n(data, 0))
+        else:
+            zc = rootfind.classify_zeros(data, n)
+            p = Poly.from_roots(np.concatenate([zc.regular, zc.exceptional]),
+                                leading_coeff_exceptional(data, n))
         data._cache[key] = p
     return data._cache[key]
 

@@ -1,17 +1,11 @@
-"""Dense univariate polynomials in the monomial basis, and interpolation into it.
-
-interpolate_to_poly samples on the Chebyshev extrema grid, takes the fast
-transform and converts the Chebyshev series to monomial coefficients in
-extended precision: the triangular change of basis grows like
-(1+sqrt(2))^degree, which plain double precision cannot absorb at the degrees
-this package works at.
-"""
+"""Dense univariate polynomials, evaluated by Horner on their coefficients or,
+when built from their zeros, in root-product form a_d prod (z - zeta_i), which
+carries a relative error of about d u at every z (Higham, Accuracy and
+Stability of Numerical Algorithms, sec. 5)."""
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
-from scipy.fft import dct
 
 # Trailing coefficients below this relative size do not count toward the degree.
 TRUNCATION_REL = 1e-14
@@ -19,9 +13,11 @@ TRUNCATION_REL = 1e-14
 
 @dataclass
 class Poly:
-    """Coefficients ascending by degree.  Treated as immutable after creation."""
+    """Coefficients ascending by degree, and for Poly.from_roots the zeros they
+    expand from, which evaluation then uses.  Immutable after creation."""
 
     coeffs: np.ndarray
+    zeros: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
@@ -29,6 +25,9 @@ class Poly:
             raise ValueError("coeffs must be a nonempty 1-d sequence")
         c.setflags(write=False)
         self.coeffs = c
+        if self.zeros is not None:
+            self.zeros = np.asarray(self.zeros, dtype=complex)
+            self.zeros.setflags(write=False)
 
     @property
     def degree(self) -> int:
@@ -41,11 +40,25 @@ class Poly:
         return int(keep[-1]) if len(keep) else 0
 
     def trimmed(self) -> "Poly":
-        return Poly(self.coeffs[:self.degree + 1])
+        return self if self.degree == len(self.coeffs) - 1 else Poly(self.coeffs[:self.degree + 1])
 
     def __call__(self, z):
-        out = horner(self.coeffs, np.asarray(z, dtype=complex))
+        z = np.asarray(z, dtype=complex)
+        out = horner(self.coeffs, z) if self.zeros is None else self.values(z)[0]
         return complex(out) if out.shape == () else out
+
+    def values(self, z):
+        """(p(z), p'(z)) at array z in one pass: the root-product form when the
+        zeros are known, fused Horner on the coefficients otherwise."""
+        z = np.asarray(z, dtype=complex)
+        if self.zeros is None:
+            return horner_with_derivative(self.coeffs, z)
+        flat = z.ravel()
+        step = max(1, (1 << 16) // len(self.zeros))   # difference matrix of 1 MB at most
+        parts = [_product_values(self.zeros, self.coeffs[-1], flat[s:s + step])
+                 for s in range(0, flat.size or 1, step)]
+        pv, dv = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+        return pv.reshape(z.shape), dv.reshape(z.shape)
 
     def deriv(self) -> "Poly":
         if len(self.coeffs) == 1:
@@ -64,14 +77,31 @@ class Poly:
 
     @classmethod
     def from_roots(cls, roots, leading=1.0) -> "Poly":
-        return cls(_ascending_from_roots(roots, leading))
+        """leading * prod (z - r) over roots, evaluated in that form.  Its coeffs
+        are expanded in extended precision, taking roots alternately from both
+        ends of their order by real part, so no partial product piles its roots
+        on one side (for P_40 in ascending order and double precision, Horner on
+        them read 1.1e4 of the recurrence's term size on [-1, 1], not 2.1)."""
+        roots = np.asarray(roots, dtype=complex).ravel()
+        k = np.arange(len(roots))
+        order = np.argsort(roots.real, kind="stable")[np.argsort(np.minimum(k, k[::-1]),
+                                                                 kind="stable")]
+        c = np.ones(1, dtype=np.clongdouble)
+        for r in roots[order]:
+            c = np.convolve(c, np.array([-r, 1.0], dtype=np.clongdouble))
+        return cls(np.asarray(c * leading, dtype=complex), roots if len(roots) else None)
 
 
-def _ascending_from_roots(roots, leading):
-    c = np.array([1.0], dtype=complex)
-    for r in np.asarray(roots, dtype=complex):
-        c = np.convolve(c, np.array([-r, 1.0], dtype=complex))
-    return c * leading
+def _product_values(zeros, lead, z):
+    """(lead prod (z - zeta_i), its derivative) at 1-d array z, from prefix and
+    suffix products of the differences, so an exact zero needs no division."""
+    diff = np.empty((len(z), len(zeros) + 2), dtype=complex)   # lead, z - zeta_i, 1
+    diff[:, 0] = lead
+    diff[:, -1] = 1.0
+    np.subtract(z[:, None], zeros, out=diff[:, 1:-1])
+    before = np.cumprod(diff[:, :-1], axis=1)              # column i: prod over j < i
+    after = np.cumprod(diff[:, :0:-1], axis=1)[:, ::-1]    # column i: prod over j >= i
+    return before[:, -1], np.einsum("ij,ij->i", before[:, :-1], after[:, 1:])
 
 
 def horner(coeffs, z):
@@ -90,37 +120,3 @@ def horner_with_derivative(coeffs, z):
         dv = dv * z + pv
         pv = pv * z + ck
     return pv, dv
-
-
-def chebyshev_transform(values: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients from values at the extrema grid cos(pi*j/d), j=0..d.
-
-    DCT-I realization; values may be complex (transform applied to both parts).
-    """
-    values = np.asarray(values)
-    d = len(values) - 1
-    if d == 0:
-        return np.atleast_1d(values.astype(complex))
-    if np.iscomplexobj(values):
-        y = dct(values.real, type=1) + 1j * dct(values.imag, type=1)
-    else:
-        y = dct(values, type=1).astype(complex)
-    c = y / d
-    c[0] *= 0.5
-    c[-1] *= 0.5
-    return c
-
-
-def chebyshev_grid(degree: int) -> np.ndarray:
-    """Extrema grid cos(pi*j/degree), j = 0..degree (descending in j)."""
-    return np.cos(np.pi * np.arange(degree + 1) / degree)
-
-
-def interpolate_to_poly(f, degree: int) -> Poly:
-    """Monomial coefficients of a degree-`degree` polynomial callable f.
-
-    Samples on the Chebyshev extrema grid, takes the fast transform and
-    converts basis in extended precision.
-    """
-    c = chebyshev_transform(np.asarray(f(chebyshev_grid(degree)), dtype=complex))
-    return Poly(np.asarray(_cheb.cheb2poly(c.astype(np.clongdouble)), dtype=complex))

@@ -1,9 +1,9 @@
 """Simultaneous polynomial root-finding and zero classification.
 
 One Aberth-Ehrlich driver, `aberth`, sweeps over all roots at once with a
-noise-floor endgame; the caller supplies the evaluation.  `roots` evaluates a
-monomial-basis polynomial by Horner; the sampler's preimage solves pass a fused
-value-and-derivative Horner.  Classification of the Darboux-family zeros into
+noise-floor endgame; the caller supplies the evaluation.  `roots` evaluates
+its `Poly`; the sampler's preimage solves pass the fused value-and-derivative
+pass of `Poly.values`.  Classification of the Darboux-family zeros into
 regular (simple, inside (-1,1)) and exceptional (everything else) runs the same
 driver on the recurrence evaluation of P_n and P_n' itself, so no
 coefficient form stands between the zeros and the function.
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError
 from .poly import Poly
 
 CONVERGENCE_REL = 1e-13
@@ -51,7 +51,7 @@ def monomial_noise_floor(mono: np.ndarray):
     mags = np.abs(mono)[::-1]
     factor = 4.0 * np.finfo(float).eps * len(mags)
 
-    def floor(z):
+    def floor(z, pv=None):
         az = np.abs(z)
         acc = np.full(az.shape, mags[0])
         for mk in mags[1:]:
@@ -65,9 +65,9 @@ def aberth(values, noise_floor, z0: np.ndarray, max_sweeps: int = MAX_SWEEPS):
     """Aberth-Ehrlich iteration on all roots at once, from starting points z0.
 
     values(z) -> (p(z), p'(z)) drives the sweeps.  A root also counts as
-    settled once |p(z)| dips under noise_floor(z), the rounding-error level of
-    the evaluation itself; corrections cannot shrink below that, whatever the
-    sweep count.  Returns (roots, converged).
+    settled once |p(z)| dips under noise_floor(z, p(z)), the rounding-error
+    level of the evaluation itself; corrections cannot shrink below that,
+    whatever the sweep count.  Returns (roots, converged).
     """
     z = z0.copy()
     best = np.inf
@@ -78,7 +78,7 @@ def aberth(values, noise_floor, z0: np.ndarray, max_sweeps: int = MAX_SWEEPS):
         # the floor test of the previous sweep reads this sweep's p(z), so an
         # endgame that goes on costs no extra evaluation
         if pending is not None and np.all(
-                (pending <= CONVERGENCE_REL) | (np.abs(pv) <= noise_floor(z))):
+                (pending <= CONVERGENCE_REL) | (np.abs(pv) <= noise_floor(z, pv))):
             return z, True
         if sweep == max_sweeps:
             return z, False
@@ -111,7 +111,8 @@ def roots(p: Poly, initial=None, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
     Parameters
     ----------
     p : Poly
-        Evaluated by Horner on its monomial coefficients.
+        Trailing coefficients at or below poly.TRUNCATION_REL of the largest are
+        dropped first, so they neither count toward the degree nor raise.
     initial : array_like, optional
         Starting points (deg(p) of them).  Default: perturbed circle.
     """
@@ -120,8 +121,6 @@ def roots(p: Poly, initial=None, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
     if d < 1:
         raise ValueError("degree must be >= 1")
     mono = p.coeffs
-    if abs(mono[-1]) <= 1e-14 * np.max(np.abs(mono)):
-        raise ValidationError("leading coefficient too small relative to the rest")
     if d == 1:
         return np.array([-mono[0] / mono[1]])
 
@@ -184,7 +183,7 @@ def classify_zeros(data, n: int) -> "ZeroClassification":
     def values(z):
         return exc_mod.exceptional_values(data, n, z)[:2]
 
-    found, converged = aberth(values, lambda z: 0.0, _classification_guesses(data, degree))
+    found, converged = aberth(values, lambda z, pv: 0.0, _classification_guesses(data, degree))
     f, df, size = exc_mod.exceptional_values(data, n, found)
     if not converged:
         raise ConvergenceError(f"Aberth iteration did not settle in {MAX_SWEEPS} sweeps",

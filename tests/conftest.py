@@ -46,8 +46,7 @@ def stock_classifications(stock_family):
 
 def _family_escape(data, n_list):
     polys = [exceptional.monomial_coeffs(data, n) for n in n_list]
-    refiners = [exceptional.newton_refiner(data, n) for n in n_list]
-    return dict(zip(n_list, dynamics.batch_escape_data(polys, refiners)))
+    return dict(zip(n_list, dynamics.batch_escape_data(polys)))
 
 
 @pytest.fixture(scope="session")

@@ -253,12 +253,10 @@ class TestPreimages:
 
     def test_solver_memory_matches_cold_solves(self, stock_escape, stock_samples):
         # 300 targets of one degree-21 orbit through one solver: every warm start
-        # from a remembered root set lands on the cold solve's roots.  Both sit
-        # 1e-10 to 3e-10 (relative) from the exact roots of the monomial form
-        # near x = 1, so they can agree only to a few times that; starting from
-        # the previous step's roots gives differences up to about 1e-7
+        # from a remembered root set lands on the cold solve's roots, which
+        # start from the zeros
         e = stock_escape[20]
-        solver = dyn._PreimageSolver(e.poly.monomial_coeffs())
+        solver = dyn._PreimageSolver(e.poly)
         for w in stock_samples[20].points[:300]:
             warm = solver.solve(complex(w))
             cold = dyn.solve_preimages(e, w)
@@ -271,6 +269,27 @@ class TestPreimages:
         assert solver.targets.shape == (dyn.SOLVER_MEMORY,)
         assert solver.solved.shape == (dyn.SOLVER_MEMORY, e.degree)
         assert dyn.SOLVER_MEMORY == 256
+
+    @pytest.mark.parametrize("n", [10, 40])
+    def test_preimages_of_zero_are_the_zeros(self, stock_family, stock_escape, n):
+        zc = xj.classify_zeros(stock_family, n)
+        zeros = np.concatenate([zc.regular, zc.exceptional])
+        zeros = zeros[np.lexsort((zeros.imag, zeros.real))]
+        z = dyn.solve_preimages(stock_escape[n], 0.0)
+        assert np.all(np.abs(z - zeros) <= 1e-13 * (1.0 + np.abs(zeros)))
+
+    def test_cold_start_from_zeros_leaves_the_real_line(self, stock_family, monkeypatch):
+        # P_4 peaks at 13.9 on [-1, 1], so 4 of the 5 preimages of w = 20.9 are
+        # complex; from the exact real zeros Aberth would stay real and fail,
+        # so this passes only through the nudged zeros, with no Cauchy circle
+        def no_circle(*args):
+            raise AssertionError("fell back to the Cauchy circle")
+
+        monkeypatch.setattr(dyn.rootfind, "initial_circle", no_circle)
+        e = dyn.escape_radius(xj.monomial_coeffs(stock_family, 4))
+        z = dyn.solve_preimages(e, 20.9)
+        assert np.count_nonzero(np.abs(z.imag) > 1e-8) == 4
+        assert np.max(np.abs(e.poly(z) - 20.9)) <= 1e-10 * 20.9
 
     def test_rectangle_touching_interval_rejected(self, square_escape):
         with pytest.raises(ValueError):

@@ -220,12 +220,40 @@ class TestMonomialCoeffs:
         with pytest.raises(ValueError):
             xj.monomial_coeffs(stock_family, 60)
 
+    @pytest.mark.parametrize("n", [10, 20, 40, 50])
+    def test_product_form_matches_recurrence(self, stock_family, n):
+        # within 1e-11 of the recurrence's term size s on [-1, 1] and on the
+        # square |Re|, |Im| <= 1.6.  The zeros are stored in double precision,
+        # |d zeta| <= u |zeta|, which moves P_n by u |z| |P_n'| at a point z
+        # next to a zero: at n = 50, x = -0.8045 lies 4.1e-6 from one and reads
+        # 1.6e-11 of s from that alone.  Horner on monomial coefficients, even
+        # correctly rounded ones, reads about 2 of s at n = 40.
+        p = xj.monomial_coeffs(stock_family, n)
+        u = np.finfo(float).eps / 2
+        g = np.linspace(-1.6, 1.6, 201)
+        for z in (np.linspace(-1.0, 1.0, 4001).astype(complex),
+                  (g[None, :] + 1j * g[:, None]).ravel()):
+            f, df, s = ex.exceptional_values(stock_family, n, z)
+            assert np.all(np.abs(p(z) - f) <= 1e-11 * s + u * np.abs(z) * np.abs(df))
+
+    @pytest.mark.parametrize("n", [10, 20, 30, 40, 50])
+    def test_moments_of_zeros_match_coefficients(self, stock_family, n):
+        # for k < d the power sums of the roots of P_n(z) - w do not depend on w
+        # (Brolin 1965), so the balanced measure's Chebyshev moments are the
+        # means of T_k over the zeros
+        zc = xj.classify_zeros(stock_family, n)
+        zeros = np.concatenate([zc.regular, zc.exceptional])
+        t = np.polynomial.chebyshev.chebval(zeros, np.eye(7))
+        exact = xj.exact_chebyshev_moments(xj.monomial_coeffs(stock_family, n), 6)
+        assert np.max(np.abs(t.mean(axis=1) - exact)) <= 1e-12
+
 
 class TestSpanProperty:
     def test_classical_multiplier(self, stock_family):
-        from xjulia.poly import interpolate_to_poly
-        p7 = interpolate_to_poly(
-            lambda x: xj.eval_orthonormal_jacobi(stock_family.params, 7, x), 7)
+        # p_7 from its zeros, the order-7 Gauss-Jacobi nodes, and its leading coefficient
+        params = stock_family.params
+        p7 = Poly.from_roots(xj.gauss_jacobi_rule(params, 7).nodes,
+                             xj.leading_coeff_jacobi(params, 7))
         s_obs, residuals = xj.verify_span_property(stock_family, p7)
         # one first-order transformation gives expansions of length deg b + 1
         assert s_obs <= stock_family.b.degree + 1

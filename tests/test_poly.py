@@ -1,10 +1,9 @@
-"""Poly type: evaluation, interpolation with extended-precision conversion."""
+"""Poly type: Horner on coefficients, and the root-product form."""
 
 import numpy as np
 from numpy.testing import assert_allclose
 
-from xjulia.poly import (Poly, chebyshev_grid, chebyshev_transform,
-                         horner_with_derivative, interpolate_to_poly)
+from xjulia.poly import Poly, horner, horner_with_derivative
 
 
 class TestBasics:
@@ -49,33 +48,50 @@ class TestBasics:
         assert p.is_monic()
 
 
-class TestConversion:
-    # interpolate_to_poly's Chebyshev-to-monomial step runs in extended precision
-    def test_known_conversion(self):
-        # T_3 = 4x^3 - 3x
-        t3 = interpolate_to_poly(lambda x: np.polynomial.chebyshev.chebval(x, [0, 0, 0, 1.0]), 3)
-        assert_allclose(t3.coeffs.real, [0, -3, 0, 4], atol=1e-14)
+class TestProductForm:
+    ROOTS = [0.3, -0.7 + 0.2j, -0.7 - 0.2j, 1.1, -0.05j]
 
-    def test_values_preserved(self):
-        # agreement is capped by the monomial form's own evaluation noise,
-        # ~eps * sum |a_k| near the interval
-        rng = np.random.default_rng(11)
-        c = rng.standard_normal(31)
-        q = interpolate_to_poly(lambda x: np.polynomial.chebyshev.chebval(x, c), 30)
-        z = rng.uniform(-1, 1, 20)
-        floor = 8 * np.finfo(float).eps * np.sum(np.abs(q.coeffs))
-        assert_allclose(q(z), np.polynomial.chebyshev.chebval(z, c), atol=floor)
+    def test_values_match_expanded_coefficients(self):
+        p = Poly.from_roots(self.ROOTS, leading=2.0)
+        rng = np.random.default_rng(5)
+        z = 1.5 * (rng.standard_normal(30) + 1j * rng.standard_normal(30))
+        pv, dv = p.values(z)
+        hv, hd = horner_with_derivative(p.coeffs, z)
+        assert_allclose(pv, hv, rtol=1e-13)
+        assert_allclose(dv, hd, rtol=1e-13)
+        assert_allclose(p(z), pv, rtol=0)
 
+    def test_exact_zero(self):
+        # the prefix and suffix products need no division, so p' is exact there
+        p = Poly.from_roots(self.ROOTS, leading=2.0)
+        pv, dv = p.values(np.array([0.3 + 0j]))
+        others = np.array(self.ROOTS[1:])
+        assert pv[0] == 0.0
+        assert_allclose(dv[0], 2.0 * np.prod(0.3 - others), rtol=1e-15)
 
-class TestTransform:
-    def test_transform_recovers_chebyshev_coeffs(self):
-        rng = np.random.default_rng(8)
-        c = rng.standard_normal(18)
-        xs = chebyshev_grid(17)
-        vals = np.polynomial.chebyshev.chebval(xs, c)
-        assert_allclose(chebyshev_transform(vals).real, c, atol=1e-13)
+    def test_blocked_evaluation(self):
+        # more points than one block of the difference matrix holds
+        zeros = np.cos(np.pi * (np.arange(41) + 0.5) / 41)
+        p = Poly.from_roots(zeros, leading=3.0)
+        z = np.linspace(-1.2, 1.2, 5000) + 0.01j
+        pv, dv = p.values(z)
+        for i in (0, 1597, 1598, 4999):
+            one, done = p.values(z[i:i + 1])
+            assert pv[i] == one[0] and dv[i] == done[0]
+        assert p.values(z.reshape(50, 100))[0].shape == (50, 100)
 
-    def test_interpolate_known_polynomial(self):
-        p = Poly([1.0, -2.0, 0.0, 4.0])
-        q = interpolate_to_poly(p, 3)
-        assert_allclose(q.coeffs, p.coeffs, atol=1e-13)
+    def test_leading_coefficient_and_trim_keep_the_form(self):
+        p = Poly.from_roots(self.ROOTS, leading=2.0)
+        assert p.coeffs[-1] == 2.0
+        assert p.trimmed() is p
+        assert Poly.from_roots([]).zeros is None
+
+    def test_coefficients_keep_horner(self):
+        # a Poly given by coefficients is evaluated by Horner on them, bit for bit
+        c = [-2.0, 0.0, 1.0]
+        z = np.array([0.3 + 0.1j, 2.0, -1.7j])
+        p = Poly(c)
+        assert p.zeros is None
+        assert np.array_equal(p(z), horner(p.coeffs, z))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(p.values(z), horner_with_derivative(p.coeffs, z)))

@@ -60,6 +60,12 @@ class TestRoots:
         with pytest.raises(ValueError):
             xj.roots(Poly([2.0]))
 
+    def test_negligible_top_coefficient_is_trimmed(self):
+        # a trailing coefficient at or below TRUNCATION_REL of the largest does
+        # not count toward the degree, so it neither raises nor adds a root
+        z = xj.roots(Poly([1.0, 1.0, 1e-15]))
+        assert len(z) == 1 and z[0] == -1.0
+
 
 class TestClassification:
     def test_counts_and_location(self, stock_family, stock_classifications, stock_pole):
