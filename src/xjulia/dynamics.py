@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 
 from . import rootfind
 from .errors import ConvergenceError, ValidationError
-from .poly import Poly, horner, horner_with_derivative
+from .poly import Poly, horner
 
 OVERFLOW_GUARD = 1e150
 _RADIUS_CHECK_POINTS = 200
@@ -193,11 +193,10 @@ class _PreimageSolver:
     """Aberth solves of p(z) = w along one backward orbit, each started from
     the roots of the nearest earlier target.
 
-    A Poly with zeros is evaluated by Poly.values, with the noise floor
-    4 (d+1) eps (|p(z)| + |w|) from the same sweep's p(z), and its starts are
+    Every sweep evaluates Poly.values(z, w) and the floor Poly.noise_floor,
+    in whichever form the Poly carries.  A Poly with zeros has its starts
     nudged off the real axis, where from real points at a real w Aberth would
     stay: a stored root set by 1e-6; with none stored, the zeros by 1e-3.
-    Otherwise Horner runs on the coeffs of p - w.
 
     The targets and sorted root sets of the last SOLVER_MEMORY solves sit in
     two fixed arrays, overwritten oldest first; unfilled slots hold an
@@ -216,36 +215,23 @@ class _PreimageSolver:
         self.nudge = None if poly.zeros is None else np.exp(
             1j * (2.0 * np.pi * np.arange(self.d) / self.d + 0.4))
 
-    def _starts(self, w: complex, shifted: np.ndarray):
+    def _starts(self, w: complex):
         nearest = int(np.argmin(np.abs(self.targets - w)))
         if np.isfinite(self.targets[nearest]):
             warm = self.solved[nearest]
             yield warm if self.nudge is None else warm + 1e-6 * self.nudge
         if self.nudge is not None:
             yield self.poly.zeros + 1e-3 * self.nudge
-        yield rootfind.initial_circle(shifted, self.d)
+        yield rootfind.initial_circle(self.poly.shifted(w), self.d)
 
     def solve(self, w: complex) -> np.ndarray:
-        shifted = self.poly.coeffs.copy()
-        shifted[0] -= w
-        if self.poly.zeros is None:
-            values = partial(horner_with_derivative, shifted)
-            floor = rootfind.monomial_noise_floor(shifted)
-        else:
-            level = 4.0 * (self.d + 1) * np.finfo(float).eps
-
-            def values(z):
-                pv, dv = self.poly.values(z)
-                return pv - w, dv
-
-            def floor(z, pv):
-                return level * (np.abs(pv + w) + abs(w))
-
-        for z0 in self._starts(w, shifted):
+        values = partial(self.poly.values, w=w)
+        floor = partial(self.poly.noise_floor, w=w)
+        for z0 in self._starts(w):
             z, ok = rootfind.aberth(values, floor, z0, 300)
             if not ok:
                 continue
-            worst = np.max(np.abs(values(z)[0]))
+            worst = np.max(np.abs(self.poly(z) - w))
             scale = rootfind.residual_scale(self.poly, np.max(np.abs(z))) + abs(w)
             if worst <= 1e-7 * scale:
                 z = z[np.lexsort((z.imag, z.real))]

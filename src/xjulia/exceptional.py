@@ -450,8 +450,8 @@ def monomial_coeffs(data: DarbouxData, n: int) -> Poly:
             p = Poly(-data.bw.coeffs * p0 / sigma_n(data, 0))
         else:
             zc = rootfind.classify_zeros(data, n)
-            p = Poly.from_roots(np.concatenate([zc.regular, zc.exceptional]),
-                                leading_coeff_exceptional(data, n))
+            p = Poly.product_form(np.concatenate([zc.regular, zc.exceptional]),
+                                  leading_coeff_exceptional(data, n))
         data._cache[key] = p
     return data._cache[key]
 

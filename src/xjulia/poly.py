@@ -1,5 +1,5 @@
 """Dense univariate polynomials, evaluated by Horner on their coefficients or,
-when built from their zeros, in root-product form a_d prod (z - zeta_i), which
+when made by Poly.product_form, in root-product form a_d prod (z - zeta_i), which
 carries a relative error of about d u at every z (Higham, Accuracy and
 Stability of Numerical Algorithms, sec. 5)."""
 
@@ -13,8 +13,8 @@ TRUNCATION_REL = 1e-14
 
 @dataclass
 class Poly:
-    """Coefficients ascending by degree, and for Poly.from_roots the zeros they
-    expand from, which evaluation then uses.  Immutable after creation."""
+    """Coefficients ascending by degree, and from Poly.product_form the zeros
+    they expand from, which evaluation then uses.  Immutable after creation."""
 
     coeffs: np.ndarray
     zeros: np.ndarray | None = None
@@ -44,21 +44,54 @@ class Poly:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        out = horner(self.coeffs, z) if self.zeros is None else self.values(z)[0]
+        out = horner(self.coeffs, z) if self.zeros is None else self._product(z, False)[0]
         return complex(out) if out.shape == () else out
 
-    def values(self, z):
-        """(p(z), p'(z)) at array z in one pass: the root-product form when the
-        zeros are known, fused Horner on the coefficients otherwise."""
+    def values(self, z, w=0.0):
+        """(p(z) - w, p'(z)) at array z in one pass: the root-product form when
+        the zeros are known, fused Horner on the coefficients of p - w otherwise."""
         z = np.asarray(z, dtype=complex)
         if self.zeros is None:
-            return horner_with_derivative(self.coeffs, z)
+            return horner_with_derivative(self.shifted(w), z)
+        pv, dv = self._product(z, True)
+        return pv - w, dv
+
+    def noise_floor(self, z, pv, w=0.0):
+        """Rounding-error level of pv = values(z, w)[0]: 4 (d+1) eps (|p(z)| + |w|)
+        on the product form, 4 (d+1) eps sum |c_k| |z|^k over the coefficients
+        c_k of p - w otherwise."""
+        level = 4.0 * np.finfo(float).eps * len(self.coeffs)
+        if self.zeros is not None:
+            return level * (np.abs(pv + w) + abs(w))
+        acc = np.zeros(np.shape(z))
+        for mk in np.abs(self.shifted(w))[::-1]:
+            acc = acc * np.abs(z) + mk
+        return level * acc
+
+    def shifted(self, w) -> np.ndarray:
+        """Ascending coefficients of p - w."""
+        return np.concatenate([[self.coeffs[0] - w], self.coeffs[1:]])
+
+    def _product(self, z, derivative):
+        """Rows a_d prod (z - zeta_i) and, with derivative, its derivative, in the
+        shape of z.  Each block of points takes the prefix and suffix products
+        of a difference matrix of 1 MB at most, with a_d in its first column,
+        so an exact zero needs no division; the value alone is its plain product."""
         flat = z.ravel()
-        step = max(1, (1 << 16) // len(self.zeros))   # difference matrix of 1 MB at most
-        parts = [_product_values(self.zeros, self.coeffs[-1], flat[s:s + step])
-                 for s in range(0, flat.size or 1, step)]
-        pv, dv = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-        return pv.reshape(z.shape), dv.reshape(z.shape)
+        step = max(1, (1 << 16) // len(self.zeros))
+        rows = []
+        for s in range(0, flat.size or 1, step):
+            diff = np.empty((len(flat[s:s + step]), len(self.zeros) + 2), dtype=complex)
+            diff[:, 0], diff[:, -1] = self.coeffs[-1], 1.0
+            np.subtract(flat[s:s + step, None], self.zeros, out=diff[:, 1:-1])
+            if not derivative:
+                rows.append(np.multiply.reduce(diff[:, :-1], axis=1)[None])
+                continue
+            before = np.cumprod(diff[:, :-1], axis=1)              # column i: prod over j < i
+            after = np.cumprod(diff[:, :0:-1], axis=1)[:, ::-1]    # column i: prod over j >= i
+            rows.append([before[:, -1], np.einsum("ij,ij->i", before[:, :-1], after[:, 1:])])
+        out = np.concatenate(rows, axis=1)
+        return out.reshape((len(out),) + z.shape)
 
     def deriv(self) -> "Poly":
         if len(self.coeffs) == 1:
@@ -77,31 +110,28 @@ class Poly:
 
     @classmethod
     def from_roots(cls, roots, leading=1.0) -> "Poly":
-        """leading * prod (z - r) over roots, evaluated in that form.  Its coeffs
-        are expanded in extended precision, taking roots alternately from both
-        ends of their order by real part, so no partial product piles its roots
-        on one side (for P_40 in ascending order and double precision, Horner on
-        them read 1.1e4 of the recurrence's term size on [-1, 1], not 2.1)."""
-        roots = np.asarray(roots, dtype=complex).ravel()
-        k = np.arange(len(roots))
-        order = np.argsort(roots.real, kind="stable")[np.argsort(np.minimum(k, k[::-1]),
-                                                                 kind="stable")]
-        c = np.ones(1, dtype=np.clongdouble)
-        for r in roots[order]:
-            c = np.convolve(c, np.array([-r, 1.0], dtype=np.clongdouble))
-        return cls(np.asarray(c * leading, dtype=complex), roots if len(roots) else None)
+        """leading * prod (z - r) over roots, by its expanded coefficients."""
+        return cls(_expand(roots, leading))
+
+    @classmethod
+    def product_form(cls, zeros, leading=1.0) -> "Poly":
+        """leading * prod (z - zeta_i), evaluated in that form; its coeffs are
+        the product expanded."""
+        zeros = np.asarray(zeros, dtype=complex).ravel()
+        return cls(_expand(zeros, leading), zeros if len(zeros) else None)
 
 
-def _product_values(zeros, lead, z):
-    """(lead prod (z - zeta_i), its derivative) at 1-d array z, from prefix and
-    suffix products of the differences, so an exact zero needs no division."""
-    diff = np.empty((len(z), len(zeros) + 2), dtype=complex)   # lead, z - zeta_i, 1
-    diff[:, 0] = lead
-    diff[:, -1] = 1.0
-    np.subtract(z[:, None], zeros, out=diff[:, 1:-1])
-    before = np.cumprod(diff[:, :-1], axis=1)              # column i: prod over j < i
-    after = np.cumprod(diff[:, :0:-1], axis=1)[:, ::-1]    # column i: prod over j >= i
-    return before[:, -1], np.einsum("ij,ij->i", before[:, :-1], after[:, 1:])
+def _expand(roots, leading):
+    """Ascending coefficients of leading * prod (z - r), expanded in extended
+    precision with the roots taken alternately from both ends of their order
+    by real part (for P_40, Horner on an ascending double-precision expansion
+    read 1.1e4 of the recurrence's term size on [-1, 1], on this one 2.1)."""
+    roots = np.asarray(roots, dtype=complex).ravel()
+    by_real = np.argsort(roots.real, kind="stable")
+    c = np.ones(1, dtype=np.clongdouble)
+    for r in roots[np.column_stack([by_real, by_real[::-1]]).ravel()[:len(roots)]]:
+        c = np.convolve(c, np.array([-r, 1.0], dtype=np.clongdouble))
+    return np.asarray(c * leading, dtype=complex)
 
 
 def horner(coeffs, z):

@@ -46,21 +46,6 @@ def initial_circle(mono: np.ndarray, d: int) -> np.ndarray:
     return radius * np.exp(1j * ang) * (1.0 + 0.01 * np.sin(7.0 * ang))
 
 
-def monomial_noise_floor(mono: np.ndarray):
-    """Rounding-error level of Horner evaluation: ~4 eps sum |a_k| |z|^k."""
-    mags = np.abs(mono)[::-1]
-    factor = 4.0 * np.finfo(float).eps * len(mags)
-
-    def floor(z, pv=None):
-        az = np.abs(z)
-        acc = np.full(az.shape, mags[0])
-        for mk in mags[1:]:
-            acc = acc * az + mk
-        return factor * acc
-
-    return floor
-
-
 def aberth(values, noise_floor, z0: np.ndarray, max_sweeps: int = MAX_SWEEPS):
     """Aberth-Ehrlich iteration on all roots at once, from starting points z0.
 
@@ -129,7 +114,7 @@ def roots(p: Poly, initial=None, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
     if len(z0) != d:
         raise ValueError(f"need {d} starting points, got {len(z0)}")
 
-    z, converged = aberth(lambda z: (p(z), dp(z)), monomial_noise_floor(mono), z0, max_sweeps)
+    z, converged = aberth(lambda z: (p(z), dp(z)), p.noise_floor, z0, max_sweeps)
     if not converged:
         worst = float(np.max(np.abs(p(z))))
         raise ConvergenceError(f"Aberth iteration did not settle in {max_sweeps} sweeps",

@@ -136,6 +136,24 @@ class TestBrolinSampler:
                              1.8111024728098724 + 4.361740759833167e-69j])
         assert np.array_equal(s.points, expected)
 
+    def test_refiner_applied_to_each_point(self, stock_family, stock_escape):
+        # an EscapeData refiner gets each drawn point with its target, and the
+        # orbit continues from what it returns; newton_refiner moves a point
+        # that already solves P_n(z) = w by rounding only
+        refine = xj.exceptional.newton_refiner(stock_family, 10)
+        steps = []
+
+        def recorded(z, w):
+            steps.append((z, refine(z, w)))
+            return steps[-1][1]
+
+        e = stock_escape[10]
+        s = dyn.brolin_sample(dyn.EscapeData(e.poly, e.r_escape, e.r_uniform, recorded),
+                              30, burn_in=10, seed=3)
+        assert len(steps) == 40
+        assert np.array_equal(s.points, [out for _, out in steps[10:]])
+        assert all(abs(out - z) <= 1e-10 * (1.0 + abs(z)) for z, out in steps)
+
     def test_sample_count_cap(self, square_escape):
         with pytest.raises(ValueError):
             dyn.brolin_sample(square_escape, 10 ** 6 + 1, seed=0)
@@ -241,6 +259,7 @@ class TestPreimages:
     @pytest.mark.parametrize("poly, w", [
         (Poly([0.0, -3.0, 0.0, 1.0]), 2.0),                # 2 = p(-1), p'(-1) = 0
         (Poly.from_roots([0.3, 0.3, -1.0, 0.5j]), 0.0),    # 0.3 is inexact in binary
+        (Poly.product_form([0.3, 0.3, -1.0, 0.5j]), 0.0),
     ])
     def test_critical_value_solve(self, poly, w):
         # at a critical value two preimages coincide and the Newton ratio there

@@ -1,6 +1,7 @@
 """Poly type: Horner on coefficients, and the root-product form."""
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from xjulia.poly import Poly, horner, horner_with_derivative
@@ -52,7 +53,7 @@ class TestProductForm:
     ROOTS = [0.3, -0.7 + 0.2j, -0.7 - 0.2j, 1.1, -0.05j]
 
     def test_values_match_expanded_coefficients(self):
-        p = Poly.from_roots(self.ROOTS, leading=2.0)
+        p = Poly.product_form(self.ROOTS, leading=2.0)
         rng = np.random.default_rng(5)
         z = 1.5 * (rng.standard_normal(30) + 1j * rng.standard_normal(30))
         pv, dv = p.values(z)
@@ -63,7 +64,7 @@ class TestProductForm:
 
     def test_exact_zero(self):
         # the prefix and suffix products need no division, so p' is exact there
-        p = Poly.from_roots(self.ROOTS, leading=2.0)
+        p = Poly.product_form(self.ROOTS, leading=2.0)
         pv, dv = p.values(np.array([0.3 + 0j]))
         others = np.array(self.ROOTS[1:])
         assert pv[0] == 0.0
@@ -72,26 +73,45 @@ class TestProductForm:
     def test_blocked_evaluation(self):
         # more points than one block of the difference matrix holds
         zeros = np.cos(np.pi * (np.arange(41) + 0.5) / 41)
-        p = Poly.from_roots(zeros, leading=3.0)
+        p = Poly.product_form(zeros, leading=3.0)
         z = np.linspace(-1.2, 1.2, 5000) + 0.01j
         pv, dv = p.values(z)
+        assert np.array_equal(p(z), pv)
         for i in (0, 1597, 1598, 4999):
             one, done = p.values(z[i:i + 1])
             assert pv[i] == one[0] and dv[i] == done[0]
         assert p.values(z.reshape(50, 100))[0].shape == (50, 100)
 
     def test_leading_coefficient_and_trim_keep_the_form(self):
-        p = Poly.from_roots(self.ROOTS, leading=2.0)
+        p = Poly.product_form(self.ROOTS, leading=2.0)
         assert p.coeffs[-1] == 2.0
         assert p.trimmed() is p
-        assert Poly.from_roots([]).zeros is None
+        assert Poly.product_form([]).zeros is None
 
-    def test_coefficients_keep_horner(self):
-        # a Poly given by coefficients is evaluated by Horner on them, bit for bit
-        c = [-2.0, 0.0, 1.0]
+    @pytest.mark.parametrize("make", [lambda: Poly([-2.0, 0.0, 1.0]),
+                                      lambda: Poly.from_roots([2.0 ** 0.5, -2.0 ** 0.5])],
+                             ids=["coeffs", "from_roots"])
+    def test_coefficients_keep_horner(self, make):
+        # a Poly given by coefficients, or by from_roots, is evaluated by
+        # Horner on them, bit for bit; values(z, w) runs it on those of p - w
         z = np.array([0.3 + 0.1j, 2.0, -1.7j])
-        p = Poly(c)
+        p = make()
         assert p.zeros is None
+        shifted = p.coeffs - np.array([0.7, 0.0, 0.0])
         assert np.array_equal(p(z), horner(p.coeffs, z))
         assert all(np.array_equal(a, b)
-                   for a, b in zip(p.values(z), horner_with_derivative(p.coeffs, z)))
+                   for a, b in zip(p.values(z, 0.7), horner_with_derivative(shifted, z)))
+
+    def test_noise_floor(self):
+        # 4 (d+1) eps (|p| + |w|) on the product form, and 4 (d+1) eps times
+        # the magnitude sum sum |c_k| |z|^k of p - w on the coefficients
+        z = np.array([0.3 + 0.1j, 2.0, -1.7j])
+        level = 16.0 * np.finfo(float).eps
+        q = Poly.product_form([0.5, -1.0, 2.0j], leading=2.0)
+        pv = q.values(z, 0.7)[0]
+        assert_allclose(q.noise_floor(z, pv, 0.7),
+                        level * (np.abs(q(z)) + 0.7), rtol=1e-15)
+        p = Poly(q.coeffs)
+        mags = np.abs(p.coeffs - np.array([0.7, 0, 0, 0]))
+        assert_allclose(p.noise_floor(z, pv, 0.7),
+                        level * np.polynomial.polynomial.polyval(np.abs(z), mags), rtol=1e-15)
