@@ -37,16 +37,9 @@ class TestRoots:
     def test_synthesized_degree_30(self):
         rng = np.random.default_rng(77)
         expected = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-        p = Poly.from_roots(expected)
-        assert match_roots(xj.roots(p), expected) <= 1e-8
-
-    def test_synthesized_degree_30_product_form(self):
-        # roots() on a Poly that evaluates its own zeros, with the product
-        # form's noise floor
-        rng = np.random.default_rng(77)
-        expected = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-        p = Poly.product_form(expected)
-        assert match_roots(xj.roots(p), expected) <= 1e-8
+        # from coefficients, and from a Poly that evaluates its own zeros
+        for p in (Poly.from_roots(expected), Poly.product_form(expected)):
+            assert match_roots(xj.roots(p), expected) <= 1e-8
 
     def test_double_root(self):
         r = xj.roots(Poly([0.0, 0.0, 1.0]))
