@@ -156,6 +156,9 @@ def _poly_schedule(cfg: ExperimentConfig):
     if cfg.is_raw:
         return [("raw", None, Poly(cfg.family["raw_poly"]))]
     data = _family_data(cfg)
+    for n in cfg.n_list:
+        if exceptional.exceptional_degree(data, n) < 2:
+            raise ConfigError("n_list", f"P_{n} has degree < 2; dynamics need degree >= 2")
     return [(f"n{n}", n, exceptional.monomial_coeffs(data, n)) for n in cfg.n_list]
 
 

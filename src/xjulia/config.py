@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
+from .poly import Poly
 
 SCHEMA_VERSION = 1
 
@@ -77,6 +78,9 @@ def _require_number(obj, key, lo=None, hi=None, integer=False, label=None):
 
 def _validate_thresholds(thr: dict):
     """Check each threshold against the shape of its default, in place."""
+    version = thr["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ConfigError("thresholds.schema_version", f"must be {SCHEMA_VERSION}")
     for key in thr:
         if key.endswith("_max"):
             thr[key] = _require_number(thr, key, label=f"thresholds.{key}")
@@ -116,9 +120,9 @@ def validate_config(obj: dict) -> ExperimentConfig:
         raise ConfigError("family", "must be an object (preset, Darboux data, or raw_poly)")
     if "raw_poly" in family:
         rp = family["raw_poly"]
-        if (not isinstance(rp, list) or len(rp) < 3
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in rp)):
-            raise ConfigError("raw_poly", "must be a numeric coefficient list of degree >= 2")
+        if (not isinstance(rp, list) or not rp or not all(map(_is_number, rp))
+                or Poly(rp).degree < 2):
+            raise ConfigError("raw_poly", "must be a finite coefficient list of degree >= 2")
 
     n_list = obj.get("n_list", [])
     if not isinstance(n_list, list) or not all(

@@ -35,7 +35,7 @@ class EscapeData:
     r_escape: one application of the polynomial at |z| > r_escape at least
     doubles the modulus (triangle-inequality certificate, degree >= 2).
     r_uniform: a radius meant to bound the filled Julia sets of a whole batch;
-    defaults to r_escape, set to the batch maximum in batch mode.
+    r_escape for a single polynomial, the batch maximum in batch mode.
     refine: optional scalar (z, w) -> z step against another evaluation form
     of the polynomial; the sampler applies it to each chosen orbit point.
     """
@@ -54,7 +54,7 @@ def _certified_radius(mono: np.ndarray, d: int) -> float:
     return max(1.0, (2.0 + float(np.sum(np.abs(mono[:d])))) / abs(mono[d]))
 
 
-def escape_radius(p: Poly, r_uniform: float | None = None, refine=None) -> EscapeData:
+def escape_radius(p: Poly, refine=None) -> EscapeData:
     """EscapeData for p, with the doubling inequality spot-checked by sampling."""
     p = p.trimmed()
     d = p.degree
@@ -67,7 +67,7 @@ def escape_radius(p: Poly, r_uniform: float | None = None, refine=None) -> Escap
     z = radii * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, _RADIUS_CHECK_POINTS))
     if not np.all(np.abs(p(z)) > 2.0 * np.abs(z)):
         raise ValidationError("escape inequality failed the sampling check")
-    return EscapeData(p, r, r_uniform if r_uniform is not None else r, refine)
+    return EscapeData(p, r, r, refine)
 
 
 def batch_escape_data(polys, refiners=None) -> list[EscapeData]:
@@ -122,14 +122,14 @@ def escape_raster(e: EscapeData, center: complex = 0j, half_width: float = 2.0,
         raise ValueError("resolution must be in [1, 8192]")
     if not (1 <= max_iter <= 10000):
         raise ValueError("max_iter must be in [1, 10000]")
-    res = resolution
-    xs = center.real + half_width * (2.0 * (np.arange(res) + 0.5) / res - 1.0)
-    ys = center.imag + half_width * (1.0 - 2.0 * (np.arange(res) + 0.5) / res)
+    raster = RasterGrid(complex(center), float(half_width), resolution, max_iter,
+                        np.full((resolution, resolution), max_iter, dtype=np.int32))
+    xs, ys = raster.pixel_centers()
     grid = (xs[None, :] + 1j * ys[:, None]).ravel()
+    counts = raster.counts.ravel()      # a view: escapes land in raster.counts
 
     coeffs = e.poly.monomial_coeffs()
     r_sq = e.r_escape * e.r_escape
-    counts = np.full(grid.size, max_iter, dtype=np.int32)
     idx = np.arange(grid.size)
     cur = grid.copy()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -148,9 +148,7 @@ def escape_raster(e: EscapeData, center: complex = 0j, half_width: float = 2.0,
                 | (np.abs(cur.imag) > OVERFLOW_GUARD)
             if bad.any():
                 cur[bad] = 2.0 * OVERFLOW_GUARD
-    return RasterGrid(center=complex(center), half_width=float(half_width),
-                      resolution=res, max_iter=max_iter,
-                      counts=counts.reshape(res, res))
+    return raster
 
 
 def raster_to_pgm(raster: RasterGrid) -> bytes:
@@ -248,11 +246,9 @@ def solve_preimages(e: EscapeData, w: complex) -> np.ndarray:
     return _PreimageSolver(e.poly).solve(complex(w))
 
 
-def _orbit_start(e: EscapeData, start: complex | None) -> complex:
-    """Default start 0; perturbed when the first preimage set is degenerate
-    (0 can be a critical value whose root cluster pins the whole orbit)."""
-    if start is not None:
-        return complex(start)
+def _orbit_start(e: EscapeData) -> complex:
+    """Start 0; perturbed when the first preimage set is degenerate (0 can be
+    a critical value whose root cluster pins the whole orbit)."""
     w0 = 0j
     try:
         z = solve_preimages(e, w0)
@@ -285,7 +281,7 @@ def _run_orbit(poly: Poly, d: int, count: int, burn_in: int,
 
 
 def brolin_sample(e: EscapeData, n_samples: int, burn_in: int = 100,
-                  seed: int = 0, start: complex | None = None) -> BrolinSample:
+                  seed: int = 0) -> BrolinSample:
     """Random backward orbit of p from a start inside the escape disk.
 
     Each step solves p(z) = w and draws the next point uniformly among the
@@ -300,7 +296,7 @@ def brolin_sample(e: EscapeData, n_samples: int, burn_in: int = 100,
     d = e.degree
     if d < 2:
         raise ValueError("sampling needs degree >= 2")
-    w0 = _orbit_start(e, start)
+    w0 = _orbit_start(e)
     for restart in range(6):
         bitgen = np.random.Philox(key=seed).jumped(restart)
         try:

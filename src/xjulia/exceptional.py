@@ -302,68 +302,32 @@ def degree_law_threshold(data: DarbouxData, n_max: int = 40) -> int:
     return n0
 
 
-def _scaled_transform_over_power(data: DarbouxData, n: int, t: float) -> float:
-    """(b p_n' - bw p_n)(t) / t^deg without overflow, deg = n + deg b - 1."""
-    db, dbw = data.b.degree, data.bw.degree
-    params = data.params
-    b_s = _poly_over_power(data.b, t)
-    bw_s = _poly_over_power(data.bw, t)
-    pn_s = jacobi.eval_jacobi_scaled(params, n, t)
-    if n == 0:
-        dp_s = 0.0
-    else:
-        fac = np.sqrt(n * (n + params.alpha + params.beta + 1))
-        dp_s = fac * jacobi.eval_jacobi_scaled(
-            JacobiParams(params.alpha + 1, params.beta + 1), n - 1, t)
-    # exponent bookkeeping relative to deg = n + db - 1
-    term1 = b_s * dp_s                                  # t^(db + n - 1 - deg) = t^0
-    term2 = bw_s * pn_s * t ** (dbw + n - (n + db - 1))  # exponent <= 0
-    return term1 - term2
-
-
-def _poly_over_power(p: Poly, t: float) -> float:
-    """p(t) / t^deg(p) by Horner in 1/t."""
-    c = p.coeffs[:p.degree + 1].real
-    acc = 0.0
-    for ck in c:
-        acc = acc / t + ck
-    return float(acc)
-
-
-def leading_coeff_estimate(data: DarbouxData, n: int, t: float = 1e6) -> float:
-    """Numerical leading coefficient from symmetrized large-argument ratios.
-
-    Averaging the +t and -t ratios cancels the O(1/t) term coming from the
-    subleading coefficient, leaving O(1/t^2) contamination.
-    """
-    if n < 1:
-        raise ValueError("estimate needs n >= 1")
-    plus = _scaled_transform_over_power(data, n, t)
-    minus = _scaled_transform_over_power(data, n, -t)
-    return 0.5 * (plus + minus) / sigma_n(data, n)
+def leading_coeff_estimate(data: DarbouxData, n: int) -> float:
+    """Leading coefficient of P_n read off the recurrence, with no use of the
+    closed form: P_n(z0) / prod (z0 - zeta_i) over the classified zeros, at
+    z0 = 2 (1 + max |zeta_i|), clear of all of them.  The reference that
+    leading_coeff_exceptional is tested against."""
+    zc = rootfind.classify_zeros(data, n)
+    zeros = np.concatenate([zc.regular, zc.exceptional])
+    z0 = 2.0 * (1.0 + np.max(np.abs(zeros)))
+    return float((eval_exceptional(data, n, z0) / np.prod(z0 - zeros)).real)
 
 
 def leading_coeff_exceptional(data: DarbouxData, n: int) -> float:
-    """Leading coefficient of P_n via gamma_n (n - eps B) / sigma_n.
+    """Leading coefficient of P_n, gamma_n (n - eps B) / sigma_n, in closed form.
 
-    eps in {0, 1} is picked by matching the numerical estimate; if neither
-    choice matches to 1e-3 relative the configuration is considered broken.
+    b is monic, so b p_n' leads with n gamma_n at degree n + deg b - 1, where
+    gamma_n leads p_n.  bw p_n reaches that degree, with B gamma_n for B the
+    leading coefficient of bw, exactly when deg bw = deg b - 1: then eps = 1,
+    otherwise eps = 0.  Raises ValueError for n < 1 and ValidationError at a
+    degenerate n = B, where the top coefficient cancels (exceptional_degree).
     """
+    if n < 1:
+        raise ValueError("the leading-coefficient formula needs n >= 1")
+    exceptional_degree(data, n)
+    eps = 1 if data.bw.degree == data.b.degree - 1 else 0
     gam = jacobi.leading_coeff_jacobi(data.params, n)
-    B = data.bw.leading_coeff().real
-    sig = sigma_n(data, n)
-    est = leading_coeff_estimate(data, n)
-    candidates = {eps: gam * (n - eps * B) / sig for eps in (0, 1)}
-    matches = {eps: v for eps, v in candidates.items()
-               if abs(v - est) <= 1e-3 * abs(est)}
-    if not matches:
-        raise ValidationError(
-            f"leading coefficient mismatch at n={n}: formula {candidates}, estimate {est:.6e}")
-    if len(matches) == 2:
-        # B ~ 0 makes both branches agree; the degree rule breaks the tie
-        eps = 1 if data.bw.degree == data.b.degree - 1 else 0
-        return candidates[eps]
-    return next(iter(matches.values()))
+    return gam * (n - eps * data.bw.leading_coeff().real) / sigma_n(data, n)
 
 
 def newton_refiner(data: DarbouxData, n: int):

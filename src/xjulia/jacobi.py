@@ -67,8 +67,7 @@ def _recurrence(alpha: float, beta: float, nmax: int):
     a = np.empty(nmax + 1)
     b = np.empty(nmax + 1)
     s = alpha + beta
-    b[0] = np.exp((s + 1) * np.log(2.0)
-                  + gammaln(alpha + 1) + gammaln(beta + 1) - gammaln(s + 2))
+    b[0] = JacobiParams(alpha, beta).weight_mass
     a[0] = (beta - alpha) / (s + 2)
     for k in range(1, nmax + 1):
         a[k] = (beta * beta - alpha * alpha) / ((2 * k + s) * (2 * k + s + 2))
@@ -156,20 +155,6 @@ def log_leading_coeff_jacobi(params: JacobiParams, n: int) -> float:
 
 def leading_coeff_jacobi(params: JacobiParams, n: int) -> float:
     return float(np.exp(log_leading_coeff_jacobi(params, n)))
-
-
-def eval_jacobi_scaled(params: JacobiParams, n: int, t: float):
-    """p_n(t) / t^n for large |t|, without overflow.
-
-    Runs the recurrence on q_k = p_k(t)/t^k; every iterate stays O(gamma_k).
-    """
-    a, b = _recurrence(params.alpha, params.beta, max(n, 1) + 1)
-    sb = np.sqrt(b)
-    q_prev = 0.0
-    q = 1.0 / sb[0]
-    for k in range(n):
-        q_prev, q = q, ((1.0 - a[k] / t) * q - sb[k] * q_prev / (t * t)) / sb[k + 1]
-    return q
 
 
 @dataclass(frozen=True)

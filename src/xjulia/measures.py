@@ -38,6 +38,8 @@ class EmpiricalMeasure:
     def from_points(cls, points) -> "EmpiricalMeasure":
         points = np.atleast_1d(np.asarray(points, dtype=complex))
         n = len(points)
+        if n == 0:
+            raise ValidationError("points must be nonempty")
         return cls(points, np.full(n, 1.0 / n))
 
     @property

@@ -1,9 +1,9 @@
 """Simultaneous polynomial root-finding and zero classification.
 
 One Aberth-Ehrlich driver, `aberth`, sweeps over all roots at once with a
-noise-floor endgame; the caller supplies the evaluation.  `roots` evaluates
-its `Poly`; the sampler's preimage solves pass the fused value-and-derivative
-pass of `Poly.values`.  Classification of the Darboux-family zeros into
+noise-floor endgame; the caller supplies the evaluation.  `roots` and the
+sampler's preimage solves pass the fused value-and-derivative pass of
+`Poly.values`.  Classification of the Darboux-family zeros into
 regular (simple, inside (-1,1)) and exceptional (everything else) runs the same
 driver on the recurrence evaluation of P_n and P_n' itself, so no
 coefficient form stands between the zeros and the function.
@@ -90,16 +90,12 @@ def aberth(values, noise_floor, z0: np.ndarray, max_sweeps: int = MAX_SWEEPS):
         pending = scaled if worst <= 1e-9 or stalled >= 10 else None
 
 
-def roots(p: Poly, initial=None, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
-    """All deg(p) roots of p, with multiplicity, by Aberth-Ehrlich iteration.
+def roots(p: Poly, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
+    """All deg(p) roots of p, with multiplicity, by Aberth-Ehrlich iteration
+    from the perturbed Cauchy circle, evaluated by p.values in p's own form.
 
-    Parameters
-    ----------
-    p : Poly
-        Trailing coefficients at or below poly.TRUNCATION_REL of the largest are
-        dropped first, so they neither count toward the degree nor raise.
-    initial : array_like, optional
-        Starting points (deg(p) of them).  Default: perturbed circle.
+    Trailing coefficients at or below poly.TRUNCATION_REL of the largest are
+    dropped first, so they neither count toward the degree nor raise.
     """
     p = p.trimmed()
     d = p.degree
@@ -109,12 +105,7 @@ def roots(p: Poly, initial=None, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
     if d == 1:
         return np.array([-mono[0] / mono[1]])
 
-    dp = p.deriv()
-    z0 = np.asarray(initial, dtype=complex).copy() if initial is not None else initial_circle(mono, d)
-    if len(z0) != d:
-        raise ValueError(f"need {d} starting points, got {len(z0)}")
-
-    z, converged = aberth(lambda z: (p(z), dp(z)), p.noise_floor, z0, max_sweeps)
+    z, converged = aberth(p.values, p.noise_floor, initial_circle(mono, d), max_sweeps)
     if not converged:
         worst = float(np.max(np.abs(p(z))))
         raise ConvergenceError(f"Aberth iteration did not settle in {max_sweeps} sweeps",

@@ -75,6 +75,11 @@ class TestZeros:
         assert err["error"] == "numerical"
         assert "orthonormality" in err["message"]
 
+    def test_no_regular_zeros_exit_one(self, tmp_path, capsys):
+        # P_0 has one zero, outside [-1, 1]: no zero-counting measure exists
+        assert run(["zeros", *PRESET_FLAGS, "--n", "0", "--out", str(tmp_path)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "numerical"
+
 
 class TestJulia:
     def test_square_disk_pgm(self, tmp_path):
@@ -104,6 +109,17 @@ class TestJulia:
         assert run(["julia", "--raw-poly", "0,0,1", "--resolution", "0",
                     "--out", str(tmp_path)]) == 2
         assert json.loads(capsys.readouterr().err)["field"] == "resolution"
+
+    @pytest.mark.parametrize("coeffs", ["1,0,0", "nan,0,1"])
+    def test_raw_poly_needs_finite_degree_two(self, tmp_path, capsys, coeffs):
+        assert run(["julia", "--raw-poly", coeffs, "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["field"] == "raw_poly"
+
+    @pytest.mark.parametrize("command", ["julia", "brolin"])
+    def test_degree_one_member_rejected(self, tmp_path, capsys, command):
+        # P_0 of the preset is linear, so it has no Julia set to draw or sample
+        assert run([command, *PRESET_FLAGS, "--n", "0", "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["field"] == "n_list"
 
 
 class TestBrolin:
@@ -220,6 +236,8 @@ class TestConfigResolution:
         ("green_test_points=[[2.0, 0.0], [1.0]]", "thresholds.green_test_points"),
         ('green_test_points=[[2.0, "i"]]', "thresholds.green_test_points"),
         ("green_test_points=[[2.0, Infinity]]", "thresholds.green_test_points"),
+        ('schema_version="abc"', "thresholds.schema_version"),
+        ("schema_version=2", "thresholds.schema_version"),
     ])
     def test_malformed_threshold_exit_two(self, tmp_path, capsys, spec, field):
         assert run(["report", *PRESET_FLAGS, "--n-list", "10",
@@ -237,3 +255,13 @@ class TestConfigResolution:
         }))
         assert run(["report", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert json.loads(capsys.readouterr().err)["field"] == "thresholds.p2_region"
+
+    def test_schema_version_threshold_in_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "family": {"preset": "x1", "alpha": 0.02, "beta": 1.2},
+            "n_list": [10],
+            "thresholds": {"schema_version": "abc"},
+        }))
+        assert run(["report", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["field"] == "thresholds.schema_version"

@@ -188,14 +188,21 @@ class TestDegreesAndLeadingCoeffs:
         assert g50 < g25
 
     def test_degenerate_degree_errors(self):
-        # a structural config whose bw leading coefficient equals some n kills
-        # the top coefficient there; the degree logic must refuse
+        # the degree rule picks eps: bw p_n reaches the top degree of b p_n'
+        # (eps = 1) only when deg bw = deg b - 1
         params = xj.JacobiParams(2.0, 2.0)
         b = Poly([2.0, -3.0, 1.0])            # (x-1)(x-2)
-        bw = Poly([1.0, 5.0])                 # leading coeff 5
-        data = ex.make_darboux_data(params, b, bw, -1, 1, 4.0, validate=False)
-        with pytest.raises(ValidationError, match="degenerate"):
-            ex.exceptional_degree(data, 5)
+        for bw in (Poly([3.0]), Poly([1.0, 5.0])):    # eps = 0, eps = 1
+            data = ex.make_darboux_data(params, b, bw, -1, 1, 4.0, validate=False)
+            for n in (4, 10, 20):
+                lead = xj.leading_coeff_exceptional(data, n)
+                est = ex.leading_coeff_estimate(data, n)
+                assert abs(lead - est) <= 1e-12 * abs(est)
+        # bw's leading coefficient 5 = n kills the top coefficient at n = 5;
+        # the degree logic must refuse
+        for f in (ex.exceptional_degree, xj.leading_coeff_exceptional):
+            with pytest.raises(ValidationError, match="degenerate"):
+                f(data, 5)
 
 
 class TestMonomialCoeffs:

@@ -175,6 +175,10 @@ class TestEmpiricalMeasure:
         with pytest.raises(ValidationError):
             EmpiricalMeasure([0.0, 1.0], [1.2, -0.2])
 
+    def test_from_no_points_rejected(self):
+        with pytest.raises(ValidationError):
+            EmpiricalMeasure.from_points([])
+
     def test_csv_roundtrip(self):
         mu = EmpiricalMeasure([0.25 + 1j, -2.0], [0.75, 0.25])
         back = EmpiricalMeasure.from_csv(mu.to_csv())
