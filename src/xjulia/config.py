@@ -76,11 +76,15 @@ def _require_number(obj, key, lo=None, hi=None, integer=False, label=None):
     return int(v) if integer else float(v)
 
 
+def _require_schema_version(obj, label):
+    version = obj.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ConfigError(label, f"must be {SCHEMA_VERSION}")
+
+
 def _validate_thresholds(thr: dict):
     """Check each threshold against the shape of its default, in place."""
-    version = thr["schema_version"]
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise ConfigError("thresholds.schema_version", f"must be {SCHEMA_VERSION}")
+    _require_schema_version(thr, "thresholds.schema_version")
     for key in thr:
         if key.endswith("_max"):
             thr[key] = _require_number(thr, key, label=f"thresholds.{key}")
@@ -115,6 +119,7 @@ def validate_config(obj: dict) -> ExperimentConfig:
     for key in obj:
         if key not in known:
             raise ConfigError(key, "unknown field")
+    _require_schema_version(obj, "schema_version")
     family = obj.get("family")
     if not isinstance(family, dict):
         raise ConfigError("family", "must be an object (preset, Darboux data, or raw_poly)")

@@ -24,6 +24,8 @@ _RADIUS_CHECK_SEED = 73111
 # solves a sampler remembers as warm starts: 256 * d * 16 bytes, about 210 kB
 # at degree 51
 SOLVER_MEMORY = 256
+# pixels the escape raster iterates together: 16384 complex points are 256 kB
+RASTER_TILE = 16384
 
 
 @dataclass
@@ -117,38 +119,65 @@ class RasterGrid:
 
 def escape_raster(e: EscapeData, center: complex = 0j, half_width: float = 2.0,
                   resolution: int = 512, max_iter: int = 100) -> RasterGrid:
-    """Iterate every pixel center until it leaves the escape disk (or max_iter)."""
+    """Iterate every pixel center until it leaves the escape disk (or max_iter).
+
+    Pixels run in tiles of RASTER_TILE points, row-major, so one tile and its
+    work arrays stay in cache.  An orbit leaves at step k when its squared
+    modulus is not <= r_escape^2, which also catches inf and NaN; a value
+    with a real or imaginary part not within OVERFLOW_GUARD is replaced by
+    2 OVERFLOW_GUARD, so it leaves at the next step.
+
+    Each tile keeps a checkpoint of its live orbits, saved at steps 0, 1, 2,
+    4, 8, ... (Brent's cycle detection), and retires an orbit whose value
+    equals its checkpoint with the count max_iter.  This is exact: the step
+    is complex + and x element by element (then the guard), so its result
+    depends on the value alone; the sign of a zero changes no value, and NaN
+    equals nothing.  An orbit that returns to an earlier value repeats the
+    values between, none of which escaped, for ever.  Interior orbits of
+    attracting cycles land on their cycle exactly within a few dozen steps.
+    """
     if not (1 <= resolution <= 8192):
         raise ValueError("resolution must be in [1, 8192]")
     if not (1 <= max_iter <= 10000):
         raise ValueError("max_iter must be in [1, 10000]")
-    raster = RasterGrid(complex(center), float(half_width), resolution, max_iter,
+    center = complex(center)
+    if not (np.isfinite(center) and np.isfinite(half_width) and half_width > 0.0):
+        raise ValueError("center must be finite and half_width finite and positive")
+    raster = RasterGrid(center, float(half_width), resolution, max_iter,
                         np.full((resolution, resolution), max_iter, dtype=np.int32))
     xs, ys = raster.pixel_centers()
-    grid = (xs[None, :] + 1j * ys[:, None]).ravel()
     counts = raster.counts.ravel()      # a view: escapes land in raster.counts
-
     coeffs = e.poly.monomial_coeffs()
-    r_sq = e.r_escape * e.r_escape
-    idx = np.arange(grid.size)
-    cur = grid.copy()
+    # capped, so an r_escape whose square overflows still escapes inf and NaN only
+    r_sq = min(e.r_escape * e.r_escape, np.finfo(float).max)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(max_iter):
-            mag_sq = cur.real * cur.real + cur.imag * cur.imag
-            esc = (mag_sq > r_sq) | ~np.isfinite(mag_sq)
-            if esc.any():
-                counts[idx[esc]] = k
-                keep = ~esc
-                idx = idx[keep]
-                cur = cur[keep]
-            if idx.size == 0:
-                break
-            cur = horner(coeffs, cur)
-            bad = ~np.isfinite(cur) | (np.abs(cur.real) > OVERFLOW_GUARD) \
-                | (np.abs(cur.imag) > OVERFLOW_GUARD)
-            if bad.any():
-                cur[bad] = 2.0 * OVERFLOW_GUARD
+        for start in range(0, counts.size, RASTER_TILE):
+            tile = counts[start:start + RASTER_TILE]
+            rows, cols = np.divmod(np.arange(start, start + tile.size), resolution)
+            _escape_tile(coeffs, r_sq, xs[cols] + 1j * ys[rows], tile, max_iter)
     return raster
+
+
+def _escape_tile(coeffs, r_sq, cur, counts, max_iter):
+    """Escape counts of the orbits from cur into counts, preset to max_iter."""
+    idx = np.arange(cur.size)
+    saved = np.full_like(cur, np.nan)
+    for k in range(max_iter):
+        mag_sq = cur.real * cur.real + cur.imag * cur.imag
+        esc = ~(mag_sq <= r_sq)
+        gone = esc | (cur == saved)
+        if gone.any():
+            counts[idx[esc]] = k
+            keep = ~gone
+            idx, cur, saved = idx[keep], cur[keep], saved[keep]
+            if idx.size == 0:
+                return
+        if k & (k - 1) == 0:
+            np.copyto(saved, cur)
+        cur = horner(coeffs, cur)
+        bad = ~(np.abs(cur.real) <= OVERFLOW_GUARD) | ~(np.abs(cur.imag) <= OVERFLOW_GUARD)
+        if bad.any():
+            cur[bad] = 2.0 * OVERFLOW_GUARD
 
 
 def raster_to_pgm(raster: RasterGrid) -> bytes:

@@ -135,10 +135,12 @@ def _expand(roots, leading):
 
 
 def horner(coeffs, z):
-    """Value of the monomial-basis polynomial with ascending coeffs at array z."""
+    """Value of the monomial-basis polynomial with ascending coeffs at array z,
+    accumulated in place."""
     out = np.full(z.shape, coeffs[-1], dtype=complex)
     for ck in coeffs[-2::-1]:
-        out = out * z + ck
+        np.multiply(out, z, out=out)
+        np.add(out, ck, out=out)
     return out
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ValidationError
 from .poly import Poly
 
 CONVERGENCE_REL = 1e-13
@@ -209,6 +209,8 @@ def zero_counting_measure(zc: ZeroClassification):
     """Uniform unit-mass measure on the regular zeros only."""
     from .measures import EmpiricalMeasure
 
+    if len(zc.regular) == 0:
+        raise ValidationError(f"P_{zc.n} has no regular zeros in (-1, 1)")
     return EmpiricalMeasure.from_points(zc.regular.astype(complex))
 
 

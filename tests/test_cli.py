@@ -78,7 +78,9 @@ class TestZeros:
     def test_no_regular_zeros_exit_one(self, tmp_path, capsys):
         # P_0 has one zero, outside [-1, 1]: no zero-counting measure exists
         assert run(["zeros", *PRESET_FLAGS, "--n", "0", "--out", str(tmp_path)]) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "numerical"
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numerical"
+        assert err["message"] == "P_0 has no regular zeros in (-1, 1)"
 
 
 class TestJulia:
@@ -255,6 +257,29 @@ class TestConfigResolution:
         }))
         assert run(["report", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert json.loads(capsys.readouterr().err)["field"] == "thresholds.p2_region"
+
+    @pytest.mark.parametrize("version", ["abc", 2, True, 1.0])
+    def test_top_level_schema_version_exit_two(self, tmp_path, capsys, version):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "schema_version": version,
+            "family": {"preset": "x1", "alpha": 0.02, "beta": 1.2},
+            "n_list": [10],
+        }))
+        assert run(["zeros", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["field"] == "schema_version"
+        assert not (tmp_path / "zeros_n10.csv").exists()
+
+    def test_top_level_schema_version_one_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1,
+            "family": {"preset": "x1", "alpha": 0.02, "beta": 1.2},
+            "n_list": [10],
+        }))
+        assert run(["zeros", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
     def test_schema_version_threshold_in_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

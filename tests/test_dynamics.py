@@ -6,7 +6,7 @@ import pytest
 
 import xjulia as xj
 from xjulia import dynamics as dyn
-from xjulia.poly import Poly
+from xjulia.poly import Poly, horner
 
 
 class TestEscapeRadius:
@@ -87,6 +87,15 @@ class TestRaster:
         with pytest.raises(ValueError):
             dyn.escape_raster(square_escape, resolution=0)
 
+    @pytest.mark.parametrize("window", [
+        {"center": complex(np.nan, 0.0)}, {"center": complex(0.0, np.inf)},
+        {"half_width": np.nan}, {"half_width": np.inf}, {"half_width": 0.0},
+        {"half_width": -1.0},
+    ])
+    def test_window_must_be_finite(self, square_escape, window):
+        with pytest.raises(ValueError, match="half_width"):
+            dyn.escape_raster(square_escape, resolution=8, **window)
+
     def test_pgm_bytes(self, square_escape):
         r = dyn.escape_raster(square_escape, half_width=1.5, resolution=32,
                               max_iter=50)
@@ -95,6 +104,109 @@ class TestRaster:
         assert len(blob) == len(b"P5\n32 32\n255\n") + 32 * 32
         body = np.frombuffer(blob[len(b"P5\n32 32\n255\n"):], dtype=np.uint8)
         assert body.max() == 255  # non-escaped pixels map to maxval
+
+
+def _reference_counts(e, center=0j, half_width=2.0, resolution=512, max_iter=100):
+    """The escape loop before tiling and retirement: the whole grid at once,
+    every live orbit stepped until it escapes or max_iter is spent."""
+    raster = dyn.RasterGrid(complex(center), float(half_width), resolution, max_iter,
+                            np.full((resolution, resolution), max_iter, dtype=np.int32))
+    xs, ys = raster.pixel_centers()
+    grid = (xs[None, :] + 1j * ys[:, None]).ravel()
+    counts = raster.counts.ravel()
+    coeffs = e.poly.monomial_coeffs()
+    r_sq = e.r_escape * e.r_escape
+    idx = np.arange(grid.size)
+    cur = grid.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(max_iter):
+            mag_sq = cur.real * cur.real + cur.imag * cur.imag
+            esc = (mag_sq > r_sq) | ~np.isfinite(mag_sq)
+            if esc.any():
+                counts[idx[esc]] = k
+                keep = ~esc
+                idx = idx[keep]
+                cur = cur[keep]
+            if idx.size == 0:
+                break
+            out = np.full(cur.shape, coeffs[-1], dtype=complex)
+            for ck in coeffs[-2::-1]:
+                out = out * cur + ck
+            cur = out
+            bad = ~np.isfinite(cur) | (np.abs(cur.real) > dyn.OVERFLOW_GUARD) \
+                | (np.abs(cur.imag) > dyn.OVERFLOW_GUARD)
+            if bad.any():
+                cur[bad] = 2.0 * dyn.OVERFLOW_GUARD
+    return raster.counts
+
+
+RABBIT = -0.12256116687665362 + 0.7448617666197442j
+
+
+class TestRasterMatchesReference:
+    """The tiled raster with cycle retirement returns the reference loop's
+    counts bit for bit."""
+
+    @pytest.mark.parametrize("coeffs, window", [
+        ([0.0, 0.0, 1.0], {}),
+        ([-1.0, 0.0, 1.0], {}),
+        ([RABBIT, 0.0, 1.0], {"half_width": 1.6}),
+        ([0.0, -3.0, 0.0, 1.0], {"half_width": 2.5}),
+        ([-0.75 + 0.1j, 0.0, 1.0], {"max_iter": 300}),
+        ([0.0, 0.0, 1.0], {"resolution": 513, "half_width": 1.5, "max_iter": 200}),
+        ([-1.0, 0.0, 1.0], {"resolution": 513, "max_iter": 1}),
+        ([-2.0, 0.0, 1.0], {"resolution": 513, "half_width": 3.0, "max_iter": 200}),
+    ], ids=["z2", "z2-1", "rabbit", "z3-3z", "slow", "res513", "max_iter1", "cheb"])
+    def test_closed_forms(self, coeffs, window):
+        e = dyn.escape_radius(Poly(coeffs))
+        assert np.array_equal(dyn.escape_raster(e, **window).counts,
+                              _reference_counts(e, **window))
+
+    def test_family_member(self, stock_escape):
+        e = stock_escape[40]
+        assert np.array_equal(dyn.escape_raster(e).counts, _reference_counts(e))
+
+    @pytest.mark.parametrize("e, window", [
+        # 1.7e308 z^2 overflows to inf and NaN inside its escape disk
+        (dyn.EscapeData(Poly([0.0, 0.0, 1.7e308]), 1.2, 1.2),
+         {"half_width": 1.2, "resolution": 64}),
+        # pixel centers beyond the largest double start at inf, and at NaN
+        # where 1j * inf makes the real part 0 * inf
+        (dyn.EscapeData(Poly([0.0, 0.0, 1.0]), 2.0, 2.0),
+         {"center": complex(1.7e308, 1.7e308), "half_width": 1e308, "resolution": 64}),
+        # r_escape^2 overflows: the corners start at an infinite modulus, and
+        # guarded orbits inside never escape
+        (dyn.EscapeData(Poly([0.0, 0.0, 1.0]), 1e200, 1e200),
+         {"half_width": 1e154, "resolution": 64}),
+    ], ids=["inf-nan", "inf-start", "huge-radius"])
+    def test_overflow_windows(self, e, window):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(dyn.escape_raster(e, **window).counts,
+                                  _reference_counts(e, **window))
+
+    def test_overflow_window_reaches_nan(self):
+        # two pixels of the inf-nan window above, both inside |z| <= 1.2
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = horner(np.array([0.0, 0.0, 1.7e308], dtype=complex),
+                          np.array([1.1 + 0j, 0.8 + 0.8j]))
+        assert np.isnan(step[0].imag) and np.isinf(step[1].imag)
+
+    def test_period_two_orbits_retire(self, monkeypatch):
+        # every orbit of this window lands on the cycle 0 -> -1 -> 0 of z^2 - 1
+        e = dyn.escape_radius(Poly([-1.0, 0.0, 1.0]))
+        window = {"half_width": 0.1, "resolution": 64, "max_iter": 1000}
+        stepped = [0]
+
+        def counted(coeffs, z):
+            stepped[0] += z.size
+            return horner(coeffs, z)
+
+        monkeypatch.setattr(dyn, "horner", counted)
+        counts = dyn.escape_raster(e, **window).counts
+        assert np.all(counts == 1000)
+        assert stepped[0] < 0.1 * 64 * 64 * 1000
+        monkeypatch.undo()
+        assert np.array_equal(counts, _reference_counts(e, **window))
 
 
 class TestBrolinSampler:
