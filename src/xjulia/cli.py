@@ -234,7 +234,7 @@ def cmd_brolin(cfg: ExperimentConfig) -> int:
         max_moms.append(max_abs)
         mean_ims.append(mean_im)
         bounds.append(bound)
-        _write(cfg.output_dir / f"brolin_{label}.csv", sample.to_csv())
+        _write(cfg.output_dir / f"brolin_{label}.csv", mu.to_csv())
         _write(cfg.output_dir / f"brolin_{label}.json", _json_text({
             "schema_version": SCHEMA_VERSION,
             "n": n,
@@ -329,9 +329,8 @@ def cmd_report(cfg: ExperimentConfig) -> int:
         counts = []
         rng = np.random.Generator(np.random.Philox(key=cfg.seed))
         for n in n_list:
-            sample_csv = (cfg.output_dir / f"brolin_n{n}.csv").read_text()
-            pts_n = np.array([complex(float(r), float(i))
-                              for r, i in (ln.split(",") for ln in sample_csv.splitlines()[1:])])
+            pts_n = measures.EmpiricalMeasure.from_csv(
+                (cfg.output_dir / f"brolin_n{n}.csv").read_text()).points
             e = dynamics.escape_radius(exceptional.monomial_coeffs(data, n))
             targets = rng.choice(pts_n, size=min(thr["p2_targets"], len(pts_n)), replace=False)
             counts.append(max(dynamics.preimage_count_in_set(e, w, region) for w in targets))

@@ -8,6 +8,9 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
+from .dynamics import pixel_centers
 from .errors import ConfigError
 from .poly import Poly
 
@@ -158,6 +161,9 @@ def validate_config(obj: dict) -> ExperimentConfig:
         grid["half_width"] = _require_number(grid, "half_width", lo=1e-9)
         grid["center_re"] = _require_number(grid, "center_re")
         grid["center_im"] = _require_number(grid, "center_im")
+        center = complex(grid["center_re"], grid["center_im"])
+        if not np.isfinite(pixel_centers(center, grid["half_width"], grid["resolution"])).all():
+            raise ConfigError("grid", "pixel centers overflow; shrink center or half_width")
     cfg.grid = grid
     if "output_dir" in obj:
         if not isinstance(obj["output_dir"], str) or not obj["output_dir"]:

@@ -52,10 +52,6 @@ class EscapeData:
         return self.poly.degree
 
 
-def _certified_radius(mono: np.ndarray, d: int) -> float:
-    return max(1.0, (2.0 + float(np.sum(np.abs(mono[:d])))) / abs(mono[d]))
-
-
 def escape_radius(p: Poly, refine=None) -> EscapeData:
     """EscapeData for p, with the doubling inequality spot-checked by sampling."""
     p = p.trimmed()
@@ -63,7 +59,7 @@ def escape_radius(p: Poly, refine=None) -> EscapeData:
     if d < 2:
         raise ValueError("escape dynamics need degree >= 2")
     mono = p.monomial_coeffs()
-    r = _certified_radius(mono, d)
+    r = max(1.0, (2.0 + float(np.sum(np.abs(mono[:d])))) / abs(mono[d]))
     rng = np.random.default_rng(_RADIUS_CHECK_SEED)
     radii = rng.uniform(1.01 * r, 10.0 * r, _RADIUS_CHECK_POINTS)
     z = radii * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, _RADIUS_CHECK_POINTS))
@@ -103,10 +99,7 @@ class RasterGrid:
         return 2.0 * self.half_width / self.resolution
 
     def pixel_centers(self):
-        res = self.resolution
-        xs = self.center.real + self.half_width * (2.0 * (np.arange(res) + 0.5) / res - 1.0)
-        ys = self.center.imag + self.half_width * (1.0 - 2.0 * (np.arange(res) + 0.5) / res)
-        return xs, ys
+        return pixel_centers(self.center, self.half_width, self.resolution)
 
     def pixel_index(self, z: complex):
         """(row, col) of the pixel containing z, or None when outside the window."""
@@ -115,6 +108,13 @@ class RasterGrid:
         if 0 <= row < self.resolution and 0 <= col < self.resolution:
             return row, col
         return None
+
+
+def pixel_centers(center: complex, half_width: float, resolution: int):
+    """(xs, ys) of the pixel centers, from the left and from the top; inf on overflow."""
+    u = 2.0 * (np.arange(resolution) + 0.5) / resolution
+    with np.errstate(over="ignore"):
+        return center.real + half_width * (u - 1.0), center.imag + half_width * (1.0 - u)
 
 
 def escape_raster(e: EscapeData, center: complex = 0j, half_width: float = 2.0,
@@ -143,9 +143,11 @@ def escape_raster(e: EscapeData, center: complex = 0j, half_width: float = 2.0,
     center = complex(center)
     if not (np.isfinite(center) and np.isfinite(half_width) and half_width > 0.0):
         raise ValueError("center must be finite and half_width finite and positive")
+    xs, ys = pixel_centers(center, float(half_width), resolution)
+    if not np.isfinite((xs, ys)).all():
+        raise ValueError("pixel centers of the window overflow")
     raster = RasterGrid(center, float(half_width), resolution, max_iter,
                         np.full((resolution, resolution), max_iter, dtype=np.int32))
-    xs, ys = raster.pixel_centers()
     counts = raster.counts.ravel()      # a view: escapes land in raster.counts
     coeffs = e.poly.monomial_coeffs()
     # capped, so an r_escape whose square overflows still escapes inf and NaN only
@@ -209,12 +211,6 @@ class BrolinSample:
 
         return EmpiricalMeasure.from_points(self.points)
 
-    def to_csv(self) -> str:
-        lines = ["re,im"]
-        for z in self.points:
-            lines.append(f"{z.real:.17g},{z.imag:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 class _PreimageSolver:
     """Aberth solves of p(z) = w along one backward orbit, each started from
@@ -249,7 +245,7 @@ class _PreimageSolver:
             yield warm if self.nudge is None else warm + 1e-6 * self.nudge
         if self.nudge is not None:
             yield self.poly.zeros + 1e-3 * self.nudge
-        yield rootfind.initial_circle(self.poly.shifted(w), self.d)
+        yield rootfind.initial_circle(self.poly.shifted(w))
 
     def solve(self, w: complex) -> np.ndarray:
         values = partial(self.poly.values, w=w)
@@ -400,14 +396,13 @@ def preimage_count_in_set(e: EscapeData, w: complex, region) -> int:
     return int(np.count_nonzero(inside))
 
 
-def boundary_preimage_containment(e: EscapeData, n_points: int = 20,
-                                  radius: float | None = None):
-    """Check p^{-1}(boundary of D(0,R)) stays inside D(0,R).
+def boundary_preimage_containment(e: EscapeData):
+    """Check p^{-1}(boundary of D(0,R)) stays inside D(0,R), R = max(1, r_uniform).
 
-    Returns (all_contained, max |preimage| / R) over n_points boundary targets.
+    Returns (all_contained, max |preimage| / R) over 20 boundary targets.
     """
-    r = radius if radius is not None else max(1.0, e.r_uniform)
-    theta = 2.0 * np.pi * (np.arange(n_points) + 0.37) / n_points
+    r = max(1.0, e.r_uniform)
+    theta = 2.0 * np.pi * (np.arange(20) + 0.37) / 20
     worst = 0.0
     solver = _PreimageSolver(e.poly)
     for w in r * np.exp(1j * theta):

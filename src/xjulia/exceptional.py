@@ -9,7 +9,6 @@ norm of b p_n' - bw p_n; the closed form sqrt(c0 (n(n+alpha+beta+1)+lambda))
 is exposed as a cross-check that validates the configured lambda.
 """
 
-import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +26,7 @@ ORTHO_GATE_INDEX = 10
 ORTHO_GATE_TOL = 1e-8
 
 # Newton steps newton_refiner may take; it stops earlier once |P_n(z) - w|
-# stops falling or reaches the rounding level of the recurrence.  Eight bring a
-# degree-41 root of monomial coefficients, good to about 1e-3, to rounding.
+# stops falling or reaches the rounding level of the recurrence.
 REFINE_MAX_STEPS = 8
 
 
@@ -54,7 +52,7 @@ class DarbouxData:
     def weight_params(self) -> JacobiParams:
         return JacobiParams(self.params.alpha + self.eps1, self.params.beta + self.eps2)
 
-    def quad_rule(self, order: int = BASE_QUAD_ORDER):
+    def quad_rule(self, order: int):
         wp = self.weight_params
         return cached_rule(wp.alpha, wp.beta, order)
 
@@ -71,8 +69,8 @@ class ExceptionalWeight:
         bt = self.data.b_tilde(x).real
         return self.c0 * self.data.weight_params.weight(x) / bt ** 2
 
-    def mass(self, order: int = 2 * BASE_QUAD_ORDER) -> float:
-        rule = self.data.quad_rule(order)
+    def mass(self) -> float:
+        rule = self.data.quad_rule(2 * BASE_QUAD_ORDER)
         return float(self.c0 * rule.integrate(lambda x: 1.0 / self.data.b_tilde(x).real ** 2))
 
 
@@ -290,8 +288,9 @@ def exceptional_degree(data: DarbouxData, n: int) -> int:
     return n + db - 1
 
 
-def degree_law_threshold(data: DarbouxData, n_max: int = 40) -> int:
-    """Smallest n0 with deg P_n = n + m for all checked n in [n0, n_max]."""
+def degree_law_threshold(data: DarbouxData) -> int:
+    """Smallest n0 with deg P_n = n + m for all checked n in [n0, 40]."""
+    n_max = 40
     good = [exceptional_degree(data, n) == n + data.m for n in range(n_max + 1)]
     n0 = n_max + 1
     for n in range(n_max, -1, -1):
@@ -337,9 +336,7 @@ def newton_refiner(data: DarbouxData, n: int):
     from the root of the product form onto the root of the recurrence
     evaluation.  Returns refine(z, w) -> z: guarded Newton steps, taken
     while |P_n(z) - w| falls and is above the recurrence's rounding level, at
-    most REFINE_MAX_STEPS of them.  While |P_n(z) - w| is above RESIDUAL_REL
-    of its scale, a Newton step that does not lower it is replaced by a
-    Cauchy step, then by halves of the Newton step.
+    most REFINE_MAX_STEPS of them.
     """
     params = data.params
     bc = data.b.coeffs[:data.b.degree + 1].tolist()
@@ -372,20 +369,8 @@ def newton_refiner(data: DarbouxData, n: int):
         for _ in range(REFINE_MAX_STEPS):
             if df == 0 or abs(f) <= level * (scale + abs(w)):
                 break
-            step = f / df
-            cand = z - step
+            cand = z - f / df
             f2, df2, scale2 = value_slope(cand, w)
-            if not abs(f2) < abs(f) and abs(f) > rootfind.RESIDUAL_REL * (scale + abs(w)):
-                # next to a critical point the step overshoots, and a real
-                # iterate never reaches a complex preimage: try the nearer root
-                # of the quadratic model (P_n'' from the secant of P_n'), then
-                # halves of the step down to 1/16
-                disc = cmath.sqrt(df * df - 2.0 * f * (df - df2) / step)
-                den = max(df + disc, df - disc, key=abs)
-                for cand in [z - 2.0 * f / den] + [z - step / 2 ** k for k in range(1, 5)]:
-                    f2, df2, scale2 = value_slope(cand, w)
-                    if abs(f2) < abs(f):
-                        break
             if not abs(f2) < abs(f):
                 break
             z, f, df, scale = cand, f2, df2, scale2
@@ -448,21 +433,19 @@ def orthonormality_deviation(data: DarbouxData, kmax: int):
     return float(dev[ij]), (int(ij[0]) + lo, int(ij[1]) + lo)
 
 
-def verify_span_property(data: DarbouxData, p: Poly, s_max: int | None = None):
+def verify_span_property(data: DarbouxData, p: Poly):
     """Expansion length of b^2 * p in the transformed family.
 
     Returns (s_observed, residuals): coefficients c_l = <b^2 p, P_l>_W for
-    l = 0 .. deg(p) + s_max, and the smallest s with |c_l| below
+    l = 0 .. deg(p) + 2 deg b + 5, and the smallest s with |c_l| below
     1e-8 * ||b^2 p||_W for every l beyond deg(p) + s.  For a family produced
     by one first-order transformation, s_observed <= deg b + 1.
     """
     n = p.degree if not _is_zero(p) else 0
     db = data.b.degree
-    if s_max is None:
-        s_max = 2 * db + 5
-    l_max = n + s_max
-    if n + 2 * db + 5 > jacobi.DEGREE_CAP + 2 * db:
+    if n + 5 > jacobi.DEGREE_CAP:
         raise ValueError("polynomial degree too large for the scan")
+    l_max = n + 2 * db + 5
 
     c0 = normalization_constant(data)
     order = n + l_max + 2 * db + 10

@@ -7,66 +7,50 @@ vectors for complex-supported ones.  Discrete energies exclude the diagonal
 reduction, so results are reproducible bit-for-bit for a fixed partition.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 
-WEIGHT_SUM_TOL = 1e-12
-
 
 @dataclass
 class EmpiricalMeasure:
-    """Finitely many weighted points; weights must sum to one."""
+    """Finitely many points, each of mass 1/size."""
 
     points: np.ndarray
-    weights: np.ndarray
 
     def __post_init__(self):
         self.points = np.atleast_1d(np.asarray(self.points, dtype=complex))
-        self.weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if len(self.points) != len(self.weights) or len(self.points) == 0:
-            raise ValidationError("points and weights must be equal-length and nonempty")
-        if np.any(self.weights <= 0):
-            raise ValidationError("weights must be positive")
-        if abs(self.weights.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise ValidationError(f"weights sum to {self.weights.sum()!r}, not 1")
+        if len(self.points) == 0:
+            raise ValidationError("points must be nonempty")
 
     @classmethod
     def from_points(cls, points) -> "EmpiricalMeasure":
-        points = np.atleast_1d(np.asarray(points, dtype=complex))
-        n = len(points)
-        if n == 0:
-            raise ValidationError("points must be nonempty")
-        return cls(points, np.full(n, 1.0 / n))
+        return cls(points)
 
     @property
     def size(self) -> int:
         return len(self.points)
 
-    def is_real_supported(self, tol: float = 1e-6) -> bool:
-        return bool(np.max(np.abs(self.points.imag)) <= tol)
+    @property
+    def weights(self) -> np.ndarray:
+        return np.full(self.size, 1.0 / self.size)
+
+    def is_real_supported(self) -> bool:
+        return bool(np.max(np.abs(self.points.imag)) <= 1e-6)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("re,im,weight\n")
-        for p, w in zip(self.points, self.weights):
-            buf.write(f"{p.real:.17g},{p.imag:.17g},{w:.17g}\n")
-        return buf.getvalue()
+        """re,im lines at 17 significant digits, which read back as the same doubles."""
+        return "re,im\n" + "".join(f"{z.real:.17g},{z.imag:.17g}\n" for z in self.points)
 
     @classmethod
     def from_csv(cls, text: str) -> "EmpiricalMeasure":
         lines = [ln for ln in text.strip().splitlines() if ln]
-        if not lines or lines[0].strip() != "re,im,weight":
-            raise ValidationError("expected header re,im,weight")
-        pts, wts = [], []
-        for ln in lines[1:]:
-            re, im, w = ln.split(",")
-            pts.append(complex(float(re), float(im)))
-            wts.append(float(w))
-        return cls(np.array(pts), np.array(wts))
+        if not lines or lines[0].strip() != "re,im":
+            raise ValidationError("expected header re,im")
+        rows = (ln.split(",") for ln in lines[1:])
+        return cls([complex(float(re), float(im)) for re, im in rows])
 
 
 def arcsine_cdf(x: float) -> float:
@@ -121,7 +105,7 @@ def energy(mu: EmpiricalMeasure) -> float:
 
 
 def ks_distance_real(mu: EmpiricalMeasure, cdf) -> float:
-    """Sup distance between the weighted empirical CDF and a reference CDF.
+    """Sup distance between the empirical CDF and a reference CDF.
 
     Only valid for real-supported measures; complex support raises and points
     the caller at the moment diagnostics instead.

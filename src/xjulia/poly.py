@@ -63,10 +63,7 @@ class Poly:
         level = 4.0 * np.finfo(float).eps * len(self.coeffs)
         if self.zeros is not None:
             return level * (np.abs(pv + w) + abs(w))
-        acc = np.zeros(np.shape(z))
-        for mk in np.abs(self.shifted(w))[::-1]:
-            acc = acc * np.abs(z) + mk
-        return level * acc
+        return level * horner(np.abs(self.shifted(w)), np.abs(z)).real
 
     def shifted(self, w) -> np.ndarray:
         """Ascending coefficients of p - w."""

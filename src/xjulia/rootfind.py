@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
+from .jacobi import DEGREE_CAP
 from .poly import Poly
 
 CONVERGENCE_REL = 1e-13
@@ -37,11 +38,10 @@ def residual_scale(p: Poly, r):
     return np.power(1.0 + np.abs(np.asarray(r))[..., None], np.arange(len(mono))) @ mono
 
 
-def initial_circle(mono: np.ndarray, d: int) -> np.ndarray:
+def initial_circle(mono: np.ndarray) -> np.ndarray:
     """Perturbed-circle starting points enclosing all roots (Cauchy bound)."""
-    lead = mono[d] if d < len(mono) else mono[-1]
-    radius = 1.0 + float(np.max(np.abs(mono[:d])) / abs(lead))
-    radius = min(radius, 1e6)
+    d = len(mono) - 1
+    radius = min(1.0 + float(np.max(np.abs(mono[:d])) / abs(mono[d])), 1e6)
     ang = 2.0 * np.pi * np.arange(d) / d + 0.4
     return radius * np.exp(1j * ang) * (1.0 + 0.01 * np.sin(7.0 * ang))
 
@@ -105,7 +105,7 @@ def roots(p: Poly, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
     if d == 1:
         return np.array([-mono[0] / mono[1]])
 
-    z, converged = aberth(p.values, p.noise_floor, initial_circle(mono, d), max_sweeps)
+    z, converged = aberth(p.values, p.noise_floor, initial_circle(mono), max_sweeps)
     if not converged:
         worst = float(np.max(np.abs(p(z))))
         raise ConvergenceError(f"Aberth iteration did not settle in {max_sweeps} sweeps",
@@ -150,8 +150,8 @@ def classify_zeros(data, n: int) -> "ZeroClassification":
     """
     from . import exceptional as exc_mod
 
-    if n + data.m > 60:
-        raise ValueError("n + m exceeds the desk-scale degree cap (60)")
+    if n + data.m > DEGREE_CAP:
+        raise ValueError(f"n + m exceeds the desk-scale degree cap ({DEGREE_CAP})")
     degree = exc_mod.exceptional_degree(data, n)
     if degree < 1:
         raise ValueError("degree must be >= 1")

@@ -112,6 +112,14 @@ class TestJulia:
                     "--out", str(tmp_path)]) == 2
         assert json.loads(capsys.readouterr().err)["field"] == "resolution"
 
+    def test_window_whose_pixel_centers_overflow_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": {"raw_poly": [0, 0, 1]},
+                                   "grid": {"center_re": 1.7e308, "half_width": 1e308}}))
+        assert run(["julia", "--config", str(cfg), "--out", str(tmp_path / "j")]) == 2
+        assert json.loads(capsys.readouterr().err)["field"] == "grid"
+        assert not (tmp_path / "j").exists()
+
     @pytest.mark.parametrize("coeffs", ["1,0,0", "nan,0,1"])
     def test_raw_poly_needs_finite_degree_two(self, tmp_path, capsys, coeffs):
         assert run(["julia", "--raw-poly", coeffs, "--out", str(tmp_path)]) == 2

@@ -170,10 +170,10 @@ class TestRasterMatchesReference:
         # 1.7e308 z^2 overflows to inf and NaN inside its escape disk
         (dyn.EscapeData(Poly([0.0, 0.0, 1.7e308]), 1.2, 1.2),
          {"half_width": 1.2, "resolution": 64}),
-        # pixel centers beyond the largest double start at inf, and at NaN
-        # where 1j * inf makes the real part 0 * inf
+        # pixel centers near the largest double: finite, but every squared
+        # modulus is inf at the start
         (dyn.EscapeData(Poly([0.0, 0.0, 1.0]), 2.0, 2.0),
-         {"center": complex(1.7e308, 1.7e308), "half_width": 1e308, "resolution": 64}),
+         {"center": complex(1e308, 1e308), "half_width": 7e307, "resolution": 64}),
         # r_escape^2 overflows: the corners start at an infinite modulus, and
         # guarded orbits inside never escape
         (dyn.EscapeData(Poly([0.0, 0.0, 1.0]), 1e200, 1e200),
@@ -183,6 +183,11 @@ class TestRasterMatchesReference:
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.array_equal(dyn.escape_raster(e, **window).counts,
                                   _reference_counts(e, **window))
+
+    def test_window_whose_pixel_centers_overflow_rejected(self):
+        e = dyn.EscapeData(Poly([0.0, 0.0, 1.0]), 2.0, 2.0)
+        with pytest.raises(ValueError, match="overflow"):
+            dyn.escape_raster(e, center=1.7e308, half_width=1e308, resolution=64)
 
     def test_overflow_window_reaches_nan(self):
         # two pixels of the inf-nan window above, both inside |z| <= 1.2
@@ -272,9 +277,22 @@ class TestBrolinSampler:
 
     def test_csv_format(self, square_escape):
         s = dyn.brolin_sample(square_escape, 3, burn_in=5, seed=0)
-        lines = s.to_csv().strip().splitlines()
+        lines = s.to_measure().to_csv().strip().splitlines()
         assert lines[0] == "re,im"
         assert len(lines) == 4
+
+    def test_csv_reads_back_bit_for_bit(self, stock_samples):
+        # the report reads back the CSV brolin writes; on the real axis the
+        # orbit's imaginary parts are +0 or below an ulp of the real part, and
+        # its conjugate's are -0
+        s = stock_samples[10]
+        tiny = np.abs(s.points.imag) <= 4 * np.finfo(float).eps * np.abs(s.points.real)
+        assert np.any(s.points.imag == 0.0) and np.any(tiny & (s.points.imag != 0.0))
+        back = xj.EmpiricalMeasure.from_csv(s.to_measure().to_csv()).points
+        assert back.tobytes() == s.points.tobytes()
+        conj = xj.EmpiricalMeasure.from_points(s.points.conj())
+        back = xj.EmpiricalMeasure.from_csv(conj.to_csv()).points
+        assert back.tobytes() == conj.points.tobytes()
 
 
 class TestExactMoments:

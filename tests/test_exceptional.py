@@ -155,19 +155,6 @@ class TestEvaluation:
         w = complex(0.2164086508034827, -1.4707778899850403e-27)
         assert self.refined_residual(stock_family, 40, z0, w) <= 1e-8
 
-    @pytest.mark.parametrize("z0,w", [
-        # the full Newton step raises |P_40(z) - w|; a guarded Newton refine
-        # returns z0, at 0.19 of the scale
-        (0.9470786177912961 - 0.002885589016247743j, -0.9950323252504168 + 4.736936548823224e-15j),
-        # w lies beyond the nearby critical value, so both preimages are
-        # complex and real Newton iterates, halved or not, stall at 0.24
-        (0.9876905237839528 + 0j, -0.8033755504316018 + 0j),
-    ], ids=["overshoot", "real-axis"])
-    def test_refiner_recovers_near_critical_point(self, stock_family, z0, w):
-        # degree-41 orbit steps whose monomial-basis preimage sits next to a
-        # critical point of P_40
-        assert self.refined_residual(stock_family, 40, z0, w) <= 1e-8
-
 
 class TestDegreesAndLeadingCoeffs:
     def test_degree_law(self, stock_family):
