@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .dynamics import pixel_centers
 from .errors import ConfigError
 from .poly import Poly
@@ -162,8 +160,10 @@ def validate_config(obj: dict) -> ExperimentConfig:
         grid["center_re"] = _require_number(grid, "center_re")
         grid["center_im"] = _require_number(grid, "center_im")
         center = complex(grid["center_re"], grid["center_im"])
-        if not np.isfinite(pixel_centers(center, grid["half_width"], grid["resolution"])).all():
-            raise ConfigError("grid", "pixel centers overflow; shrink center or half_width")
+        try:
+            pixel_centers(center, grid["half_width"], grid["resolution"])
+        except ValueError as err:
+            raise ConfigError("grid", f"{err}; shrink center or half_width") from None
     cfg.grid = grid
     if "output_dir" in obj:
         if not isinstance(obj["output_dir"], str) or not obj["output_dir"]:

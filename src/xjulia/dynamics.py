@@ -111,10 +111,14 @@ class RasterGrid:
 
 
 def pixel_centers(center: complex, half_width: float, resolution: int):
-    """(xs, ys) of the pixel centers, from the left and from the top; inf on overflow."""
+    """(xs, ys) of the pixel centers, from the left and from the top; ValueError
+    when a center or the pixel width, which pixel_index divides by, overflows."""
     u = 2.0 * (np.arange(resolution) + 0.5) / resolution
     with np.errstate(over="ignore"):
-        return center.real + half_width * (u - 1.0), center.imag + half_width * (1.0 - u)
+        xs, ys = center.real + half_width * (u - 1.0), center.imag + half_width * (1.0 - u)
+        if np.isfinite(2.0 * half_width / resolution) and np.isfinite((xs, ys)).all():
+            return xs, ys
+    raise ValueError("pixel centers or pixel width of the window overflow")
 
 
 def escape_raster(e: EscapeData, center: complex = 0j, half_width: float = 2.0,
@@ -144,8 +148,6 @@ def escape_raster(e: EscapeData, center: complex = 0j, half_width: float = 2.0,
     if not (np.isfinite(center) and np.isfinite(half_width) and half_width > 0.0):
         raise ValueError("center must be finite and half_width finite and positive")
     xs, ys = pixel_centers(center, float(half_width), resolution)
-    if not np.isfinite((xs, ys)).all():
-        raise ValueError("pixel centers of the window overflow")
     raster = RasterGrid(center, float(half_width), resolution, max_iter,
                         np.full((resolution, resolution), max_iter, dtype=np.int32))
     counts = raster.counts.ravel()      # a view: escapes land in raster.counts
@@ -209,7 +211,7 @@ class BrolinSample:
     def to_measure(self):
         from .measures import EmpiricalMeasure
 
-        return EmpiricalMeasure.from_points(self.points)
+        return EmpiricalMeasure(self.points)
 
 
 class _PreimageSolver:

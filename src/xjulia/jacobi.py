@@ -176,12 +176,18 @@ class QuadratureRule:
         return np.sum(self.weights * values, axis=-1)
 
 
+def gauss_nodes(params: JacobiParams, order: int) -> np.ndarray:
+    """Zeros of p_order, ascending and unpolished: the eigenvalues of the Jacobi
+    matrix of the recurrence (Golub & Welsch, Math. Comp. 23, 1969)."""
+    a, b = _recurrence(params.alpha, params.beta, order)
+    return eigh_tridiagonal(a[:order], np.sqrt(b[1:order]), eigvals_only=True)
+
+
 def gauss_jacobi_rule(params: JacobiParams, order: int) -> QuadratureRule:
     """Nodes and weights integrating degree <= 2*order-1 exactly against the weight.
 
-    Nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix of the
-    recurrence (Golub & Welsch, Math. Comp. 23, 1969), polished by two Newton
-    steps on p_order: the raw eigenvalues of a symmetric weight are not
+    Nodes are the Golub-Welsch eigenvalues of gauss_nodes, polished by two
+    Newton steps on p_order: the raw eigenvalues of a symmetric weight are not
     symmetric to rounding, which shows in the odd moments.  Weights come from
     the Christoffel sums 1 / sum_{k<order} p_k(x)^2, which are more accurate
     than the eigenvector weights of scipy's roots_jacobi.  The returned arrays
@@ -189,8 +195,7 @@ def gauss_jacobi_rule(params: JacobiParams, order: int) -> QuadratureRule:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    a, b = _recurrence(params.alpha, params.beta, order)
-    nodes = eigh_tridiagonal(a[:order], np.sqrt(b[1:order]), eigvals_only=True)
+    nodes = gauss_nodes(params, order)
     for _ in range(2):
         p, dp, _ = orthonormal_values(params, order, nodes)
         nodes = nodes - (p / dp).real

@@ -25,10 +25,6 @@ class EmpiricalMeasure:
         if len(self.points) == 0:
             raise ValidationError("points must be nonempty")
 
-    @classmethod
-    def from_points(cls, points) -> "EmpiricalMeasure":
-        return cls(points)
-
     @property
     def size(self) -> int:
         return len(self.points)

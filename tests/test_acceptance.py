@@ -108,7 +108,7 @@ class TestAcceptance:
         mean_dev = abs(square_sample.points.mean())
         im_dev = float(np.max(np.abs(cheb_sample.points.imag)))
         ks = xj.ks_distance_real(
-            xj.EmpiricalMeasure.from_points(cheb_sample.points / 2.0),
+            xj.EmpiricalMeasure(cheb_sample.points / 2.0),
             xj.arcsine_cdf)
         raster = dyn.escape_raster(square_escape, half_width=1.5, resolution=512,
                                    max_iter=100)
@@ -164,7 +164,7 @@ class TestAcceptance:
                 f"max counts by n: {[counts[n] for n in (10, 20, 30, 40, 50)]}")
 
     def test_c10_potential_constants(self):
-        cloud = xj.EmpiricalMeasure.from_points(
+        cloud = xj.EmpiricalMeasure(
             xj.arcsine_quantiles(512).astype(complex))
         energy_dev = abs(xj.energy(cloud) - LOG2)
         rng = np.random.default_rng(22)

@@ -120,6 +120,15 @@ class TestJulia:
         assert json.loads(capsys.readouterr().err)["field"] == "grid"
         assert not (tmp_path / "j").exists()
 
+    def test_window_whose_pixel_width_overflows_rejected(self, tmp_path, capsys):
+        # the pixel centers are finite, but the pixel width 2e308 / 512 is not
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": {"raw_poly": [0, 0, 1]},
+                                   "grid": {"center_re": 0.0, "half_width": 1e308}}))
+        assert run(["julia", "--config", str(cfg), "--out", str(tmp_path / "j")]) == 2
+        assert json.loads(capsys.readouterr().err)["field"] == "grid"
+        assert not (tmp_path / "j").exists()
+
     @pytest.mark.parametrize("coeffs", ["1,0,0", "nan,0,1"])
     def test_raw_poly_needs_finite_degree_two(self, tmp_path, capsys, coeffs):
         assert run(["julia", "--raw-poly", coeffs, "--out", str(tmp_path)]) == 2

@@ -189,6 +189,13 @@ class TestRasterMatchesReference:
         with pytest.raises(ValueError, match="overflow"):
             dyn.escape_raster(e, center=1.7e308, half_width=1e308, resolution=64)
 
+    def test_window_whose_pixel_width_overflows_rejected(self):
+        # the centers are finite, but 2 half_width / resolution is inf, and
+        # pixel_index would divide by it
+        e = dyn.EscapeData(Poly([0.0, 0.0, 1.0]), 2.0, 2.0)
+        with pytest.raises(ValueError, match="overflow"):
+            dyn.escape_raster(e, center=0j, half_width=1e308, resolution=4)
+
     def test_overflow_window_reaches_nan(self):
         # two pixels of the inf-nan window above, both inside |z| <= 1.2
         with np.errstate(over="ignore", invalid="ignore"):
@@ -227,7 +234,7 @@ class TestBrolinSampler:
         assert np.max(np.abs(cheb_sample.points.imag)) <= 1e-9
 
     def test_chebyshev_rescaled_arcsine(self, cheb_sample):
-        mu = xj.EmpiricalMeasure.from_points(cheb_sample.points / 2.0)
+        mu = xj.EmpiricalMeasure(cheb_sample.points / 2.0)
         assert xj.ks_distance_real(mu, xj.arcsine_cdf) <= 0.02
 
     def test_samples_within_uniform_bound(self, stock_escape, stock_samples):
@@ -290,7 +297,7 @@ class TestBrolinSampler:
         assert np.any(s.points.imag == 0.0) and np.any(tiny & (s.points.imag != 0.0))
         back = xj.EmpiricalMeasure.from_csv(s.to_measure().to_csv()).points
         assert back.tobytes() == s.points.tobytes()
-        conj = xj.EmpiricalMeasure.from_points(s.points.conj())
+        conj = xj.EmpiricalMeasure(s.points.conj())
         back = xj.EmpiricalMeasure.from_csv(conj.to_csv()).points
         assert back.tobytes() == conj.points.tobytes()
 

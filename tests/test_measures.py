@@ -13,7 +13,7 @@ LOG2 = np.log(2.0)
 
 
 def arcsine_cloud(n):
-    return EmpiricalMeasure.from_points(xj.arcsine_quantiles(n).astype(complex))
+    return EmpiricalMeasure(xj.arcsine_quantiles(n).astype(complex))
 
 
 class TestArcsine:
@@ -64,12 +64,12 @@ class TestGreen:
 
 class TestPotential:
     def test_point_mass_at_e(self):
-        mu = EmpiricalMeasure.from_points([0.0])
+        mu = EmpiricalMeasure([0.0])
         assert_allclose(xj.log_potential(mu, np.e), -1.0, rtol=1e-14)
 
     def test_uniform_circle_center(self):
         z = np.exp(2j * np.pi * np.arange(1024) / 1024)
-        mu = EmpiricalMeasure.from_points(z)
+        mu = EmpiricalMeasure(z)
         assert abs(xj.log_potential(mu, 0.0)) <= 1e-3
 
     def test_arcsine_matches_green_identity(self):
@@ -93,7 +93,7 @@ class TestPotential:
             assert abs(xj.log_potential(mu, z) - want) <= 5e-3
 
     def test_on_support_is_infinite(self):
-        mu = EmpiricalMeasure.from_points([1.0 + 1j, 2.0])
+        mu = EmpiricalMeasure([1.0 + 1j, 2.0])
         assert xj.log_potential(mu, 1.0 + 1j) == np.inf
 
 
@@ -102,7 +102,7 @@ class TestEnergy:
         assert abs(xj.energy(arcsine_cloud(512)) - LOG2) <= 2e-2
 
     def test_two_points_at_unit_distance(self):
-        mu = EmpiricalMeasure.from_points([0.0, 1.0])
+        mu = EmpiricalMeasure([0.0, 1.0])
         assert xj.energy(mu) == 0.0
 
     def test_random_circle_cloud(self):
@@ -110,10 +110,10 @@ class TestEnergy:
         # independent uniform points estimates the energy 0 without bias
         rng = np.random.default_rng(5)
         z = np.exp(2j * np.pi * rng.uniform(0, 1, 256))
-        assert abs(xj.energy(EmpiricalMeasure.from_points(z))) <= 2e-2
+        assert abs(xj.energy(EmpiricalMeasure(z))) <= 2e-2
 
     def test_duplicate_points_infinite(self):
-        mu = EmpiricalMeasure.from_points([0.5, 0.5, 1.0])
+        mu = EmpiricalMeasure([0.5, 0.5, 1.0])
         assert xj.energy(mu) == np.inf
 
     def test_refinement_does_not_worsen(self):
@@ -127,7 +127,7 @@ class TestEnergy:
 
     def test_needs_two_points(self):
         with pytest.raises(ValidationError):
-            xj.energy(EmpiricalMeasure.from_points([1.0]))
+            xj.energy(EmpiricalMeasure([1.0]))
 
 
 class TestKolmogorovSmirnov:
@@ -137,11 +137,11 @@ class TestKolmogorovSmirnov:
         assert xj.ks_distance_real(mu, xj.arcsine_cdf) <= 1 / (2 * n) + 1e-12
 
     def test_point_mass_against_arcsine(self):
-        mu = EmpiricalMeasure.from_points([0.0])
+        mu = EmpiricalMeasure([0.0])
         assert_allclose(xj.ks_distance_real(mu, xj.arcsine_cdf), 0.5, rtol=1e-12)
 
     def test_complex_support_rejected(self):
-        mu = EmpiricalMeasure.from_points([1j])
+        mu = EmpiricalMeasure([1j])
         with pytest.raises(ValidationError, match="moments"):
             xj.ks_distance_real(mu, xj.arcsine_cdf)
 
@@ -153,15 +153,15 @@ class TestChebyshevMoments:
         assert np.max(np.abs(m[1:])) <= 2e-3
 
     def test_point_mass_at_one(self):
-        mu = EmpiricalMeasure.from_points([1.0])
+        mu = EmpiricalMeasure([1.0])
         assert_allclose(xj.chebyshev_moments(mu, 8).real, np.ones(9), rtol=1e-12)
 
     def test_zeroth_moment_exact(self):
-        mu = EmpiricalMeasure.from_points(np.linspace(-1, 1, 7))
+        mu = EmpiricalMeasure(np.linspace(-1, 1, 7))
         assert xj.chebyshev_moments(mu, 3)[0] == 1.0
 
     def test_k_max_capped(self):
-        mu = EmpiricalMeasure.from_points([0.0])
+        mu = EmpiricalMeasure([0.0])
         with pytest.raises(ValueError):
             xj.chebyshev_moments(mu, 33)
 
@@ -169,10 +169,10 @@ class TestChebyshevMoments:
 class TestEmpiricalMeasure:
     def test_from_no_points_rejected(self):
         with pytest.raises(ValidationError):
-            EmpiricalMeasure.from_points([])
+            EmpiricalMeasure([])
 
     def test_csv_roundtrip(self):
-        mu = EmpiricalMeasure.from_points([0.25 + 1j, -2.0])
+        mu = EmpiricalMeasure([0.25 + 1j, -2.0])
         back = EmpiricalMeasure.from_csv(mu.to_csv())
         assert_allclose(back.points, mu.points, rtol=0)
         assert_allclose(back.weights, mu.weights, rtol=0)

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import xjulia as xj
-from xjulia import exceptional as ex
+from xjulia import exceptional as ex, rootfind
 from xjulia.errors import ConvergenceError
 from xjulia.poly import Poly
 from xjulia.rootfind import classification_to_csv, residual_scale
@@ -142,6 +142,53 @@ class TestClassification:
         assert len(zc.regular) == 11
         oracle = xj.gauss_jacobi_rule(xj.JacobiParams(1.5, 1.5), 11).nodes
         assert match_roots(zc.regular, oracle) <= 1e-9
+
+
+def _scan_window_families(seed=13):
+    """The 8 x1 families a scan round of the benchmark draws for one seed:
+    (alpha, beta) uniform in [0.01, 0.3] x [0.8, 2.0]."""
+    rng = np.random.default_rng([seed, 0])
+    return [xj.make_x1_preset(xj.JacobiParams(float(rng.uniform(0.01, 0.3)),
+                                              float(rng.uniform(0.8, 2.0))))
+            for _ in range(8)]
+
+
+class TestClassificationStarts:
+    def test_few_aberth_evaluations(self, stock_family, monkeypatch):
+        # started next to the regular zeros, every call settles in 3-4
+        # evaluations of P_n; starts far from them take 6 or more here
+        evals = []
+        aberth = rootfind.aberth
+
+        def counted(values, noise_floor, z0, *args):
+            def counted_values(z):
+                evals[-1] += 1
+                return values(z)
+
+            evals.append(0)
+            return aberth(counted_values, noise_floor, z0, *args)
+
+        monkeypatch.setattr(rootfind, "aberth", counted)
+        for data in [stock_family] + _scan_window_families():
+            for n in (10, 20, 30, 40, 50):
+                evals.clear()
+                zc = xj.classify_zeros(data, n)
+                assert len(zc.regular) == n and len(zc.exceptional) == 1
+                assert evals[-1] <= 6, (data.params, n, evals)
+
+    @pytest.mark.parametrize("alpha,beta", [
+        (a, b) for a in (0.01, 0.2, 1.0, 4.0) for b in (0.01, 0.2, 1.0, 4.0) if a != b
+    ] + [(1.0, 3.0), (3.0, 1.0), (1.0, 1.1)])
+    def test_wide_parameter_range(self, alpha, beta):
+        # n regular and m exceptional zeros, each solving P_n = 0 against the
+        # recurrence to a backward error of 1e-8 of the size of its terms
+        data = xj.make_x1_preset(xj.JacobiParams(alpha, beta))
+        for n in list(range(1, 12)) + list(range(15, 56)):
+            zc = xj.classify_zeros(data, n)
+            assert len(zc.regular) == n and len(zc.exceptional) == data.m, n
+            z = np.concatenate([zc.regular.astype(complex), zc.exceptional])
+            f, _, size = ex.exceptional_values(data, n, z)
+            assert np.all(np.abs(f) <= 1e-8 * size), n
 
 
 class TestZeroCountingMeasure:
