@@ -63,7 +63,12 @@ def escape_radius(p: Poly, refine=None) -> EscapeData:
     rng = np.random.default_rng(_RADIUS_CHECK_SEED)
     radii = rng.uniform(1.01 * r, 10.0 * r, _RADIUS_CHECK_POINTS)
     z = radii * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, _RADIUS_CHECK_POINTS))
-    if not np.all(np.abs(p(z)) > 2.0 * np.abs(z)):
+    if p.zeros is None:
+        holds = np.abs(p(z)) > 2.0 * np.abs(z)
+    else:   # in logs: at up to 10 r, a_d prod (z - zeta_i) overflows from degree 54 on
+        logs = np.log(np.abs(z[:, None] - p.zeros)).sum(axis=1) + np.log(abs(p.coeffs[-1]))
+        holds = logs > np.log(2.0 * np.abs(z))
+    if not np.all(holds):
         raise ValidationError("escape inequality failed the sampling check")
     return EscapeData(p, r, r, refine)
 
@@ -273,12 +278,12 @@ def solve_preimages(e: EscapeData, w: complex) -> np.ndarray:
     return _PreimageSolver(e.poly).solve(complex(w))
 
 
-def _orbit_start(e: EscapeData) -> complex:
+def _orbit_start(solver: _PreimageSolver) -> complex:
     """Start 0; perturbed when the first preimage set is degenerate (0 can be
     a critical value whose root cluster pins the whole orbit)."""
     w0 = 0j
     try:
-        z = solve_preimages(e, w0)
+        z = solver.solve(w0)
     except ConvergenceError:
         return 0.1 + 0.1j
     if len(z) > 1:
@@ -289,10 +294,9 @@ def _orbit_start(e: EscapeData) -> complex:
     return w0
 
 
-def _run_orbit(poly: Poly, d: int, count: int, burn_in: int,
+def _run_orbit(solver: _PreimageSolver, d: int, count: int, burn_in: int,
                bitgen, start: complex, refine=None) -> np.ndarray:
     rng = np.random.Generator(bitgen)
-    solver = _PreimageSolver(poly)
     out = np.empty(count, dtype=complex)
     w = start
     total = burn_in + count
@@ -314,7 +318,8 @@ def brolin_sample(e: EscapeData, n_samples: int, burn_in: int = 100,
     Each step solves p(z) = w and draws the next point uniformly among the
     deg(p) preimages; the first burn_in points are discarded.  The orbit runs
     on the Philox stream keyed by seed.  A failed solve restarts the orbit on
-    a further-jumped stream, at most five times.
+    a further-jumped stream, at most five times.  One solver, and so one
+    memory of warm starts, serves the start and every orbit.
     """
     if n_samples < 1 or n_samples > 10 ** 6:
         raise ValueError("n_samples must be in [1, 1e6]")
@@ -323,11 +328,12 @@ def brolin_sample(e: EscapeData, n_samples: int, burn_in: int = 100,
     d = e.degree
     if d < 2:
         raise ValueError("sampling needs degree >= 2")
-    w0 = _orbit_start(e)
+    solver = _PreimageSolver(e.poly)
+    w0 = _orbit_start(solver)
     for restart in range(6):
         bitgen = np.random.Philox(key=seed).jumped(restart)
         try:
-            points = _run_orbit(e.poly, d, n_samples, burn_in, bitgen, w0,
+            points = _run_orbit(solver, d, n_samples, burn_in, bitgen, w0,
                                 refine=e.refine)
         except ConvergenceError:
             continue

@@ -3,6 +3,7 @@ when made by Poly.product_form, in root-product form a_d prod (z - zeta_i), whic
 carries a relative error of about d u at every z (Higham, Accuracy and
 Stability of Numerical Algorithms, sec. 5)."""
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +34,7 @@ class Poly:
     def degree(self) -> int:
         """Index of the last coefficient above the relative truncation floor."""
         mags = np.abs(self.coeffs)
-        top = mags.max()
-        if top == 0.0:
-            return 0
-        keep = np.nonzero(mags > TRUNCATION_REL * top)[0]
+        keep = np.nonzero(mags > TRUNCATION_REL * mags.max())[0]
         return int(keep[-1]) if len(keep) else 0
 
     def trimmed(self) -> "Poly":
@@ -70,24 +68,26 @@ class Poly:
         return np.concatenate([[self.coeffs[0] - w], self.coeffs[1:]])
 
     def _product(self, z, derivative):
-        """Rows a_d prod (z - zeta_i) and, with derivative, its derivative, in the
-        shape of z.  Each block of points takes the prefix and suffix products
-        of a difference matrix of 1 MB at most, with a_d in its first column,
-        so an exact zero needs no division; the value alone is its plain product."""
-        flat = z.ravel()
+        """Rows p = a_d prod (z - zeta_i) and, with derivative, p' = p sum 1/(z - zeta_i),
+        in the shape of z, over blocks of at most 1 MB with one point per row of
+        z - zeta_i, each row reduced on its own from a_d, so no value depends on its
+        neighbours.  At a zero p' is the product of the other factors, 0 at a repeated one."""
+        flat, lead = z.ravel(), self.coeffs[-1]
         step = max(1, (1 << 16) // len(self.zeros))
-        rows = []
-        for s in range(0, flat.size or 1, step):
-            diff = np.empty((len(flat[s:s + step]), len(self.zeros) + 2), dtype=complex)
-            diff[:, 0], diff[:, -1] = self.coeffs[-1], 1.0
-            np.subtract(flat[s:s + step, None], self.zeros, out=diff[:, 1:-1])
+        out = np.empty((1 + derivative, flat.size), dtype=complex)
+        for s in range(0, flat.size, step):
+            pv, dv = out[0, s:s + step], out[-1, s:s + step]
+            diff = np.subtract.outer(flat[s:s + step], self.zeros)
+            np.multiply.reduce(diff, axis=1, initial=lead, out=pv)
             if not derivative:
-                rows.append(np.multiply.reduce(diff[:, :-1], axis=1)[None])
                 continue
-            before = np.cumprod(diff[:, :-1], axis=1)              # column i: prod over j < i
-            after = np.cumprod(diff[:, :0:-1], axis=1)[:, ::-1]    # column i: prod over j >= i
-            rows.append([before[:, -1], np.einsum("ij,ij->i", before[:, :-1], after[:, 1:])])
-        out = np.concatenate(rows, axis=1)
+            exact = np.count_nonzero(pv) < len(pv)      # then some z - zeta_i may be 0
+            with np.errstate(divide="ignore", invalid="ignore") if exact else nullcontext():
+                np.multiply(pv, np.reciprocal(diff).sum(axis=1), out=dv)
+            for i in np.flatnonzero(pv == 0) if exact else ():
+                rest = diff[i, diff[i] != 0]
+                simple = len(rest) == len(self.zeros) - 1
+                dv[i] = np.multiply.reduce(rest, initial=lead) if simple else 0
         return out.reshape((len(out),) + z.shape)
 
     def deriv(self) -> "Poly":

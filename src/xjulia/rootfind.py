@@ -70,9 +70,9 @@ def aberth(values, noise_floor, z0: np.ndarray, max_sweeps: int = MAX_SWEEPS):
             return z, False
         dv[dv == 0] = 1e-300
         w = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        corr = w / (1.0 - w * (1.0 / diff).sum(axis=1))
+        diff = np.subtract.outer(z, z)
+        diff.flat[::len(z) + 1] = np.inf
+        corr = w / (1.0 - w * np.divide(1.0, diff, out=diff).sum(axis=1))
         bad = ~np.isfinite(corr)
         if bad.any():
             corr[bad] = w[bad]

@@ -107,6 +107,14 @@ class TestJulia:
                         "--max-iter", "30", "--out", str(out)]) == 0
         assert (out1 / "julia_n8.pgm").read_bytes() == (out2 / "julia_n8.pgm").read_bytes()
 
+    def test_member_past_product_overflow(self, tmp_path):
+        # the escape radius spot check of n = 53 runs at |z| where the product
+        # form overflows
+        out = tmp_path / "j53"
+        assert run(["julia", *PRESET_FLAGS, "--n-list", "53", "--resolution", "64",
+                    "--max-iter", "30", "--out", str(out)]) == 0
+        assert read_json(out / "julia_n53.json")["R_p"] > 1e4
+
     def test_zero_resolution_rejected(self, tmp_path, capsys):
         assert run(["julia", "--raw-poly", "0,0,1", "--resolution", "0",
                     "--out", str(tmp_path)]) == 2

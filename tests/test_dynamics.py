@@ -29,6 +29,16 @@ class TestEscapeRadius:
         with pytest.raises(ValueError):
             dyn.escape_radius(Poly([1.0, 2.0]))
 
+    @pytest.mark.parametrize("n", [53, 57])
+    def test_product_form_checked_in_logs(self, stock_family, n):
+        # the spot check samples |z| up to 10 r, r ~ 3e4..7e4 here, where
+        # a_d prod (z - zeta_i) overflows and inf * inf is NaN
+        p = xj.monomial_coeffs(stock_family, n)
+        e = dyn.escape_radius(p)
+        mono = np.abs(p.coeffs)
+        assert e.degree == n + 1
+        assert e.r_escape == (2.0 + mono[:-1].sum()) / mono[-1] > 1e4
+
     def test_batch_shares_uniform_bound(self, stock_escape):
         bounds = {e.r_uniform for e in stock_escape.values()}
         assert len(bounds) == 1
@@ -255,9 +265,9 @@ class TestBrolinSampler:
         # recorded values: the seed -> Philox stream mapping must not move
         e = dyn.escape_radius(Poly([0.0, -3.0, 0.0, 1.0]))
         s = dyn.brolin_sample(e, 3, burn_in=20, seed=42)
-        expected = np.array([-1.3912903496567095 - 6.647395062966384e-68j,
-                             0.5072756163010373 + 2.9835512823176676e-68j,
-                             1.8111024728098724 + 4.361740759833167e-69j])
+        expected = np.array([-1.3912903496567095 - 6.647395062966383e-68j,
+                             0.5072756163010373 + 2.983551282317667e-68j,
+                             1.8111024728098724 + 4.3617407598331663e-69j])
         assert np.array_equal(s.points, expected)
 
     def test_refiner_applied_to_each_point(self, stock_family, stock_escape):
@@ -446,6 +456,14 @@ class TestPreimages:
         z = dyn.solve_preimages(e, 20.9)
         assert np.count_nonzero(np.abs(z.imag) > 1e-8) == 4
         assert np.max(np.abs(e.poly(z) - 20.9)) <= 1e-10 * 20.9
+
+    @pytest.mark.parametrize("n", [10, 20, 30, 40, 50])
+    def test_derivative_on_the_orbit(self, stock_family, stock_escape, stock_samples, n):
+        # p' as p sum 1/(z - zeta_i) against the recurrence's P_n'
+        z = stock_samples[n].points[:200]
+        dv = stock_escape[n].poly.values(z)[1]
+        ref = xj.exceptional.eval_exceptional_derivative(stock_family, n, z)
+        assert np.max(np.abs(dv - ref) / np.abs(ref)) <= 1e-11
 
     def test_rectangle_touching_interval_rejected(self, square_escape):
         with pytest.raises(ValueError):

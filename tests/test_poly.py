@@ -62,13 +62,39 @@ class TestProductForm:
         assert_allclose(dv, hd, rtol=1e-13)
         assert_allclose(p(z), pv, rtol=0)
 
+    @pytest.mark.filterwarnings("error")
     def test_exact_zero(self):
-        # the prefix and suffix products need no division, so p' is exact there
+        # there 1/(z - zeta_i) is infinite, so p' is taken as the product of
+        # the other factors, with no division and no warning
         p = Poly.product_form(self.ROOTS, leading=2.0)
         pv, dv = p.values(np.array([0.3 + 0j]))
         others = np.array(self.ROOTS[1:])
         assert pv[0] == 0.0
         assert_allclose(dv[0], 2.0 * np.prod(0.3 - others), rtol=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_exact_simple_and_double_zero(self):
+        zeros = [0.3, 0.3, -1.0, 0.5j]
+        p = Poly.product_form(zeros, leading=2.0)
+        pv, dv = p.values(np.array([0.3, -1.0, 0.7], dtype=complex))
+        assert pv[0] == pv[1] == 0.0
+        assert dv[0] == 0.0
+        assert_allclose(dv[1], 2.0 * np.prod(-1.0 - np.array([0.3, 0.3, 0.5j])), rtol=1e-15)
+        # a point off the zeros in the same call keeps the reciprocal sum
+        assert dv[2] == p.values(np.array([0.7 + 0j]))[1][0]
+        assert_allclose(dv[2], horner_with_derivative(p.coeffs, np.array([0.7 + 0j]))[1][0],
+                        rtol=1e-14)
+
+    def test_value_is_the_row_product(self):
+        # p is [a_d, z - zeta_1, ...] multiplied along the row, byte for byte,
+        # with or without p'
+        zeros = np.cos(np.pi * (np.arange(41) + 0.5) / 41) + 0.01j
+        p = Poly.product_form(zeros, leading=3.0)
+        z = np.linspace(-1.2, 1.2, 300) + 0.02j
+        rows = np.column_stack([np.full(z.shape, 3.0 + 0j), z[:, None] - p.zeros])
+        expected = np.multiply.reduce(rows, axis=1).tobytes()
+        assert p(z).tobytes() == expected
+        assert p.values(z)[0].tobytes() == expected
 
     def test_blocked_evaluation(self):
         # more points than one block of the difference matrix holds
