@@ -258,10 +258,14 @@ class _PreimageSolver:
         values = partial(self.poly.values, w=w)
         floor = partial(self.poly.noise_floor, w=w)
         for z0 in self._starts(w):
-            z, ok = rootfind.aberth(values, floor, z0, 300)
+            z, ok, pv = rootfind.aberth(values, floor, z0, 300)
             if not ok:
                 continue
-            worst = np.max(np.abs(self.poly(z) - w))
+            # on the product form aberth's last values(z, w)[0] is self.poly(z) - w
+            # bit for bit, the same reduction; Horner on p - w rounds otherwise
+            if pv is None or self.poly.zeros is None:
+                pv = self.poly(z) - w
+            worst = np.max(np.abs(pv))
             scale = rootfind.residual_scale(self.poly, np.max(np.abs(z))) + abs(w)
             if worst <= 1e-7 * scale:
                 z = z[np.lexsort((z.imag, z.real))]

@@ -214,6 +214,13 @@ def _transform(data: DarbouxData, n: int, z: np.ndarray):
             np.abs(b * dp) + np.abs(bw * p))
 
 
+def _transform_real(data: DarbouxData, n: int, x: np.ndarray) -> np.ndarray:
+    """Unnormalized b p_n' - bw p_n at real x, in float64, from the recurrence
+    pass for p_n and p_n' alone; b and bw have real coefficients."""
+    p, dp = jacobi.orthonormal_values(data.params, n, x, 1)
+    return data.b(x).real * dp - data.bw(x).real * p
+
+
 def _sigma_order(data: DarbouxData, n: int) -> int:
     return max(BASE_QUAD_ORDER, 2 * (n + data.m) + 60)
 
@@ -224,7 +231,7 @@ def sigma_n(data: DarbouxData, n: int) -> float:
     if key not in data._cache:
         c0 = normalization_constant(data)
         rule = data.quad_rule(_sigma_order(data, n))
-        vals = _transform(data, n, rule.nodes)[0].real
+        vals = _transform_real(data, n, rule.nodes)
         bt = data.b_tilde(rule.nodes).real
         norm_sq = c0 * float(rule.integrate_values(vals * vals / bt ** 2))
         if norm_sq <= 0 or not np.isfinite(norm_sq):
@@ -286,19 +293,6 @@ def exceptional_degree(data: DarbouxData, n: int) -> int:
         if abs(n - B) <= 1e-12 * max(1.0, abs(B)):
             raise ValidationError(f"degree degenerates at n={n} (n = leading coeff of bw)")
     return n + db - 1
-
-
-def degree_law_threshold(data: DarbouxData) -> int:
-    """Smallest n0 with deg P_n = n + m for all checked n in [n0, 40]."""
-    n_max = 40
-    good = [exceptional_degree(data, n) == n + data.m for n in range(n_max + 1)]
-    n0 = n_max + 1
-    for n in range(n_max, -1, -1):
-        if good[n]:
-            n0 = n
-        else:
-            break
-    return n0
 
 
 def leading_coeff_estimate(data: DarbouxData, n: int) -> float:
@@ -420,7 +414,7 @@ def inner_product_matrix(data: DarbouxData, kmax: int) -> np.ndarray:
     lo = first_index(data)
     rows = np.empty((kmax + 1 - lo, rule.order))
     for k in range(lo, kmax + 1):
-        rows[k - lo] = _transform(data, k, rule.nodes)[0].real / sigma_n(data, k)
+        rows[k - lo] = _transform_real(data, k, rule.nodes) / sigma_n(data, k)
     return c0 * (rows * (rule.weights / bt ** 2)) @ rows.T
 
 
@@ -457,7 +451,7 @@ def verify_span_property(data: DarbouxData, p: Poly):
 
     coeffs = np.zeros(l_max + 1)
     for l in range(first_index(data), l_max + 1):
-        pl = _transform(data, l, x)[0].real / sigma_n(data, l)
+        pl = _transform_real(data, l, x) / sigma_n(data, l)
         coeffs[l] = c0 * rule.integrate_values(b2p * pl / bt ** 2)
     residuals = np.abs(coeffs)
     if norm == 0.0:

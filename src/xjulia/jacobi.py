@@ -1,11 +1,15 @@
 """Classical orthonormal Jacobi polynomials.
 
 Everything is driven by the three-term recurrence in double precision: one pass
-of it, differentiated twice, gives p_n, p_n' and p_n'' (orthonormal_values).
-Explicit monomial coefficients are never formed here (they are catastrophically
-ill-conditioned at high degree).  The orthonormalization is against the
-unnormalized weight w(x) = (1-x)^alpha (1+x)^beta on [-1, 1], with positive
-leading coefficients.
+of it, differentiated up to twice, gives p_n and as many of p_n', p_n'' as the
+caller asks for (orthonormal_values).  On arrays the orders are the rows of one
+stacked array, and real points run in float64: real and complex points give the
+same bits, because numpy divides complex by real as a multiply by 1/s, which the
+recurrence does itself, and with zero imaginary parts the real part of each
+complex product is the real product.  Explicit monomial coefficients are never
+formed here (they are catastrophically ill-conditioned at high degree).  The
+orthonormalization is against the unnormalized weight
+w(x) = (1-x)^alpha (1+x)^beta on [-1, 1], with positive leading coefficients.
 
 Gauss-Jacobi rules come from the same recurrence: Golub-Welsch eigenvalues of
 the Jacobi matrix for the nodes, two vectorized Newton steps on p_order to
@@ -38,11 +42,6 @@ class JacobiParams:
             raise ValueError(f"alpha must be > -1, got {self.alpha}")
         if not (self.beta > -1.0):
             raise ValueError(f"beta must be > -1, got {self.beta}")
-
-    @property
-    def in_dynamics_range(self) -> bool:
-        """True when alpha, beta >= -1/2 (the range the limit theorems assume)."""
-        return self.alpha >= -0.5 and self.beta >= -0.5
 
     @property
     def weight_mass(self) -> float:
@@ -81,38 +80,55 @@ def _recurrence(alpha: float, beta: float, nmax: int):
     return a, b
 
 
+def _real_or_complex(z) -> np.ndarray:
+    """z as a float64 array when it is real, as a complex128 array otherwise."""
+    z = np.asarray(z)
+    return z.astype(complex if np.iscomplexobj(z) else float, copy=False)
+
+
 def jacobi_table(params: JacobiParams, nmax: int, z):
-    """Values of the orthonormal p_0..p_nmax at z; shape (nmax+1,) + z.shape."""
-    z = np.asarray(z, dtype=complex)
+    """Values of the orthonormal p_0..p_nmax at z; shape (nmax+1,) + z.shape,
+    float64 for real z and complex otherwise."""
+    z = _real_or_complex(z)
     a, b = _recurrence(params.alpha, params.beta, nmax + 1)
     sb = np.sqrt(b)
-    out = np.empty((nmax + 1,) + z.shape, dtype=complex)
-    out[0] = 1.0 / sb[0]
+    rs = 1.0 / sb
+    out = np.empty((nmax + 1,) + z.shape, dtype=z.dtype)
+    out[0] = rs[0]
     if nmax >= 1:
-        out[1] = (z - a[0]) * out[0] / sb[1]
+        out[1] = (z - a[0]) * out[0] * rs[1]
     for k in range(1, nmax):
-        out[k + 1] = ((z - a[k]) * out[k] - sb[k] * out[k - 1]) / sb[k + 1]
+        out[k + 1] = ((z - a[k]) * out[k] - sb[k] * out[k - 1]) * rs[k + 1]
     return out
 
 
-def orthonormal_values(params: JacobiParams, n: int, z):
-    """(p_n, p_n', p_n'') at z in one pass of the three-term recurrence.
+def orthonormal_values(params: JacobiParams, n: int, z, derivatives: int = 2):
+    """(p_n, p_n', ..., p_n^(derivatives)) at z, derivatives <= 2, in one pass
+    of the three-term recurrence.
 
     Differentiating sqrt(b_{k+1}) q_{k+1} = (z - a_k) q_k - sqrt(b_k) q_{k-1}
-    gives the same recurrence for q' with the extra term q_k, and for q'' with
-    2 q'_k (Gautschi, Orthogonal Polynomials, 2004).  z is a Python scalar,
-    which keeps the loop in plain Python arithmetic, or an array, evaluated in
-    complex arithmetic; p_n is formed exactly as in jacobi_table, so the two
-    agree bit for bit.
+    j times gives the same recurrence for q^(j) with the extra term j q^(j-1)
+    (Gautschi, Orthogonal Polynomials, 2004).  A Python scalar or 0-d array z
+    runs it in a plain Python loop, on Python or numpy scalars, and returns
+    Python numbers or 0-d complex arrays.  An array z of higher dimension carries
+    the orders as the rows of one array, in float64 when z is real and complex
+    otherwise (see the module docstring for why the two agree bit for bit);
+    p_n is formed exactly as in jacobi_table, and a call with fewer
+    derivatives returns the leading rows of a call with more.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
+    if not 0 <= derivatives <= 2:
+        raise ValueError("derivatives must be 0, 1 or 2")
+    a, b = _recurrence(params.alpha, params.beta, n + 1)
+    sb = np.sqrt(b)
     array = isinstance(z, np.ndarray)
+    if array and z.ndim:
+        return tuple(_stacked_pass(a[:n].tolist(), sb, _real_or_complex(z), derivatives))
     if array:
         z = z.astype(complex, copy=False)
-    a, b = _recurrence(params.alpha, params.beta, n + 1)
     a = a.tolist()
-    sb = np.sqrt(b).tolist()
+    sb = sb.tolist()
     q_prev, q = 0.0, 1.0 / sb[0]
     dq_prev = dq = ddq_prev = ddq = 0.0
     for ak, sk, sk1 in zip(a[:n], sb, sb[1:]):
@@ -120,14 +136,36 @@ def orthonormal_values(params: JacobiParams, n: int, z):
         ddq_prev, ddq = ddq, (t * ddq + 2.0 * dq - sk * ddq_prev) / sk1
         dq_prev, dq = dq, (t * dq + q - sk * dq_prev) / sk1
         q_prev, q = q, (t * q - sk * q_prev) / sk1
+    out = (q, dq, ddq)[:derivatives + 1]
     if array:
-        return tuple(np.full(z.shape, v, dtype=complex) if np.ndim(v) == 0 else v
-                     for v in (q, dq, ddq))
-    return q, dq, ddq
+        return tuple(np.full(z.shape, v, dtype=complex) for v in out)
+    return out
+
+
+def _stacked_pass(a, sb, z, derivatives):
+    """Rows q, q', ... of the recurrence at array z, each step
+    t Q + j shift(Q) - sqrt(b_k) Q_prev times 1/sqrt(b_{k+1}) over all rows."""
+    rows = derivatives + 1
+    q = np.zeros((rows,) + z.shape, dtype=z.dtype)
+    q[0] = 1.0 / sb[0]
+    q_prev = np.zeros_like(q)
+    work = np.empty_like(q)
+    # row j gains j q^(j-1); adding -0.0 (both parts) leaves every bit of the q row alone
+    shift = -np.zeros_like(q)
+    j = np.arange(1.0, rows).reshape((-1,) + (1,) * z.ndim)
+    for ak, sk, rk1 in zip(a, sb.tolist(), (1.0 / sb[1:]).tolist()):
+        np.multiply(q[:-1], j, out=shift[1:])
+        np.multiply(z - ak, q, out=work)   # t first: complex products need not commute
+        work += shift
+        q_prev *= sk
+        work -= q_prev
+        work *= rk1
+        q_prev, q, work = q, work, q_prev
+    return q
 
 
 def _at(params: JacobiParams, n: int, z, which: int):
-    out = orthonormal_values(params, n, np.asarray(z, dtype=complex))[which]
+    out = orthonormal_values(params, n, np.asarray(z, dtype=complex), which)[which]
     return complex(out) if out.shape == () else out
 
 
@@ -197,8 +235,9 @@ def gauss_jacobi_rule(params: JacobiParams, order: int) -> QuadratureRule:
         raise ValueError("order must be >= 1")
     nodes = gauss_nodes(params, order)
     for _ in range(2):
-        p, dp, _ = orthonormal_values(params, order, nodes)
-        nodes = nodes - (p / dp).real
+        p, dp = orthonormal_values(params, order, nodes, 1)
+        # p (1/dp) is how numpy rounds the complex p / dp: a complex polish agrees
+        nodes = nodes - p * (1.0 / dp)
     outside = ~((-1.0 < nodes) & (nodes < 1.0))
     if outside.any():
         raise NodeConvergenceError(int(np.argmax(outside)), "node outside (-1, 1)")
@@ -206,7 +245,7 @@ def gauss_jacobi_rule(params: JacobiParams, order: int) -> QuadratureRule:
     if not np.all(gaps > 0):
         raise NodeConvergenceError(int(np.argmin(gaps)), "nodes not increasing")
 
-    table = jacobi_table(params, order - 1, nodes).real
+    table = jacobi_table(params, order - 1, nodes)
     weights = 1.0 / np.sum(table * table, axis=0)
     nodes.setflags(write=False)
     weights.setflags(write=False)

@@ -53,7 +53,10 @@ def aberth(values, noise_floor, z0: np.ndarray, max_sweeps: int = MAX_SWEEPS):
     values(z) -> (p(z), p'(z)) drives the sweeps.  A root also counts as
     settled once |p(z)| dips under noise_floor(z, p(z)), the rounding-error
     level of the evaluation itself; corrections cannot shrink below that,
-    whatever the sweep count.  Returns (roots, converged).
+    whatever the sweep count.  Returns (roots, converged, values): values is
+    p(roots) as values(roots) gave it when the iteration ended on an
+    evaluation (the floor test or the sweep limit), None when it ended on a
+    correction.
     """
     z = z0.copy()
     best = np.inf
@@ -65,9 +68,9 @@ def aberth(values, noise_floor, z0: np.ndarray, max_sweeps: int = MAX_SWEEPS):
         # endgame that goes on costs no extra evaluation
         if pending is not None and np.all(
                 (pending <= CONVERGENCE_REL) | (np.abs(pv) <= noise_floor(z, pv))):
-            return z, True
+            return z, True, pv
         if sweep == max_sweeps:
-            return z, False
+            return z, False, pv
         dv[dv == 0] = 1e-300
         w = pv / dv
         diff = np.subtract.outer(z, z)
@@ -80,7 +83,7 @@ def aberth(values, noise_floor, z0: np.ndarray, max_sweeps: int = MAX_SWEEPS):
         scaled = np.abs(corr) / (1.0 + np.abs(z))
         worst = scaled.max()
         if worst <= CONVERGENCE_REL:
-            return z, True
+            return z, True, None
         # near critical points the Newton ratio is noise over noise and the
         # corrections rattle forever; once the sweep stops improving, accept
         # any configuration whose residuals all sit below the evaluation floor
@@ -106,7 +109,7 @@ def roots(p: Poly, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
     if d == 1:
         return np.array([-mono[0] / mono[1]])
 
-    z, converged = aberth(p.values, p.noise_floor, initial_circle(mono), max_sweeps)
+    z, converged, _ = aberth(p.values, p.noise_floor, initial_circle(mono), max_sweeps)
     if not converged:
         worst = float(np.max(np.abs(p(z))))
         raise ConvergenceError(f"Aberth iteration did not settle in {max_sweeps} sweeps",
@@ -162,8 +165,8 @@ def classify_zeros(data, n: int) -> "ZeroClassification":
         return exc_mod.exceptional_values(data, n, z)[:2]
 
     bt_roots = _b_tilde_roots(data)
-    found, converged = aberth(values, lambda z, pv: 0.0,
-                              _classification_guesses(data, degree, bt_roots))
+    found, converged, _ = aberth(values, lambda z, pv: 0.0,
+                                 _classification_guesses(data, degree, bt_roots))
     f, df, size = exc_mod.exceptional_values(data, n, found)
     if not converged:
         raise ConvergenceError(f"Aberth iteration did not settle in {MAX_SWEEPS} sweeps",

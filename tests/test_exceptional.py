@@ -158,7 +158,6 @@ class TestEvaluation:
 
 class TestDegreesAndLeadingCoeffs:
     def test_degree_law(self, stock_family):
-        assert ex.degree_law_threshold(stock_family) == 0
         for n in (0, 1, 7, 30):
             assert ex.exceptional_degree(stock_family, n) == n + stock_family.m
 
