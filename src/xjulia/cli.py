@@ -180,7 +180,7 @@ def _json_text(obj) -> str:
 
 def cmd_zeros(cfg: ExperimentConfig) -> int:
     data = _family_data(cfg)
-    bt_roots = rootfind.roots(data.b_tilde) if data.b_tilde.degree >= 1 else np.array([])
+    bt_roots = data.b_tilde_roots
     for n in cfg.n_list:
         zc = rootfind.classify_zeros(data, n)
         mu = rootfind.zero_counting_measure(zc)

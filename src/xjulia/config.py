@@ -56,7 +56,7 @@ class ExperimentConfig:
         return "raw_poly" in self.family
 
 
-def _is_number(v) -> bool:
+def is_number(v) -> bool:
     """A finite JSON number; Python's json module also parses NaN and Infinity."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         return False
@@ -66,7 +66,7 @@ def _is_number(v) -> bool:
 def _require_number(obj, key, lo=None, hi=None, integer=False, label=None):
     v = obj[key]
     label = label or key
-    if not _is_number(v):
+    if not is_number(v):
         raise ConfigError(label, "must be a finite number")
     if integer and int(v) != v:
         raise ConfigError(label, "must be an integer")
@@ -95,7 +95,7 @@ def _validate_thresholds(thr: dict):
         thr, "p2_targets", lo=1, integer=True, label="thresholds.p2_targets")
 
     region = thr["p2_region"]
-    if not isinstance(region, list) or len(region) != 4 or not all(map(_is_number, region)):
+    if not isinstance(region, list) or len(region) != 4 or not all(map(is_number, region)):
         raise ConfigError("thresholds.p2_region",
                           "must be 4 finite numbers [re_lo, re_hi, im_lo, im_hi]")
     re_lo, re_hi, im_lo, im_hi = region
@@ -106,7 +106,7 @@ def _validate_thresholds(thr: dict):
 
     points = thr["green_test_points"]
     if (not isinstance(points, list) or not points
-            or not all(isinstance(pt, list) and len(pt) == 2 and all(map(_is_number, pt))
+            or not all(isinstance(pt, list) and len(pt) == 2 and all(map(is_number, pt))
                        for pt in points)):
         raise ConfigError("thresholds.green_test_points",
                           "must be a nonempty list of finite [re, im] pairs")
@@ -126,7 +126,7 @@ def validate_config(obj: dict) -> ExperimentConfig:
         raise ConfigError("family", "must be an object (preset, Darboux data, or raw_poly)")
     if "raw_poly" in family:
         rp = family["raw_poly"]
-        if (not isinstance(rp, list) or not rp or not all(map(_is_number, rp))
+        if (not isinstance(rp, list) or not rp or not all(map(is_number, rp))
                 or Poly(rp).degree < 2):
             raise ConfigError("raw_poly", "must be a finite coefficient list of degree >= 2")
 

@@ -2,11 +2,12 @@
 transformation P_n = (b p_n' - bw p_n) / sigma_n.
 
 The transformed family is orthonormal against W = c0 * w^(alpha+e1, beta+e2) /
-b_tilde^2, where b_tilde is b with its (1-x)/(1+x) factors divided out.  No
+b_tilde^2, where b_tilde is b with its (1-x)/(1+x) factors divided out and of
+one sign on [-1, 1].  No
 configuration is trusted a priori: construction runs the orthonormality oracle
 and rejects anything that fails it.  sigma_n is *defined* as the quadrature
 norm of b p_n' - bw p_n; the closed form sqrt(c0 (n(n+alpha+beta+1)+lambda))
-is exposed as a cross-check that validates the configured lambda.
+is the cross-check that validates the configured lambda.
 """
 
 from dataclasses import dataclass, field
@@ -14,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jacobi, rootfind
+from .config import is_number
 from .errors import ConfigError, ValidationError
 from .jacobi import JacobiParams, cached_rule
-from .poly import Poly
+from .poly import Poly, horner
 
 # Base quadrature order for the rational inner products; geometric convergence
 # in the order makes this ample for poles at distance >~ 1e-2 from [-1, 1].
@@ -36,6 +38,9 @@ class DarbouxData:
 
     params is the *source* classical family; the weight W lives at the shifted
     exponents (alpha + eps1, beta + eps2).  m = deg b_tilde is the codimension.
+    Fixed with the family: multipliers, the ascending coefficients of b, b',
+    bw and bw' as Python lists, which horner evaluates at arrays and Python
+    numbers alike, and b_tilde_roots, the zeros of b_tilde.
     """
 
     params: JacobiParams
@@ -46,7 +51,15 @@ class DarbouxData:
     lambda_tilde: float
     m: int
     b_tilde: Poly
+    multipliers: tuple = field(init=False, repr=False, compare=False)
+    b_tilde_roots: np.ndarray = field(init=False, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.multipliers = tuple(c.coeffs.tolist() for c in
+                                 (self.b, self.b.deriv(), self.bw, self.bw.deriv()))
+        self.b_tilde_roots = (rootfind.roots(self.b_tilde) if self.m >= 1
+                              else np.array([], dtype=complex))
 
     @property
     def weight_params(self) -> JacobiParams:
@@ -100,8 +113,10 @@ def make_darboux_data(params: JacobiParams, b: Poly, bw: Poly, eps1: int, eps2: 
                       lambda_tilde: float, validate: bool = True) -> DarbouxData:
     """Assemble and gate one family configuration.
 
-    Structural checks (monic b, degree gap, pole locations, positivity) run
-    always; the orthonormality oracle gate runs unless validate=False.
+    Structural checks (monic b, degree gap, pole locations, b_tilde of one
+    sign on [-1, 1]) run always.  Unless validate=False, the orthonormality
+    oracle gate runs, then lambda_tilde is checked: the closed-form norm must
+    match the quadrature one to ORTHO_GATE_TOL at every n up to ORTHO_GATE_INDEX.
     """
     if eps1 not in (-1, 1) or eps2 not in (-1, 1):
         raise ConfigError("eps1/eps2", "must be +1 or -1")
@@ -122,13 +137,10 @@ def make_darboux_data(params: JacobiParams, b: Poly, bw: Poly, eps1: int, eps2: 
             if abs(r.imag) <= 1e-9 and abs(r.real) <= 1.0 - 1e-9:
                 raise ValidationError(f"b has a root at {r:.6g} inside (-1, 1)")
     b_tilde = _divide_out_interval_factors(b, eps1, eps2)
-    grid = np.cos(np.pi * np.arange(513) / 512)
-    bt_vals = b_tilde(grid).real
-    if not np.all(bt_vals > 0):
-        raise ValidationError("b_tilde must be positive on [-1, 1]")
-    b_vals = b(grid[1:-1]).real
-    if not np.all(b_vals > 0):
-        raise ValidationError("b must be positive on (-1, 1)")
+    # b = b_tilde (1-x)^d1 (1+x)^d2 then has b_tilde's sign on (-1, 1)
+    bt_vals = b_tilde(np.cos(np.pi * np.arange(513) / 512)).real
+    if not (np.all(bt_vals > 0) or np.all(bt_vals < 0)):
+        raise ValidationError("b_tilde must have one sign on [-1, 1]")
 
     data = DarbouxData(params=params, b=b, bw=bw, eps1=eps1, eps2=eps2,
                        lambda_tilde=float(lambda_tilde), m=b_tilde.degree,
@@ -138,6 +150,12 @@ def make_darboux_data(params: JacobiParams, b: Poly, bw: Poly, eps1: int, eps2: 
         if dev > ORTHO_GATE_TOL:
             raise ValidationError(
                 f"orthonormality gate failed at (i, j) = {where}: residual {dev:.3e}")
+        for n in range(first_index(data), ORTHO_GATE_INDEX + 1):
+            gap = sigma_discrepancy(data, n)
+            if not gap <= ORTHO_GATE_TOL:
+                raise ValidationError(
+                    f"lambda_tilde = {data.lambda_tilde:g} does not give sigma_{n}: "
+                    f"closed form off the quadrature norm by {gap:.3e}")
     return data
 
 
@@ -158,10 +176,12 @@ def make_x1_preset(params: JacobiParams) -> DarbouxData:
     """The codimension-1 family whose weight is w^(alpha,beta) / (x - c)^2.
 
     Here (alpha, beta) are the *exceptional weight* exponents; the pole sits at
-    c = (alpha + beta)/(beta - alpha) and must lie outside [-1, 1].  The source
-    classical family is (alpha+1, beta-1) when beta > alpha and the mirror
-    image otherwise.  The returned data is accepted only after passing the
-    orthonormality gate.
+    c = (alpha + beta)/(beta - alpha) and must lie outside [-1, 1].  One
+    construction covers either order of alpha and beta (Gomez-Ullate, Kamran &
+    Milson, Contemp. Math. 563, 2012, at m = 1): source family (alpha+1, beta-1),
+    b = (x - 1)(x - c), bw = ((alpha+1) c - 1) - alpha x, lambda = alpha (beta+1),
+    so b_tilde = c - x, positive for c > 1 and negative for c < -1.  The
+    returned data is accepted only after passing the construction gates.
     """
     a, bb = params.alpha, params.beta
     if a == bb:
@@ -171,19 +191,9 @@ def make_x1_preset(params: JacobiParams) -> DarbouxData:
         raise ValidationError(f"pole c = {c:g} lies in [-1, 1]; preset rejected")
     if min(a, bb) <= 0.0:
         raise ValidationError("preset requires alpha, beta > 0")
-    if bb > a:
-        source = JacobiParams(a + 1.0, bb - 1.0)
-        b = Poly([c, -(1.0 + c), 1.0])          # (x - 1)(x - c)
-        bw = Poly([(a + 1.0) * c - 1.0, -a])
-        eps1, eps2 = -1, 1
-        lam = a * (bb + 1.0)
-    else:
-        source = JacobiParams(a - 1.0, bb + 1.0)
-        b = Poly([-c, 1.0 - c, 1.0])            # (x + 1)(x - c)
-        bw = Poly([(bb + 1.0) * c + 1.0, -bb])
-        eps1, eps2 = 1, -1
-        lam = bb * (a + 1.0)
-    return make_darboux_data(source, b, bw, eps1, eps2, lam)
+    return make_darboux_data(JacobiParams(a + 1.0, bb - 1.0),
+                             Poly([c, -(1.0 + c), 1.0]),          # (x - 1)(x - c)
+                             Poly([(a + 1.0) * c - 1.0, -a]), -1, 1, a * (bb + 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +214,22 @@ def weight(data: DarbouxData) -> ExceptionalWeight:
     return ExceptionalWeight(data, normalization_constant(data))
 
 
-def _transform(data: DarbouxData, n: int, z: np.ndarray):
-    """Unnormalized b p_n' - bw p_n at array z, its derivative, and the size
-    |b p_n'| + |bw p_n| of the two terms, from one recurrence pass."""
+def _transform(data: DarbouxData, n: int, z):
+    """Unnormalized b p_n' - bw p_n at z, its derivative, and the size
+    |b p_n'| + |bw p_n| of the two terms, from one recurrence pass; z is an
+    array or a Python number, and so are the results."""
     p, dp, ddp = jacobi.orthonormal_values(data.params, n, z)
-    b, bw = data.b(z), data.bw(z)
-    return (b * dp - bw * p,
-            data.b.deriv()(z) * dp + b * ddp - data.bw.deriv()(z) * p - bw * dp,
-            np.abs(b * dp) + np.abs(bw * p))
+    bc, dbc, bwc, dbwc = data.multipliers
+    b, db, bw, dbw = horner(bc, z), horner(dbc, z), horner(bwc, z), horner(dbwc, z)
+    return b * dp - bw * p, db * dp + b * ddp - dbw * p - bw * dp, abs(b * dp) + abs(bw * p)
 
 
 def _transform_real(data: DarbouxData, n: int, x: np.ndarray) -> np.ndarray:
     """Unnormalized b p_n' - bw p_n at real x, in float64, from the recurrence
     pass for p_n and p_n' alone; b and bw have real coefficients."""
     p, dp = jacobi.orthonormal_values(data.params, n, x, 1)
-    return data.b(x).real * dp - data.bw(x).real * p
+    bc, _, bwc, _ = data.multipliers
+    return horner(bc, x).real * dp - horner(bwc, x).real * p
 
 
 def _sigma_order(data: DarbouxData, n: int) -> int:
@@ -332,39 +343,20 @@ def newton_refiner(data: DarbouxData, n: int):
     while |P_n(z) - w| falls and is above the recurrence's rounding level, at
     most REFINE_MAX_STEPS of them.
     """
-    params = data.params
-    bc = data.b.coeffs[:data.b.degree + 1].tolist()
-    bwc = data.bw.coeffs[:data.bw.degree + 1].tolist()
-    bpc = data.b.deriv().coeffs.tolist()
-    bwpc = data.bw.deriv().coeffs.tolist()
     sig = sigma_n(data, n)
     # rounding level of the recurrence evaluation, relative to the size of the
     # terms whose difference is P_n
     level = 4.0 * (n + 1) * np.finfo(float).eps
 
-    def horner(c, z):
-        acc = c[-1]
-        for ck in reversed(c[:-1]):
-            acc = acc * z + ck
-        return acc
-
-    def value_slope(z: complex, w: complex):
-        p, dp, ddp = jacobi.orthonormal_values(params, n, z)
-        b = horner(bc, z)
-        bw = horner(bwc, z)
-        bp = horner(bpc, z)
-        bwp = horner(bwpc, z)
-        return ((b * dp - bw * p) / sig - w,
-                (bp * dp + b * ddp - bwp * p - bw * dp) / sig,
-                (abs(b * dp) + abs(bw * p)) / abs(sig))
-
     def refine(z: complex, w: complex) -> complex:
-        f, df, scale = value_slope(z, w)
+        f, df, scale = _transform(data, n, z)
+        f, df, scale = f / sig - w, df / sig, scale / sig
         for _ in range(REFINE_MAX_STEPS):
             if df == 0 or abs(f) <= level * (scale + abs(w)):
                 break
             cand = z - f / df
-            f2, df2, scale2 = value_slope(cand, w)
+            f2, df2, scale2 = _transform(data, n, cand)
+            f2, df2, scale2 = f2 / sig - w, df2 / sig, scale2 / sig
             if not abs(f2) < abs(f):
                 break
             z, f, df, scale = cand, f2, df2, scale2
@@ -483,16 +475,16 @@ def from_json(obj: dict) -> DarbouxData:
     for key in ("alpha", "beta"):
         if key not in obj:
             raise ConfigError(key, "missing")
-        if not isinstance(obj[key], (int, float)) or isinstance(obj[key], bool):
-            raise ConfigError(key, "must be a number")
+        if not is_number(obj[key]):
+            raise ConfigError(key, "must be a finite number")
+    try:
+        params = JacobiParams(float(obj["alpha"]), float(obj["beta"]))
+    except ValueError as exc:
+        raise ConfigError("alpha/beta", str(exc)) from exc
     preset = obj.get("preset")
     if preset is not None:
         if preset != "x1":
             raise ConfigError("preset", f"unknown preset {preset!r}")
-        try:
-            params = JacobiParams(float(obj["alpha"]), float(obj["beta"]))
-        except ValueError as exc:
-            raise ConfigError("alpha/beta", str(exc)) from exc
         return make_x1_preset(params)
     for key in ("eps1", "eps2", "b", "bw", "lambda_tilde"):
         if key not in obj:
@@ -500,14 +492,10 @@ def from_json(obj: dict) -> DarbouxData:
     if obj["eps1"] not in (-1, 1) or obj["eps2"] not in (-1, 1):
         raise ConfigError("eps1/eps2", "must be +1 or -1")
     for key in ("b", "bw"):
-        if (not isinstance(obj[key], list) or len(obj[key]) == 0
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           for v in obj[key])):
-            raise ConfigError(key, "must be a nonempty list of numbers (ascending degree)")
-    try:
-        params = JacobiParams(float(obj["alpha"]), float(obj["beta"]))
-    except ValueError as exc:
-        raise ConfigError("alpha/beta", str(exc)) from exc
+        if not isinstance(obj[key], list) or not obj[key] or not all(map(is_number, obj[key])):
+            raise ConfigError(key, "must be a nonempty list of finite numbers (ascending degree)")
+    if not is_number(obj["lambda_tilde"]):
+        raise ConfigError("lambda_tilde", "must be a finite number")
     return make_darboux_data(params, Poly(obj["b"]), Poly(obj["bw"]),
                              int(obj["eps1"]), int(obj["eps2"]),
                              float(obj["lambda_tilde"]))

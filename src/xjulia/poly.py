@@ -133,7 +133,12 @@ def _expand(roots, leading):
 
 def horner(coeffs, z):
     """Value of the monomial-basis polynomial with ascending coeffs at array z,
-    accumulated in place."""
+    accumulated in place; at a Python number, in Python arithmetic."""
+    if not isinstance(z, np.ndarray):
+        acc = coeffs[-1]
+        for ck in coeffs[-2::-1]:
+            acc = acc * z + ck
+        return acc
     out = np.full(z.shape, coeffs[-1], dtype=complex)
     for ck in coeffs[-2::-1]:
         np.multiply(out, z, out=out)

@@ -126,7 +126,7 @@ class ZeroClassification:
     """Zeros of one Darboux-family polynomial, split by location.
 
     regular: real zeros in (-1, 1), ascending.  exceptional: all others,
-    sorted by distance to the nearest zero of the positive divisor b_tilde.
+    sorted by distance to the nearest zero of the one-signed divisor b_tilde.
     """
 
     regular: np.ndarray
@@ -164,9 +164,8 @@ def classify_zeros(data, n: int) -> "ZeroClassification":
     def values(z):
         return exc_mod.exceptional_values(data, n, z)[:2]
 
-    bt_roots = _b_tilde_roots(data)
     found, converged, _ = aberth(values, lambda z, pv: 0.0,
-                                 _classification_guesses(data, degree, bt_roots))
+                                 _classification_guesses(data, degree))
     f, df, size = exc_mod.exceptional_values(data, n, found)
     if not converged:
         raise ConvergenceError(f"Aberth iteration did not settle in {MAX_SWEEPS} sweeps",
@@ -180,26 +179,19 @@ def classify_zeros(data, n: int) -> "ZeroClassification":
     regular = np.sort(found[reg_mask].real)
     exceptional = found[~reg_mask]
     if len(exceptional):
-        dist = np.min(np.abs(exceptional[:, None] - bt_roots[None, :]), axis=1)
+        dist = np.min(np.abs(exceptional[:, None] - data.b_tilde_roots[None, :]), axis=1)
         exceptional = exceptional[np.argsort(dist)]
     return ZeroClassification(regular=regular, exceptional=exceptional, n=n, m=data.m)
 
 
-def _b_tilde_roots(data) -> np.ndarray:
-    bt = data.b_tilde
-    if bt.degree == 0:
-        return np.array([], dtype=complex)
-    return roots(bt)
-
-
-def _classification_guesses(data, degree: int, bt_roots: np.ndarray) -> np.ndarray:
+def _classification_guesses(data, degree: int) -> np.ndarray:
     """Starting points: the zeros of the classical Jacobi polynomial of the weight's
     exponents, next to which the regular zeros lie (Gomez-Ullate, Marcellan &
     Milson, J. Math. Anal. Appl. 399, 2013), plus perturbed copies of the b_tilde
-    zeros bt_roots, taken in turn, for the exceptional ones."""
+    zeros, taken in turn, for the exceptional ones."""
     n_extra = min(data.m, degree)
     shift = 0.05 * np.exp(2j * np.pi * np.arange(n_extra) / max(n_extra, 1))
-    extra = np.resize(bt_roots, n_extra)
+    extra = np.resize(data.b_tilde_roots, n_extra)
     extra = extra + shift * (1.0 + np.abs(extra))
     n_ell = degree - n_extra
     return np.concatenate([gauss_nodes(data.weight_params, n_ell) if n_ell else [], extra])

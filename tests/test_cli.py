@@ -62,18 +62,37 @@ class TestZeros:
         assert json.loads(capsys.readouterr().err)["field"] == "n_list"
 
     def test_numerical_failure_exit_one(self, tmp_path, capsys):
-        # structurally valid JSON family that fails the orthonormality gate
+        # structurally valid JSON families of the README's explicit form: one
+        # fails the orthonormality gate, one states a lambda_tilde its norms refute
+        for bw, lambda_tilde, cause in (([3.3, -1.0], 4.0, "orthonormality"),
+                                        ([3.0, -1.0], 99.0, "lambda_tilde")):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({
+                "family": {"alpha": 2.0, "beta": 2.0, "eps1": -1, "eps2": 1,
+                           "b": [2.0, -3.0, 1.0], "bw": bw,
+                           "lambda_tilde": lambda_tilde},
+                "n_list": [5],
+            }))
+            assert run(["zeros", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "numerical"
+            assert cause in err["message"]
+
+    @pytest.mark.parametrize("family, field", [
+        ({"preset": "x1", "alpha": float("inf"), "beta": 1.2}, "alpha"),
+        ({"alpha": 2.0, "beta": 2.0, "eps1": -1, "eps2": 1, "b": [2.0, -3.0, 1.0],
+          "bw": [3.0, float("inf")], "lambda_tilde": 4.0}, "bw"),
+        ({"alpha": 2.0, "beta": 2.0, "eps1": -1, "eps2": 1, "b": [2.0, -3.0, 1.0],
+          "bw": [3.0, -1.0], "lambda_tilde": float("nan")}, "lambda_tilde"),
+    ])
+    def test_non_finite_family_exit_two(self, tmp_path, capsys, family, field):
+        # json writes these as Infinity and NaN, which Python's parser accepts
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "family": {"alpha": 2.0, "beta": 2.0, "eps1": -1, "eps2": 1,
-                       "b": [2.0, -3.0, 1.0], "bw": [3.3, -1.0],
-                       "lambda_tilde": 4.0},
-            "n_list": [5],
-        }))
-        assert run(["zeros", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        cfg.write_text(json.dumps({"family": family, "n_list": [5]}))
+        assert run(["zeros", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "numerical"
-        assert "orthonormality" in err["message"]
+        assert err["error"] == "config"
+        assert err["field"] == field
 
     def test_no_regular_zeros_exit_one(self, tmp_path, capsys):
         # P_0 has one zero, outside [-1, 1]: no zero-counting measure exists

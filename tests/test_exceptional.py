@@ -37,12 +37,30 @@ class TestPreset:
             xj.make_x1_preset(xj.JacobiParams(-0.5, -0.2))
 
     def test_mirror_route(self):
-        # alpha > beta puts the pole left of -1
+        # alpha > beta puts the pole left of -1, and b_tilde = c - x is negative
         data = xj.make_x1_preset(xj.JacobiParams(3.0, 1.0))
         r = np.real(xj.roots(data.b_tilde))
         assert_allclose(r, [-2.0], atol=1e-12)
+        assert np.all(data.b_tilde(np.linspace(-1, 1, 101)).real < 0)
         dev, _ = ex.orthonormality_deviation(data, 8)
         assert dev <= 1e-8
+
+    @pytest.mark.parametrize("alpha,beta", [(3.0, 1.0), (1.5, 0.2), (1.2, 0.02)])
+    def test_mirror_symmetry(self, alpha, beta):
+        # x -> -x swaps the weight's exponents, so the orthonormal families obey
+        # P_n^(alpha,beta)(z) = (-1)^(n+1) P_n^(beta,alpha)(-z) (degree n + 1, positive
+        # leading coefficients); an oracle independent of either construction's algebra.
+        # Both sides are measured against the sum of their term sizes s: the two
+        # families start from differently rounded inputs (1.2 - 1 = 0.19999999999999996),
+        # which next to -1 moves P_50 of (1.2, 0.02) by 2e-12 of that sum
+        data = xj.make_x1_preset(xj.JacobiParams(alpha, beta))
+        mirror = xj.make_x1_preset(xj.JacobiParams(beta, alpha))
+        g = np.linspace(-1.6, 1.6, 17)
+        z = np.concatenate([np.linspace(-1.0, 1.0, 401), (g[None, :] + 1j * g[:, None]).ravel()])
+        for n in range(1, 51):
+            f, _, s = ex.exceptional_values(data, n, z)
+            f_mirror, _, s_mirror = ex.exceptional_values(mirror, n, -z)
+            assert np.all(np.abs(f - (-1) ** (n + 1) * f_mirror) <= 1e-11 * (s + s_mirror))
 
     @pytest.mark.parametrize("alpha,beta", [(0.02, 1.2), (1.0, 3.0), (2.0, 4.0),
                                             (1.0, 1.1), (3.0, 1.0)])
@@ -291,6 +309,14 @@ class TestJson:
             ex.from_json({"alpha": 1.0, "beta": 3.0, "eps1": 2, "eps2": 1,
                           "b": [1.0], "bw": [0.0], "lambda_tilde": 0.0})
 
+    def test_wrong_lambda_tilde_rejected(self):
+        # the pole-2 instance passes the orthonormality gate whatever lambda_tilde
+        # says; the closed-form norm check refuses a wrong one
+        with pytest.raises(ValidationError, match="lambda_tilde"):
+            ex.from_json({"alpha": 2.0, "beta": 2.0, "eps1": -1, "eps2": 1,
+                          "b": [2.0, -3.0, 1.0], "bw": [3.0, -1.0],
+                          "lambda_tilde": 99.0})
+
     def test_non_monic_b_rejected(self):
         with pytest.raises(ValidationError, match="monic"):
             ex.from_json({"alpha": 2.0, "beta": 2.0, "eps1": -1, "eps2": 1,
@@ -305,13 +331,18 @@ class TestJson:
                           "lambda_tilde": 1.0})
 
     def test_manual_spec_instance_matches_preset(self):
-        # the pole-2 instance written out longhand: source family (2, 2),
-        # b = (x-1)(x-2), bw = 3 - x
-        manual = ex.from_json({"alpha": 2.0, "beta": 2.0, "eps1": -1, "eps2": 1,
-                               "b": [2.0, -3.0, 1.0], "bw": [3.0, -1.0],
-                               "lambda_tilde": 4.0})
-        preset = xj.make_x1_preset(xj.JacobiParams(1.0, 3.0))
-        assert_allclose(ex.sigma_n(manual, 9), ex.sigma_n(preset, 9), rtol=1e-12)
-        z = np.array([0.3, 1.4 + 0.2j])
-        assert_allclose(ex.eval_exceptional(manual, 6, z),
-                        ex.eval_exceptional(preset, 6, z), rtol=1e-10)
+        for spec, weight in (
+                # the pole-2 instance written out longhand: source family (2, 2),
+                # b = (x-1)(x-2), bw = 3 - x
+                ({"alpha": 2.0, "beta": 2.0, "eps1": -1, "eps2": 1,
+                  "b": [2.0, -3.0, 1.0], "bw": [3.0, -1.0], "lambda_tilde": 4.0}, (1.0, 3.0)),
+                # the pole at -2: source family (4, 0), b = (x-1)(x+2) < 0 on (-1, 1),
+                # bw = -9 - 3x
+                ({"alpha": 4.0, "beta": 0.0, "eps1": -1, "eps2": 1,
+                  "b": [-2.0, 1.0, 1.0], "bw": [-9.0, -3.0], "lambda_tilde": 6.0}, (3.0, 1.0))):
+            manual = ex.from_json(spec)
+            preset = xj.make_x1_preset(xj.JacobiParams(*weight))
+            assert_allclose(ex.sigma_n(manual, 9), ex.sigma_n(preset, 9), rtol=1e-12)
+            z = np.array([0.3, 1.4 + 0.2j])
+            assert_allclose(ex.eval_exceptional(manual, 6, z),
+                            ex.eval_exceptional(preset, 6, z), rtol=1e-10)
