@@ -221,19 +221,22 @@ class BrolinSample:
 
 class _PreimageSolver:
     """Aberth solves of p(z) = w along one backward orbit, each started from
-    the roots of the nearest earlier target.
+    the roots of the nearest earlier target, moved by one Newton step.
 
     Every sweep evaluates Poly.values(z, w) and the floor Poly.noise_floor,
     in whichever form the Poly carries.  A Poly with zeros has its starts
     nudged off the real axis, where from real points at a real w Aberth would
-    stay: a stored root set by 1e-6; with none stored, the zeros by 1e-3.
+    stay: a predicted root set by 1e-6; with none stored, the zeros by 1e-3.
 
-    The targets and sorted root sets of the last SOLVER_MEMORY solves sit in
-    two fixed arrays, overwritten oldest first; unfilled slots hold an
-    infinite target, so they are never nearest.  The targets of one orbit fill
-    the Julia set, so the nearest stored root set lies within about
-    |w - w'| / |p'| of the new preimages.  A solve that fails from one start
-    retries from the next, the Cauchy circle last.
+    The targets, sorted root sets and p' at those roots of the last
+    SOLVER_MEMORY solves sit in three fixed arrays, overwritten oldest first;
+    unfilled slots hold an infinite target, so they are never nearest.  The
+    targets of one orbit fill the Julia set, so the nearest stored root set
+    z' lies within about |w - w'| / |p'| of the new preimages, and the tangent
+    predictor z' + (w - w') / p'(z') of numerical continuation (Allgower &
+    Georg, Numerical Continuation Methods, 1990) closer still; a root whose
+    stored p' is 0 starts at z'.  A solve that fails from one start retries
+    from the next, the Cauchy circle last.
     """
 
     def __init__(self, poly: Poly):
@@ -241,14 +244,21 @@ class _PreimageSolver:
         self.d = len(poly.coeffs) - 1
         self.targets = np.full(SOLVER_MEMORY, np.inf, dtype=complex)
         self.solved = np.zeros((SOLVER_MEMORY, self.d), dtype=complex)
+        self.slopes = np.zeros((SOLVER_MEMORY, self.d), dtype=complex)
         self.count = 0
         self.nudge = None if poly.zeros is None else np.exp(
             1j * (2.0 * np.pi * np.arange(self.d) / self.d + 0.4))
+        # rootfind.residual_scale's terms, fixed per polynomial
+        self.abs_coeffs = np.abs(poly.monomial_coeffs())
+        self.exponents = np.arange(len(self.abs_coeffs))
 
     def _starts(self, w: complex):
-        nearest = int(np.argmin(np.abs(self.targets - w)))
+        nearest = int(np.abs(self.targets - w).argmin())
         if np.isfinite(self.targets[nearest]):
-            warm = self.solved[nearest]
+            slope = self.slopes[nearest]
+            step = np.divide(w - self.targets[nearest], slope,
+                             out=np.zeros(self.d, dtype=complex), where=slope != 0)
+            warm = self.solved[nearest] + step
             yield warm if self.nudge is None else warm + 1e-6 * self.nudge
         if self.nudge is not None:
             yield self.poly.zeros + 1e-3 * self.nudge
@@ -258,20 +268,22 @@ class _PreimageSolver:
         values = partial(self.poly.values, w=w)
         floor = partial(self.poly.noise_floor, w=w)
         for z0 in self._starts(w):
-            z, ok, pv = rootfind.aberth(values, floor, z0, 300)
+            z, ok, pv, dv = rootfind.aberth(values, floor, z0, 300)
             if not ok:
                 continue
             # on the product form aberth's last values(z, w)[0] is self.poly(z) - w
             # bit for bit, the same reduction; Horner on p - w rounds otherwise
             if pv is None or self.poly.zeros is None:
                 pv = self.poly(z) - w
-            worst = np.max(np.abs(pv))
-            scale = rootfind.residual_scale(self.poly, np.max(np.abs(z))) + abs(w)
-            if worst <= 1e-7 * scale:
-                z = z[np.lexsort((z.imag, z.real))]
+            worst = np.abs(pv).max()
+            scale = np.power(1.0 + np.abs(z).max(), self.exponents) @ self.abs_coeffs
+            if worst <= 1e-7 * (scale + abs(w)):
+                order = np.lexsort((z.imag, z.real))
+                z = z[order]
                 slot = self.count % SOLVER_MEMORY
                 self.targets[slot] = w
                 self.solved[slot] = z
+                self.slopes[slot] = dv[order]
                 self.count += 1
                 return z
         raise ConvergenceError(f"preimage solve failed at w = {w:.6g}")

@@ -489,15 +489,16 @@ def from_json(obj: dict) -> DarbouxData:
     for key in ("eps1", "eps2", "b", "bw", "lambda_tilde"):
         if key not in obj:
             raise ConfigError(key, "missing (required without a preset)")
-    if obj["eps1"] not in (-1, 1) or obj["eps2"] not in (-1, 1):
-        raise ConfigError("eps1/eps2", "must be +1 or -1")
+    # the integers only: true == 1 and 1.0 == 1 in Python
+    if not all(type(obj[key]) is int and obj[key] in (-1, 1) for key in ("eps1", "eps2")):
+        raise ConfigError("eps1/eps2", "must be the integer +1 or -1")
     for key in ("b", "bw"):
         if not isinstance(obj[key], list) or not obj[key] or not all(map(is_number, obj[key])):
             raise ConfigError(key, "must be a nonempty list of finite numbers (ascending degree)")
     if not is_number(obj["lambda_tilde"]):
         raise ConfigError("lambda_tilde", "must be a finite number")
     return make_darboux_data(params, Poly(obj["b"]), Poly(obj["bw"]),
-                             int(obj["eps1"]), int(obj["eps2"]),
+                             obj["eps1"], obj["eps2"],
                              float(obj["lambda_tilde"]))
 
 

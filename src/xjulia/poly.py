@@ -32,7 +32,10 @@ class Poly:
 
     @property
     def degree(self) -> int:
-        """Index of the last coefficient above the relative truncation floor."""
+        """The zero count of a product form; otherwise the index of the last
+        coefficient above the relative truncation floor."""
+        if self.zeros is not None:
+            return len(self.zeros)
         mags = np.abs(self.coeffs)
         keep = np.nonzero(mags > TRUNCATION_REL * mags.max())[0]
         return int(keep[-1]) if len(keep) else 0
@@ -72,23 +75,32 @@ class Poly:
         in the shape of z, over blocks of at most 1 MB with one point per row of
         z - zeta_i, each row reduced on its own from a_d, so no value depends on its
         neighbours.  At a zero p' is the product of the other factors, 0 at a repeated one."""
-        flat, lead = z.ravel(), self.coeffs[-1]
-        step = max(1, (1 << 16) // len(self.zeros))
+        lead, step = self.coeffs[-1], max(1, (1 << 16) // len(self.zeros))
+        if z.ndim == 1 and len(z) <= step:      # one block, as in every preimage solve
+            return self._product_rows(z, lead, derivative, None)
+        flat = z.ravel()
         out = np.empty((1 + derivative, flat.size), dtype=complex)
         for s in range(0, flat.size, step):
-            pv, dv = out[0, s:s + step], out[-1, s:s + step]
-            diff = np.subtract.outer(flat[s:s + step], self.zeros)
-            np.multiply.reduce(diff, axis=1, initial=lead, out=pv)
-            if not derivative:
-                continue
-            exact = np.count_nonzero(pv) < len(pv)      # then some z - zeta_i may be 0
-            with np.errstate(divide="ignore", invalid="ignore") if exact else nullcontext():
-                np.multiply(pv, np.reciprocal(diff).sum(axis=1), out=dv)
-            for i in np.flatnonzero(pv == 0) if exact else ():
-                rest = diff[i, diff[i] != 0]
-                simple = len(rest) == len(self.zeros) - 1
-                dv[i] = np.multiply.reduce(rest, initial=lead) if simple else 0
+            self._product_rows(flat[s:s + step], lead, derivative, out[:, s:s + step])
         return out.reshape((len(out),) + z.shape)
+
+    def _product_rows(self, z, lead, derivative, out):
+        """(p,) or (p, p') at the 1-d points z, written into the rows of out
+        when it is given."""
+        diff = np.subtract.outer(z, self.zeros)
+        pv = np.multiply.reduce(diff, axis=1, initial=lead,
+                                out=None if out is None else out[0])
+        if not derivative:
+            return (pv,)
+        exact = np.count_nonzero(pv) < len(pv)      # then some z - zeta_i may be 0
+        with np.errstate(divide="ignore", invalid="ignore") if exact else nullcontext():
+            dv = np.multiply(pv, np.reciprocal(diff).sum(axis=1),
+                             out=None if out is None else out[1])
+        for i in np.flatnonzero(pv == 0) if exact else ():
+            rest = diff[i, diff[i] != 0]
+            simple = len(rest) == len(self.zeros) - 1
+            dv[i] = np.multiply.reduce(rest, initial=lead) if simple else 0
+        return pv, dv
 
     def deriv(self) -> "Poly":
         if len(self.coeffs) == 1:

@@ -53,10 +53,12 @@ def aberth(values, noise_floor, z0: np.ndarray, max_sweeps: int = MAX_SWEEPS):
     values(z) -> (p(z), p'(z)) drives the sweeps.  A root also counts as
     settled once |p(z)| dips under noise_floor(z, p(z)), the rounding-error
     level of the evaluation itself; corrections cannot shrink below that,
-    whatever the sweep count.  Returns (roots, converged, values): values is
-    p(roots) as values(roots) gave it when the iteration ended on an
-    evaluation (the floor test or the sweep limit), None when it ended on a
-    correction.
+    whatever the sweep count.  Returns (roots, converged, values,
+    derivatives): values and derivatives are p(roots) and p'(roots) as
+    values(roots) gave them when the iteration ended on an evaluation (the
+    floor test or the sweep limit).  When it ended on a correction, values is
+    None and derivatives is p' at the points one correction, of at most
+    CONVERGENCE_REL relative size, before the roots.
     """
     z = z0.copy()
     best = np.inf
@@ -68,22 +70,23 @@ def aberth(values, noise_floor, z0: np.ndarray, max_sweeps: int = MAX_SWEEPS):
         # endgame that goes on costs no extra evaluation
         if pending is not None and np.all(
                 (pending <= CONVERGENCE_REL) | (np.abs(pv) <= noise_floor(z, pv))):
-            return z, True, pv
+            return z, True, pv, dv
         if sweep == max_sweeps:
-            return z, False, pv
-        dv[dv == 0] = 1e-300
-        w = pv / dv
+            return z, False, pv, dv
+        safe = dv.copy()        # the returned derivatives keep an exact zero
+        safe[safe == 0] = 1e-300
+        w = pv / safe
         diff = np.subtract.outer(z, z)
-        diff.flat[::len(z) + 1] = np.inf
+        diff.ravel()[::len(z) + 1] = np.inf
         corr = w / (1.0 - w * np.divide(1.0, diff, out=diff).sum(axis=1))
-        bad = ~np.isfinite(corr)
-        if bad.any():
+        if not np.isfinite(corr).all():
+            bad = ~np.isfinite(corr)
             corr[bad] = w[bad]
         z = z - corr
         scaled = np.abs(corr) / (1.0 + np.abs(z))
         worst = scaled.max()
         if worst <= CONVERGENCE_REL:
-            return z, True, None
+            return z, True, None, dv
         # near critical points the Newton ratio is noise over noise and the
         # corrections rattle forever; once the sweep stops improving, accept
         # any configuration whose residuals all sit below the evaluation floor
@@ -109,7 +112,7 @@ def roots(p: Poly, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
     if d == 1:
         return np.array([-mono[0] / mono[1]])
 
-    z, converged, _ = aberth(p.values, p.noise_floor, initial_circle(mono), max_sweeps)
+    z, converged, _, _ = aberth(p.values, p.noise_floor, initial_circle(mono), max_sweeps)
     if not converged:
         worst = float(np.max(np.abs(p(z))))
         raise ConvergenceError(f"Aberth iteration did not settle in {max_sweeps} sweeps",
@@ -164,8 +167,8 @@ def classify_zeros(data, n: int) -> "ZeroClassification":
     def values(z):
         return exc_mod.exceptional_values(data, n, z)[:2]
 
-    found, converged, _ = aberth(values, lambda z, pv: 0.0,
-                                 _classification_guesses(data, degree))
+    found, converged, _, _ = aberth(values, lambda z, pv: 0.0,
+                                    _classification_guesses(data, degree))
     f, df, size = exc_mod.exceptional_values(data, n, found)
     if not converged:
         raise ConvergenceError(f"Aberth iteration did not settle in {MAX_SWEEPS} sweeps",

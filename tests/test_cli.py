@@ -94,6 +94,19 @@ class TestZeros:
         assert err["error"] == "config"
         assert err["field"] == field
 
+    @pytest.mark.parametrize("eps", [{"eps1": True}, {"eps2": 1.0}])
+    def test_non_integer_eps_exit_two(self, tmp_path, capsys, eps):
+        # true == 1 and 1.0 == 1 in Python; the wire format wants the integer
+        family = {"alpha": 2.0, "beta": 2.0, "eps1": -1, "eps2": 1, "b": [2.0, -3.0, 1.0],
+                  "bw": [3.0, -1.0], "lambda_tilde": 4.0}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": family, "n_list": [5]}))
+        assert run(["zeros", "--config", str(cfg), "--out", str(tmp_path / "ok")]) == 0
+        cfg.write_text(json.dumps({"family": {**family, **eps}, "n_list": [5]}))
+        capsys.readouterr()
+        assert run(["zeros", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["field"] == "eps1/eps2"
+
     def test_no_regular_zeros_exit_one(self, tmp_path, capsys):
         # P_0 has one zero, outside [-1, 1]: no zero-counting measure exists
         assert run(["zeros", *PRESET_FLAGS, "--n", "0", "--out", str(tmp_path)]) == 1

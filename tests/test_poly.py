@@ -109,9 +109,14 @@ class TestProductForm:
         assert p.values(z.reshape(50, 100))[0].shape == (50, 100)
 
     def test_leading_coefficient_and_trim_keep_the_form(self):
-        p = Poly.product_form(self.ROOTS, leading=2.0)
-        assert p.coeffs[-1] == 2.0
-        assert p.trimmed() is p
+        # degree and lead come from the zeros: expanded, the 200 Chebyshev
+        # points' top coefficient 1 is below 1e-14 of the largest, about 2.1e15
+        for zeros, leading in ((self.ROOTS, 2.0),
+                               (np.cos(np.pi * (np.arange(200) + 0.5) / 200), 1.0)):
+            p = Poly.product_form(zeros, leading=leading)
+            assert p.degree == len(zeros)
+            assert p.coeffs[-1] == p.leading_coeff() == leading
+            assert p.trimmed() is p
         assert Poly.product_form([]).zeros is None
 
     @pytest.mark.parametrize("make", [lambda: Poly([-2.0, 0.0, 1.0]),

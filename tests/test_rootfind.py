@@ -21,6 +21,23 @@ def match_roots(found, expected):
     return worst
 
 
+class TestAberth:
+    # ending on the sweep limit, and on the noise-floor test in either form
+    @pytest.mark.parametrize("poly, w, sweeps", [
+        (Poly.product_form([0.5, -1.0, 2.0j, 0.1 + 0.3j], leading=2.0), 0.7, 3),
+        (Poly.product_form([0.3, 0.3, -1.0]), 1e-3, 300),
+        (Poly([0.0, -3.0, 0.0, 1.0]), 2.0, 300),
+    ])
+    def test_returned_derivatives_are_the_last_evaluation(self, poly, w, sweeps):
+        def values(z):
+            return poly.values(z, w)
+
+        z, _, pv, dv = rootfind.aberth(values, lambda z, pv: poly.noise_floor(z, pv, w),
+                                       rootfind.initial_circle(poly.shifted(w)), sweeps)
+        assert pv is not None
+        assert np.array_equal(pv, values(z)[0]) and np.array_equal(dv, values(z)[1])
+
+
 class TestRoots:
     def test_difference_of_squares(self):
         r = np.sort_complex(xj.roots(Poly([-1.0, 0.0, 1.0])))
