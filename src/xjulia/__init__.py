@@ -7,18 +7,18 @@ from .dynamics import (BrolinSample, EscapeData, RasterGrid, brolin_sample,
                        raster_to_pgm)
 from .errors import (ConfigError, ConvergenceError, NodeConvergenceError,
                      ValidationError, XjuliaError)
-from .exceptional import (DarbouxData, ExceptionalWeight, eval_exceptional,
+from .exceptional import (DarbouxData, ExceptionalWeight, ZeroClassification,
+                          classify_zeros, eval_exceptional,
                           leading_coeff_exceptional, make_x1_preset,
                           monomial_coeffs, sigma_n, sigma_n_closed_form,
-                          verify_span_property, weight)
+                          verify_span_property, weight, zero_counting_measure)
 from .jacobi import (DEGREE_CAP, JacobiParams, QuadratureRule,
                      eval_jacobi_derivative, eval_orthonormal_jacobi,
                      gauss_jacobi_rule, leading_coeff_jacobi)
 from .measures import (EmpiricalMeasure, arcsine_cdf, arcsine_quantiles,
                        chebyshev_moments, energy, green_complement_interval,
                        ks_distance_real, log_potential)
-from .poly import Poly
-from .rootfind import ZeroClassification, classify_zeros, roots, zero_counting_measure
+from .poly import Poly, roots
 
 __version__ = "0.1.0"
 

@@ -15,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dynamics, exceptional, measures, rootfind
-from .config import DEFAULT_THRESHOLDS, SCHEMA_VERSION, ExperimentConfig, validate_config
+from . import dynamics, exceptional, measures
+from .config import (DEFAULT_THRESHOLDS, SCHEMA_VERSION, ExperimentConfig, from_json,
+                     validate_config)
 from .errors import ConfigError, XjuliaError
 from .jacobi import DEGREE_CAP
 from .poly import Poly
@@ -30,8 +31,16 @@ DEFAULT_ALPHA = 0.02
 DEFAULT_BETA = 1.2
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise ConfigError, so they reach
+    stderr as one JSON object like every other error; subparsers inherit it."""
+
+    def error(self, message):
+        raise ConfigError("argv", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xjulia",
         description="Exceptional Jacobi families, their Julia sets, and "
                     "equilibrium-measure diagnostics.")
@@ -144,7 +153,7 @@ def resolve_config(args) -> ExperimentConfig:
 def _family_data(cfg: ExperimentConfig):
     if cfg.is_raw:
         raise ConfigError("family", "this command needs a Darboux family, not raw_poly")
-    data = exceptional.from_json(cfg.family)
+    data = from_json(cfg.family)
     for n in cfg.n_list:
         if n + data.m > DEGREE_CAP:
             raise ConfigError("n_list", f"n + m = {n + data.m} exceeds the degree cap {DEGREE_CAP}")
@@ -182,15 +191,15 @@ def cmd_zeros(cfg: ExperimentConfig) -> int:
     data = _family_data(cfg)
     bt_roots = data.b_tilde_roots
     for n in cfg.n_list:
-        zc = rootfind.classify_zeros(data, n)
-        mu = rootfind.zero_counting_measure(zc)
+        zc = exceptional.classify_zeros(data, n)
+        mu = exceptional.zero_counting_measure(zc)
         ks = measures.ks_distance_real(mu, measures.arcsine_cdf)
         if len(zc.exceptional) and len(bt_roots):
             exc_dist = float(np.max(np.min(
                 np.abs(zc.exceptional[:, None] - bt_roots[None, :]), axis=1)))
         else:
             exc_dist = None
-        _write(cfg.output_dir / f"zeros_n{n}.csv", rootfind.classification_to_csv(zc))
+        _write(cfg.output_dir / f"zeros_n{n}.csv", exceptional.classification_to_csv(zc))
         _write(cfg.output_dir / f"zeros_n{n}.json", _json_text({
             "schema_version": SCHEMA_VERSION,
             "n": n,
@@ -382,9 +391,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:

@@ -1,4 +1,5 @@
-"""Experiment configuration and the versioned threshold defaults.
+"""Experiment configuration, the family wire format and the versioned
+threshold defaults.
 
 Every pass/fail number used by the report lives in DEFAULT_THRESHOLDS so runs
 are auditable; individual values can be overridden from the command line.
@@ -10,6 +11,8 @@ from pathlib import Path
 
 from .dynamics import pixel_centers
 from .errors import ConfigError
+from .exceptional import DarbouxData, make_darboux_data, make_x1_preset
+from .jacobi import JacobiParams
 from .poly import Poly
 
 SCHEMA_VERSION = 1
@@ -180,3 +183,58 @@ def validate_config(obj: dict) -> ExperimentConfig:
     _validate_thresholds(thresholds)
     cfg.thresholds = thresholds
     return cfg
+
+
+# ---------------------------------------------------------------------------
+# JSON wire format
+
+def from_json(obj: dict) -> DarbouxData:
+    """Family from the wire schema.
+
+    {"alpha": num, "beta": num, "eps1": +-1, "eps2": +-1, "b": [...],
+     "bw": [...], "lambda_tilde": num, "preset": "x1"?}  -- coefficient lists
+    ascending.  When "preset" is present the polynomial fields are ignored and
+    (alpha, beta) are the preset's weight exponents.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError("family", "must be a JSON object")
+    for key in ("alpha", "beta"):
+        if key not in obj:
+            raise ConfigError(key, "missing")
+        if not is_number(obj[key]):
+            raise ConfigError(key, "must be a finite number")
+    try:
+        params = JacobiParams(float(obj["alpha"]), float(obj["beta"]))
+    except ValueError as exc:
+        raise ConfigError("alpha/beta", str(exc)) from exc
+    preset = obj.get("preset")
+    if preset is not None:
+        if preset != "x1":
+            raise ConfigError("preset", f"unknown preset {preset!r}")
+        return make_x1_preset(params)
+    for key in ("eps1", "eps2", "b", "bw", "lambda_tilde"):
+        if key not in obj:
+            raise ConfigError(key, "missing (required without a preset)")
+    # the integers only: true == 1 and 1.0 == 1 in Python
+    if not all(type(obj[key]) is int and obj[key] in (-1, 1) for key in ("eps1", "eps2")):
+        raise ConfigError("eps1/eps2", "must be the integer +1 or -1")
+    for key in ("b", "bw"):
+        if not isinstance(obj[key], list) or not obj[key] or not all(map(is_number, obj[key])):
+            raise ConfigError(key, "must be a nonempty list of finite numbers (ascending degree)")
+    if not is_number(obj["lambda_tilde"]):
+        raise ConfigError("lambda_tilde", "must be a finite number")
+    return make_darboux_data(params, Poly(obj["b"]), Poly(obj["bw"]),
+                             obj["eps1"], obj["eps2"],
+                             float(obj["lambda_tilde"]))
+
+
+def to_json(data: DarbouxData) -> dict:
+    return {
+        "alpha": data.params.alpha,
+        "beta": data.params.beta,
+        "eps1": data.eps1,
+        "eps2": data.eps2,
+        "b": [float(c.real) for c in data.b.coeffs],
+        "bw": [float(c.real) for c in data.bw.coeffs],
+        "lambda_tilde": data.lambda_tilde,
+    }

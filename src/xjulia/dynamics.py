@@ -14,9 +14,9 @@ from functools import partial
 import numpy as np
 from scipy.spatial import cKDTree
 
-from . import rootfind
 from .errors import ConvergenceError, ValidationError
-from .poly import Poly, horner
+from .measures import EmpiricalMeasure
+from .poly import Poly, aberth, horner, initial_circle, roots
 
 OVERFLOW_GUARD = 1e150
 _RADIUS_CHECK_POINTS = 200
@@ -33,7 +33,7 @@ class EscapeData:
     """A polynomial with its certified escape radius.
 
     poly: evaluated in root-product form when it carries its zeros; the
-    raster, the radius certificate and the exact moments read its coeffs.
+    raster and the radius certificate read its coeffs.
     r_escape: one application of the polynomial at |z| > r_escape at least
     doubles the modulus (triangle-inequality certificate, degree >= 2).
     r_uniform: a radius meant to bound the filled Julia sets of a whole batch;
@@ -205,17 +205,12 @@ class BrolinSample:
     """Backward-orbit sample of the balanced measure (post burn-in)."""
 
     points: np.ndarray
-    seed: int
-    burn_in: int
-    degree: int
 
     @property
     def size(self) -> int:
         return len(self.points)
 
-    def to_measure(self):
-        from .measures import EmpiricalMeasure
-
+    def to_measure(self) -> EmpiricalMeasure:
         return EmpiricalMeasure(self.points)
 
 
@@ -248,7 +243,7 @@ class _PreimageSolver:
         self.count = 0
         self.nudge = None if poly.zeros is None else np.exp(
             1j * (2.0 * np.pi * np.arange(self.d) / self.d + 0.4))
-        # rootfind.residual_scale's terms, fixed per polynomial
+        # poly.residual_scale's terms, fixed per polynomial
         self.abs_coeffs = np.abs(poly.monomial_coeffs())
         self.exponents = np.arange(len(self.abs_coeffs))
 
@@ -262,13 +257,13 @@ class _PreimageSolver:
             yield warm if self.nudge is None else warm + 1e-6 * self.nudge
         if self.nudge is not None:
             yield self.poly.zeros + 1e-3 * self.nudge
-        yield rootfind.initial_circle(self.poly.shifted(w))
+        yield initial_circle(self.poly.shifted(w))
 
     def solve(self, w: complex) -> np.ndarray:
         values = partial(self.poly.values, w=w)
         floor = partial(self.poly.noise_floor, w=w)
         for z0 in self._starts(w):
-            z, ok, pv, dv = rootfind.aberth(values, floor, z0, 300)
+            z, ok, pv, dv = aberth(values, floor, z0, 300)
             if not ok:
                 continue
             # on the product form aberth's last values(z, w)[0] is self.poly(z) - w
@@ -353,7 +348,7 @@ def brolin_sample(e: EscapeData, n_samples: int, burn_in: int = 100,
                                 refine=e.refine)
         except ConvergenceError:
             continue
-        return BrolinSample(points=points, seed=seed, burn_in=burn_in, degree=d)
+        return BrolinSample(points)
     raise ConvergenceError("orbit failed after 5 restarts")
 
 
@@ -362,27 +357,19 @@ def brolin_sample(e: EscapeData, n_samples: int, burn_in: int = 100,
 
 def exact_chebyshev_moments(p: Poly, k_max: int) -> np.ndarray:
     """Moments m_k = integral of T_k against the balanced measure of p,
-    k = 0..k_max, exactly from the coefficients.
+    k = 0..k_max, exactly from the zeros.
 
     The balanced measure mu is invariant under the pull-back (1/d) sum over
-    p(z) = w (Brolin 1965), and for k < d = deg p the power sum s_k of the
-    roots of p(z) - w does not depend on w.  Hence the integral of z^k is
-    s_k / d, with s_k from Newton's identities on a_{d-1..d-k} / a_d.
+    p(z) = w (Brolin 1965), and for k < d = deg p the power sums of the roots
+    of p(z) - w do not depend on w.  Hence m_k is the mean of T_k over the
+    zeros of p: those a product form carries, roots(p) otherwise.
     """
     p = p.trimmed()
     d = p.degree
     if not 0 <= k_max < d:
         raise ValueError(f"k_max must be in [0, {d - 1}] for degree {d}")
-    mono = p.monomial_coeffs()
-    c = mono[d - 1::-1][:k_max] / mono[d]
-    power = np.empty(k_max + 1, dtype=complex)
-    power[0] = d
-    for k in range(1, k_max + 1):
-        power[k] = -(k * c[k - 1] + np.dot(c[:k - 1], power[k - 1:0:-1]))
-    power /= d
-    cheb2poly = np.polynomial.chebyshev.cheb2poly
-    return np.array([np.dot(cheb2poly([0] * k + [1]), power[:k + 1])
-                     for k in range(k_max + 1)], dtype=complex)
+    zeros = p.zeros if p.zeros is not None else roots(p)
+    return np.polynomial.chebyshev.chebval(zeros, np.eye(k_max + 1)).mean(axis=1)
 
 
 def median_nn_spacing(points: np.ndarray) -> float:

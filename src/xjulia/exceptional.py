@@ -8,17 +8,20 @@ configuration is trusted a priori: construction runs the orthonormality oracle
 and rejects anything that fails it.  sigma_n is *defined* as the quadrature
 norm of b p_n' - bw p_n; the closed form sqrt(c0 (n(n+alpha+beta+1)+lambda))
 is the cross-check that validates the configured lambda.
+
+The zeros of P_n are found by Aberth on the recurrence itself, split into
+regular and exceptional, and give P_n its root-product form.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import jacobi, rootfind
-from .config import is_number
-from .errors import ConfigError, ValidationError
-from .jacobi import JacobiParams, cached_rule
-from .poly import Poly, horner
+from . import jacobi
+from .errors import ConfigError, ConvergenceError, ValidationError
+from .jacobi import DEGREE_CAP, JacobiParams, cached_rule, gauss_nodes
+from .measures import EmpiricalMeasure
+from .poly import MAX_SWEEPS, RESIDUAL_REL, Poly, aberth, horner, roots
 
 # Base quadrature order for the rational inner products; geometric convergence
 # in the order makes this ample for poles at distance >~ 1e-2 from [-1, 1].
@@ -30,6 +33,11 @@ ORTHO_GATE_TOL = 1e-8
 # Newton steps newton_refiner may take; it stops earlier once |P_n(z) - w|
 # stops falling or reaches the rounding level of the recurrence.
 REFINE_MAX_STEPS = 8
+
+# Regular/exceptional split: at desk scale the two clusters are separated by
+# many orders of magnitude, so hard thresholds are safe.
+IMAG_TOL = 1e-8
+EDGE_TOL = 1e-12
 
 
 @dataclass
@@ -58,7 +66,7 @@ class DarbouxData:
     def __post_init__(self):
         self.multipliers = tuple(c.coeffs.tolist() for c in
                                  (self.b, self.b.deriv(), self.bw, self.bw.deriv()))
-        self.b_tilde_roots = (rootfind.roots(self.b_tilde) if self.m >= 1
+        self.b_tilde_roots = (roots(self.b_tilde) if self.m >= 1
                               else np.array([], dtype=complex))
 
     @property
@@ -133,7 +141,7 @@ def make_darboux_data(params: JacobiParams, b: Poly, bw: Poly, eps1: int, eps2: 
             f"shifted weight exponents ({wp_alpha:g}, {wp_beta:g}) must exceed -1")
 
     if b.degree >= 1:
-        for r in rootfind.roots(b):
+        for r in roots(b):
             if abs(r.imag) <= 1e-9 and abs(r.real) <= 1.0 - 1e-9:
                 raise ValidationError(f"b has a root at {r:.6g} inside (-1, 1)")
     b_tilde = _divide_out_interval_factors(b, eps1, eps2)
@@ -276,19 +284,10 @@ def exceptional_values(data: DarbouxData, n: int, z: np.ndarray):
     return tuple(v / sig for v in _transform(data, n, z))
 
 
-def _at(data: DarbouxData, n: int, z, which: int):
-    out = exceptional_values(data, n, np.asarray(z, dtype=complex))[which]
-    return complex(out) if out.shape == () else out
-
-
 def eval_exceptional(data: DarbouxData, n: int, z):
     """P_n(z) = (b(z) p_n'(z) - bw(z) p_n(z)) / sigma_n, recurrence-based."""
-    return _at(data, n, z, 0)
-
-
-def eval_exceptional_derivative(data: DarbouxData, n: int, z):
-    """P_n'(z), from the same recurrence pass as P_n."""
-    return _at(data, n, z, 1)
+    out = exceptional_values(data, n, np.asarray(z, dtype=complex))[0]
+    return complex(out) if out.shape == () else out
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +310,7 @@ def leading_coeff_estimate(data: DarbouxData, n: int) -> float:
     closed form: P_n(z0) / prod (z0 - zeta_i) over the classified zeros, at
     z0 = 2 (1 + max |zeta_i|), clear of all of them.  The reference that
     leading_coeff_exceptional is tested against."""
-    zc = rootfind.classify_zeros(data, n)
+    zc = classify_zeros(data, n)
     zeros = np.concatenate([zc.regular, zc.exceptional])
     z0 = 2.0 * (1.0 + np.max(np.abs(zeros)))
     return float((eval_exceptional(data, n, z0) / np.prod(z0 - zeros)).real)
@@ -366,6 +365,99 @@ def newton_refiner(data: DarbouxData, n: int):
 
 
 # ---------------------------------------------------------------------------
+# zeros
+
+@dataclass
+class ZeroClassification:
+    """Zeros of one Darboux-family polynomial, split by location.
+
+    regular: real zeros in (-1, 1), ascending.  exceptional: all others,
+    sorted by distance to the nearest zero of the one-signed divisor b_tilde.
+    """
+
+    regular: np.ndarray
+    exceptional: np.ndarray
+    n: int
+    m: int
+
+    @property
+    def total(self) -> int:
+        return len(self.regular) + len(self.exceptional)
+
+
+def classify_zeros(data: DarbouxData, n: int) -> ZeroClassification:
+    """Split the zeros of the n-th transformed family member P_n.
+
+    Aberth runs on the recurrence evaluation of (P_n, P_n') from
+    _classification_guesses (Gauss-Jacobi nodes of the weight for the regular
+    zeros, perturbed b_tilde zeros for the rest), one start per zero of the
+    actual degree, and stops only when every correction is below
+    CONVERGENCE_REL.  Each zero must then meet the residual contract
+    |P_n| <= RESIDUAL_REL (s + (1 + |z|) |P_n'|), s = (|b p_n'| + |bw p_n|) /
+    sigma_n the size of the terms whose difference is P_n: a small residual
+    next to those terms, or a Newton step below RESIDUAL_REL of the point (the
+    only yardstick left at a zero of b p_n' when bw = 0).  A zero is regular
+    iff |Im| <= 1e-8 and Re inside the open interval with a 1e-12 edge margin.
+    """
+    if n + data.m > DEGREE_CAP:
+        raise ValueError(f"n + m exceeds the desk-scale degree cap ({DEGREE_CAP})")
+    degree = exceptional_degree(data, n)
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+
+    def values(z):
+        return exceptional_values(data, n, z)[:2]
+
+    found, converged, _, _ = aberth(values, lambda z, pv: 0.0,
+                                    _classification_guesses(data, degree))
+    f, df, size = exceptional_values(data, n, found)
+    if not converged:
+        raise ConvergenceError(f"Aberth iteration did not settle in {MAX_SWEEPS} sweeps",
+                               residual=float(np.max(np.abs(f))))
+    # a product, not a ratio: an exact zero passes and a NaN fails
+    if not np.all(np.abs(f) <= RESIDUAL_REL * (size + (1.0 + np.abs(found)) * np.abs(df))):
+        raise ConvergenceError("zero residual contract violated",
+                               residual=float(np.max(np.abs(f))))
+
+    reg_mask = (np.abs(found.imag) <= IMAG_TOL) & (np.abs(found.real) < 1.0 - EDGE_TOL)
+    regular = np.sort(found[reg_mask].real)
+    exceptional = found[~reg_mask]
+    if len(exceptional):
+        dist = np.min(np.abs(exceptional[:, None] - data.b_tilde_roots[None, :]), axis=1)
+        exceptional = exceptional[np.argsort(dist)]
+    return ZeroClassification(regular=regular, exceptional=exceptional, n=n, m=data.m)
+
+
+def _classification_guesses(data: DarbouxData, degree: int) -> np.ndarray:
+    """Starting points: the zeros of the classical Jacobi polynomial of the weight's
+    exponents, next to which the regular zeros lie (Gomez-Ullate, Marcellan &
+    Milson, J. Math. Anal. Appl. 399, 2013), plus perturbed copies of the b_tilde
+    zeros, taken in turn, for the exceptional ones."""
+    n_extra = min(data.m, degree)
+    shift = 0.05 * np.exp(2j * np.pi * np.arange(n_extra) / max(n_extra, 1))
+    extra = np.resize(data.b_tilde_roots, n_extra)
+    extra = extra + shift * (1.0 + np.abs(extra))
+    n_ell = degree - n_extra
+    return np.concatenate([gauss_nodes(data.weight_params, n_ell) if n_ell else [], extra])
+
+
+def zero_counting_measure(zc: ZeroClassification):
+    """Uniform unit-mass measure on the regular zeros only."""
+    if len(zc.regular) == 0:
+        raise ValidationError(f"P_{zc.n} has no regular zeros in (-1, 1)")
+    return EmpiricalMeasure(zc.regular.astype(complex))
+
+
+def classification_to_csv(zc: ZeroClassification) -> str:
+    lines = ["kind,re,im"]
+    for x in zc.regular:
+        lines.append(f"regular,{x:.17g},0")
+    for z in zc.exceptional:
+        lines.append(f"exceptional,{z.real:.17g},{z.imag:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # root-product form
 
 def monomial_coeffs(data: DarbouxData, n: int) -> Poly:
@@ -376,15 +468,13 @@ def monomial_coeffs(data: DarbouxData, n: int) -> Poly:
     are the product expanded.  P_0 = -bw p_0 / sigma_0 keeps plain
     coefficients, since the leading-coefficient formula needs n >= 1.
     """
-    if n + data.m > jacobi.DEGREE_CAP:
-        raise ValueError(f"n + m = {n + data.m} exceeds the degree cap {jacobi.DEGREE_CAP}")
     key = ("mono", n)
     if key not in data._cache:
         if n == 0:
             p0 = jacobi.eval_orthonormal_jacobi(data.params, 0, 0.0)
             p = Poly(-data.bw.coeffs * p0 / sigma_n(data, 0))
         else:
-            zc = rootfind.classify_zeros(data, n)
+            zc = classify_zeros(data, n)
             p = Poly.product_form(np.concatenate([zc.regular, zc.exceptional]),
                                   leading_coeff_exceptional(data, n))
         data._cache[key] = p
@@ -429,7 +519,7 @@ def verify_span_property(data: DarbouxData, p: Poly):
     """
     n = p.degree if not _is_zero(p) else 0
     db = data.b.degree
-    if n + 5 > jacobi.DEGREE_CAP:
+    if n + 5 > DEGREE_CAP:
         raise ValueError("polynomial degree too large for the scan")
     l_max = n + 2 * db + 5
 
@@ -457,58 +547,3 @@ def verify_span_property(data: DarbouxData, p: Poly):
         raise ValidationError(
             f"no expansion cutoff found up to l = {l_max}; quadrature or construction bug")
     return max(0, l_star - n), residuals
-
-
-# ---------------------------------------------------------------------------
-# JSON wire format
-
-def from_json(obj: dict) -> DarbouxData:
-    """Family from the wire schema.
-
-    {"alpha": num, "beta": num, "eps1": +-1, "eps2": +-1, "b": [...],
-     "bw": [...], "lambda_tilde": num, "preset": "x1"?}  -- coefficient lists
-    ascending.  When "preset" is present the polynomial fields are ignored and
-    (alpha, beta) are the preset's weight exponents.
-    """
-    if not isinstance(obj, dict):
-        raise ConfigError("family", "must be a JSON object")
-    for key in ("alpha", "beta"):
-        if key not in obj:
-            raise ConfigError(key, "missing")
-        if not is_number(obj[key]):
-            raise ConfigError(key, "must be a finite number")
-    try:
-        params = JacobiParams(float(obj["alpha"]), float(obj["beta"]))
-    except ValueError as exc:
-        raise ConfigError("alpha/beta", str(exc)) from exc
-    preset = obj.get("preset")
-    if preset is not None:
-        if preset != "x1":
-            raise ConfigError("preset", f"unknown preset {preset!r}")
-        return make_x1_preset(params)
-    for key in ("eps1", "eps2", "b", "bw", "lambda_tilde"):
-        if key not in obj:
-            raise ConfigError(key, "missing (required without a preset)")
-    # the integers only: true == 1 and 1.0 == 1 in Python
-    if not all(type(obj[key]) is int and obj[key] in (-1, 1) for key in ("eps1", "eps2")):
-        raise ConfigError("eps1/eps2", "must be the integer +1 or -1")
-    for key in ("b", "bw"):
-        if not isinstance(obj[key], list) or not obj[key] or not all(map(is_number, obj[key])):
-            raise ConfigError(key, "must be a nonempty list of finite numbers (ascending degree)")
-    if not is_number(obj["lambda_tilde"]):
-        raise ConfigError("lambda_tilde", "must be a finite number")
-    return make_darboux_data(params, Poly(obj["b"]), Poly(obj["bw"]),
-                             obj["eps1"], obj["eps2"],
-                             float(obj["lambda_tilde"]))
-
-
-def to_json(data: DarbouxData) -> dict:
-    return {
-        "alpha": data.params.alpha,
-        "beta": data.params.beta,
-        "eps1": data.eps1,
-        "eps2": data.eps2,
-        "b": [float(c.real) for c in data.b.coeffs],
-        "bw": [float(c.real) for c in data.bw.coeffs],
-        "lambda_tilde": data.lambda_tilde,
-    }

@@ -1,15 +1,29 @@
 """Dense univariate polynomials, evaluated by Horner on their coefficients or,
 when made by Poly.product_form, in root-product form a_d prod (z - zeta_i), which
 carries a relative error of about d u at every z (Higham, Accuracy and
-Stability of Numerical Algorithms, sec. 5)."""
+Stability of Numerical Algorithms, sec. 5), and their roots.
+
+One Aberth-Ehrlich driver, `aberth`, sweeps over all roots at once with a
+noise-floor endgame; the caller supplies the evaluation: `Poly.values` for
+`roots` and the sampler's preimage solves, the recurrence for a family
+member's zeros.
+"""
 
 from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConvergenceError
+
 # Trailing coefficients below this relative size do not count toward the degree.
 TRUNCATION_REL = 1e-14
+
+# Aberth stops once every correction is below CONVERGENCE_REL of its point; a
+# root then has to meet its residual contract at RESIDUAL_REL.
+CONVERGENCE_REL = 1e-13
+RESIDUAL_REL = 1e-8
+MAX_SWEEPS = 500
 
 
 @dataclass
@@ -166,3 +180,102 @@ def horner_with_derivative(coeffs, z):
         dv = dv * z + pv
         pv = pv * z + ck
     return pv, dv
+
+
+# ---------------------------------------------------------------------------
+# simultaneous root finding
+
+def residual_scale(p: Poly, r):
+    """Size of p near the circle |z| = 1 + |r|, as a residual yardstick.
+
+    Upper bound sum |a_i| (1+|r|)^i in the monomial basis; this is the natural
+    backward-error scale for evaluation at |z| <= 1 + |r|.  Elementwise over
+    an array r.
+    """
+    mono = np.abs(p.monomial_coeffs())
+    return np.power(1.0 + np.abs(np.asarray(r))[..., None], np.arange(len(mono))) @ mono
+
+
+def initial_circle(mono: np.ndarray) -> np.ndarray:
+    """Perturbed-circle starting points enclosing all roots (Cauchy bound)."""
+    d = len(mono) - 1
+    radius = min(1.0 + float(np.max(np.abs(mono[:d])) / abs(mono[d])), 1e6)
+    ang = 2.0 * np.pi * np.arange(d) / d + 0.4
+    return radius * np.exp(1j * ang) * (1.0 + 0.01 * np.sin(7.0 * ang))
+
+
+def aberth(values, noise_floor, z0: np.ndarray, max_sweeps: int = MAX_SWEEPS):
+    """Aberth-Ehrlich iteration on all roots at once, from starting points z0.
+
+    values(z) -> (p(z), p'(z)) drives the sweeps.  A root also counts as
+    settled once |p(z)| dips under noise_floor(z, p(z)), the rounding-error
+    level of the evaluation itself; corrections cannot shrink below that,
+    whatever the sweep count.  Returns (roots, converged, values,
+    derivatives): values and derivatives are p(roots) and p'(roots) as
+    values(roots) gave them when the iteration ended on an evaluation (the
+    floor test or the sweep limit).  When it ended on a correction, values is
+    None and derivatives is p' at the points one correction, of at most
+    CONVERGENCE_REL relative size, before the roots.
+    """
+    z = z0.copy()
+    best = np.inf
+    stalled = 0
+    pending = None
+    for sweep in range(max_sweeps + 1):
+        pv, dv = values(z)
+        # the floor test of the previous sweep reads this sweep's p(z), so an
+        # endgame that goes on costs no extra evaluation
+        if pending is not None and np.all(
+                (pending <= CONVERGENCE_REL) | (np.abs(pv) <= noise_floor(z, pv))):
+            return z, True, pv, dv
+        if sweep == max_sweeps:
+            return z, False, pv, dv
+        safe = dv.copy()        # the returned derivatives keep an exact zero
+        safe[safe == 0] = 1e-300
+        w = pv / safe
+        diff = np.subtract.outer(z, z)
+        diff.ravel()[::len(z) + 1] = np.inf
+        corr = w / (1.0 - w * np.divide(1.0, diff, out=diff).sum(axis=1))
+        if not np.isfinite(corr).all():
+            bad = ~np.isfinite(corr)
+            corr[bad] = w[bad]
+        z = z - corr
+        scaled = np.abs(corr) / (1.0 + np.abs(z))
+        worst = scaled.max()
+        if worst <= CONVERGENCE_REL:
+            return z, True, None, dv
+        # near critical points the Newton ratio is noise over noise and the
+        # corrections rattle forever; once the sweep stops improving, accept
+        # any configuration whose residuals all sit below the evaluation floor
+        if worst < 0.5 * best:
+            best, stalled = worst, 0
+        else:
+            stalled += 1
+        pending = scaled if worst <= 1e-9 or stalled >= 10 else None
+
+
+def roots(p: Poly, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
+    """All deg(p) roots of p, with multiplicity, by Aberth-Ehrlich iteration
+    from the perturbed Cauchy circle, evaluated by p.values in p's own form.
+
+    Trailing coefficients at or below poly.TRUNCATION_REL of the largest are
+    dropped first, so they neither count toward the degree nor raise.
+    """
+    p = p.trimmed()
+    d = p.degree
+    if d < 1:
+        raise ValueError("degree must be >= 1")
+    mono = p.coeffs
+    if d == 1:
+        return np.array([-mono[0] / mono[1]])
+
+    z, converged, _, _ = aberth(p.values, p.noise_floor, initial_circle(mono), max_sweeps)
+    if not converged:
+        worst = float(np.max(np.abs(p(z))))
+        raise ConvergenceError(f"Aberth iteration did not settle in {max_sweeps} sweeps",
+                               residual=worst)
+
+    worst_rel = float(np.max(np.abs(p(z)) / residual_scale(p, z)))
+    if worst_rel > RESIDUAL_REL:
+        raise ConvergenceError("root residual contract violated", residual=worst_rel)
+    return z

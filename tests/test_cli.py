@@ -276,6 +276,48 @@ class TestConfigResolution:
         assert (out / "brolin_n4.csv").exists()
         assert not (tmp_path / "from_file").exists()
 
+    def test_alpha_beta_flags_override_config_preset(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "family": {"preset": "x1", "alpha": 0.02, "beta": 1.2},
+            "n_list": [10],
+        }))
+        assert run(["zeros", "--config", str(cfg), "--beta", "1.5",
+                    "--out", str(tmp_path / "file")]) == 0
+        assert run(["zeros", "--preset", "x1", "--beta", "1.5", "--n", "10",
+                    "--out", str(tmp_path / "flags")]) == 0
+        assert ((tmp_path / "file" / "zeros_n10.json").read_bytes()
+                == (tmp_path / "flags" / "zeros_n10.json").read_bytes())
+        capsys.readouterr()
+        # an explicit Darboux family has no preset exponents to override
+        cfg.write_text(json.dumps({
+            "family": {"alpha": 2.0, "beta": 2.0, "eps1": -1, "eps2": 1,
+                       "b": [2.0, -3.0, 1.0], "bw": [3.0, -1.0], "lambda_tilde": 4.0},
+            "n_list": [10],
+        }))
+        assert run(["zeros", "--config", str(cfg), "--alpha", "0.5",
+                    "--out", str(tmp_path / "darboux")]) == 2
+        assert json.loads(capsys.readouterr().err)["field"] == "alpha/beta"
+
+    @pytest.mark.parametrize("argv", [
+        ["zeros", "--bogus"],
+        ["brolin", "--raw-poly", "-1,0,1"],     # argparse reads -1,0,1 as a flag
+        ["zeros", "--n", "abc"],
+        [],
+    ])
+    def test_usage_error_is_one_json_object(self, tmp_path, capsys, argv):
+        assert run(argv + (["--out", str(tmp_path)] if argv else [])) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "config" and err["field"] == "argv"
+        assert captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["zeros", "--help"])
+        assert exc.value.code == 0
+        assert "--preset" in capsys.readouterr().out
+
     def test_missing_family(self, tmp_path, capsys):
         assert run(["zeros", "--n", "4", "--out", str(tmp_path)]) == 2
         assert json.loads(capsys.readouterr().err)["field"] == "family"

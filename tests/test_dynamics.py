@@ -451,7 +451,7 @@ class TestPreimages:
         def no_circle(*args):
             raise AssertionError("fell back to the Cauchy circle")
 
-        monkeypatch.setattr(dyn.rootfind, "initial_circle", no_circle)
+        monkeypatch.setattr(dyn, "initial_circle", no_circle)
         e = dyn.escape_radius(xj.monomial_coeffs(stock_family, 4))
         z = dyn.solve_preimages(e, 20.9)
         assert np.count_nonzero(np.abs(z.imag) > 1e-8) == 4
@@ -483,7 +483,7 @@ class TestPreimages:
         # p' as p sum 1/(z - zeta_i) against the recurrence's P_n'
         z = stock_samples[n].points[:200]
         dv = stock_escape[n].poly.values(z)[1]
-        ref = xj.exceptional.eval_exceptional_derivative(stock_family, n, z)
+        ref = xj.exceptional.exceptional_values(stock_family, n, z)[1]
         assert np.max(np.abs(dv - ref) / np.abs(ref)) <= 1e-11
 
     def test_rectangle_touching_interval_rejected(self, square_escape):

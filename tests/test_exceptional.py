@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import xjulia as xj
 from xjulia import exceptional as ex
+from xjulia.config import from_json, to_json
 from xjulia.errors import ConfigError, ValidationError
 from xjulia.poly import Poly
 
@@ -148,8 +149,8 @@ class TestEvaluation:
         for z in (0.4, -0.2 + 0.5j, 1.8):
             fd = (ex.eval_exceptional(stock_family, 9, z + h)
                   - ex.eval_exceptional(stock_family, 9, z - h)) / (2 * h)
-            assert_allclose(ex.eval_exceptional_derivative(stock_family, 9, z),
-                            fd, rtol=1e-6)
+            assert_allclose(ex.exceptional_values(stock_family, 9, np.array([z]))[1],
+                            [fd], rtol=1e-6)
 
     def test_refiner_agrees_with_vector_eval(self, stock_family):
         refine = ex.newton_refiner(stock_family, 15)
@@ -251,12 +252,14 @@ class TestMonomialCoeffs:
     def test_moments_of_zeros_match_coefficients(self, stock_family, n):
         # for k < d the power sums of the roots of P_n(z) - w do not depend on w
         # (Brolin 1965), so the balanced measure's Chebyshev moments are the
-        # means of T_k over the zeros
+        # means of T_k over the zeros; exact_chebyshev_moments takes them by
+        # chebval on the product form's zeros, checked here against the T
+        # recurrence on the classified zeros
         zc = xj.classify_zeros(stock_family, n)
         zeros = np.concatenate([zc.regular, zc.exceptional])
-        t = np.polynomial.chebyshev.chebval(zeros, np.eye(7))
+        by_recurrence = xj.chebyshev_moments(xj.EmpiricalMeasure(zeros), 6)
         exact = xj.exact_chebyshev_moments(xj.monomial_coeffs(stock_family, n), 6)
-        assert np.max(np.abs(t.mean(axis=1) - exact)) <= 1e-12
+        assert np.max(np.abs(by_recurrence - exact)) <= 1e-12
 
 
 class TestSpanProperty:
@@ -283,50 +286,50 @@ class TestSpanProperty:
 
 class TestJson:
     def test_preset_roundtrip_structure(self, stock_family):
-        manual = ex.from_json(ex.to_json(stock_family))
+        manual = from_json(to_json(stock_family))
         assert manual.m == stock_family.m
         assert_allclose(manual.b.coeffs, stock_family.b.coeffs, rtol=0)
         assert manual.lambda_tilde == stock_family.lambda_tilde
         assert_allclose(ex.sigma_n(manual, 7), ex.sigma_n(stock_family, 7), rtol=1e-12)
 
     def test_preset_key(self):
-        data = ex.from_json({"preset": "x1", "alpha": 1.0, "beta": 3.0,
+        data = from_json({"preset": "x1", "alpha": 1.0, "beta": 3.0,
                              "b": [999.0], "bw": [999.0]})
         assert data.params.alpha == 2.0  # polynomial fields ignored
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):
-            ex.from_json({"preset": "x2", "alpha": 1.0, "beta": 3.0})
+            from_json({"preset": "x2", "alpha": 1.0, "beta": 3.0})
 
     def test_missing_field_named(self):
         with pytest.raises(ConfigError) as err:
-            ex.from_json({"alpha": 1.0, "beta": 3.0, "eps1": 1, "eps2": 1,
+            from_json({"alpha": 1.0, "beta": 3.0, "eps1": 1, "eps2": 1,
                           "b": [1.0]})
         assert err.value.field in ("bw", "lambda_tilde")
 
     def test_bad_eps(self):
         with pytest.raises(ConfigError, match="eps"):
-            ex.from_json({"alpha": 1.0, "beta": 3.0, "eps1": 2, "eps2": 1,
+            from_json({"alpha": 1.0, "beta": 3.0, "eps1": 2, "eps2": 1,
                           "b": [1.0], "bw": [0.0], "lambda_tilde": 0.0})
 
     def test_wrong_lambda_tilde_rejected(self):
         # the pole-2 instance passes the orthonormality gate whatever lambda_tilde
         # says; the closed-form norm check refuses a wrong one
         with pytest.raises(ValidationError, match="lambda_tilde"):
-            ex.from_json({"alpha": 2.0, "beta": 2.0, "eps1": -1, "eps2": 1,
+            from_json({"alpha": 2.0, "beta": 2.0, "eps1": -1, "eps2": 1,
                           "b": [2.0, -3.0, 1.0], "bw": [3.0, -1.0],
                           "lambda_tilde": 99.0})
 
     def test_non_monic_b_rejected(self):
         with pytest.raises(ValidationError, match="monic"):
-            ex.from_json({"alpha": 2.0, "beta": 2.0, "eps1": -1, "eps2": 1,
+            from_json({"alpha": 2.0, "beta": 2.0, "eps1": -1, "eps2": 1,
                           "b": [2.0, -3.0, 2.0], "bw": [3.0, -1.0],
                           "lambda_tilde": 4.0})
 
     def test_interior_root_rejected(self):
         # b = x^2 - 0.25 vanishes at +-0.5
         with pytest.raises(ValidationError):
-            ex.from_json({"alpha": 2.0, "beta": 2.0, "eps1": 1, "eps2": 1,
+            from_json({"alpha": 2.0, "beta": 2.0, "eps1": 1, "eps2": 1,
                           "b": [-0.25, 0.0, 1.0], "bw": [0.0, 1.0],
                           "lambda_tilde": 1.0})
 
@@ -340,7 +343,7 @@ class TestJson:
                 # bw = -9 - 3x
                 ({"alpha": 4.0, "beta": 0.0, "eps1": -1, "eps2": 1,
                   "b": [-2.0, 1.0, 1.0], "bw": [-9.0, -3.0], "lambda_tilde": 6.0}, (3.0, 1.0))):
-            manual = ex.from_json(spec)
+            manual = from_json(spec)
             preset = xj.make_x1_preset(xj.JacobiParams(*weight))
             assert_allclose(ex.sigma_n(manual, 9), ex.sigma_n(preset, 9), rtol=1e-12)
             z = np.array([0.3, 1.4 + 0.2j])

@@ -5,10 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import xjulia as xj
-from xjulia import exceptional as ex, rootfind
+from xjulia import exceptional as ex
+from xjulia.config import from_json
 from xjulia.errors import ConvergenceError
-from xjulia.poly import Poly
-from xjulia.rootfind import classification_to_csv, residual_scale
+from xjulia.exceptional import classification_to_csv
+from xjulia.poly import Poly, aberth, initial_circle, residual_scale
 
 
 def match_roots(found, expected):
@@ -32,8 +33,8 @@ class TestAberth:
         def values(z):
             return poly.values(z, w)
 
-        z, _, pv, dv = rootfind.aberth(values, lambda z, pv: poly.noise_floor(z, pv, w),
-                                       rootfind.initial_circle(poly.shifted(w)), sweeps)
+        z, _, pv, dv = aberth(values, lambda z, pv: poly.noise_floor(z, pv, w),
+                              initial_circle(poly.shifted(w)), sweeps)
         assert pv is not None
         assert np.array_equal(pv, values(z)[0]) and np.array_equal(dv, values(z)[1])
 
@@ -152,7 +153,6 @@ class TestClassification:
         params = xj.JacobiParams(0.5, 0.5)
         data_cfg = {"alpha": 0.5, "beta": 0.5, "eps1": 1, "eps2": 1,
                     "b": [1.0], "bw": [0.0], "lambda_tilde": 0.0}
-        from xjulia.exceptional import from_json
         data = from_json(data_cfg)
         zc = xj.classify_zeros(data, 12)
         assert len(zc.exceptional) == 0
@@ -175,7 +175,7 @@ class TestClassificationStarts:
         # started next to the regular zeros, every call settles in 3-4
         # evaluations of P_n; starts far from them take 6 or more here
         evals = []
-        aberth = rootfind.aberth
+        aberth = ex.aberth
 
         def counted(values, noise_floor, z0, *args):
             def counted_values(z):
@@ -185,7 +185,7 @@ class TestClassificationStarts:
             evals.append(0)
             return aberth(counted_values, noise_floor, z0, *args)
 
-        monkeypatch.setattr(rootfind, "aberth", counted)
+        monkeypatch.setattr(ex, "aberth", counted)
         for data in [stock_family] + _scan_window_families():
             for n in (10, 20, 30, 40, 50):
                 evals.clear()
@@ -215,8 +215,7 @@ class TestZeroCountingMeasure:
         assert_allclose(mu.weights, 1 / 20, rtol=0)
 
     def test_single_zero(self):
-        from xjulia.rootfind import ZeroClassification
-        zc = ZeroClassification(regular=np.array([0.0]),
+        zc = ex.ZeroClassification(regular=np.array([0.0]),
                                 exceptional=np.array([], dtype=complex), n=1, m=0)
         mu = xj.zero_counting_measure(zc)
         assert mu.size == 1 and mu.weights[0] == 1.0
