@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ConvergenceError, ValidationError
 from .measures import EmpiricalMeasure
-from .poly import Poly, aberth, horner, initial_circle, roots
+from .poly import RESIDUAL_REL, Poly, aberth, horner, initial_circle, roots
 
 OVERFLOW_GUARD = 1e150
 _RADIUS_CHECK_POINTS = 200
@@ -230,8 +229,9 @@ class _PreimageSolver:
     z' lies within about |w - w'| / |p'| of the new preimages, and the tangent
     predictor z' + (w - w') / p'(z') of numerical continuation (Allgower &
     Georg, Numerical Continuation Methods, 1990) closer still; a root whose
-    stored p' is 0 starts at z'.  A solve that fails from one start retries
-    from the next, the Cauchy circle last.
+    stored p' is 0 starts at z'.  A solve that does not converge from one
+    start, or whose roots `accepts` refuses, retries from the next, the Cauchy
+    circle last.
     """
 
     def __init__(self, poly: Poly):
@@ -243,9 +243,9 @@ class _PreimageSolver:
         self.count = 0
         self.nudge = None if poly.zeros is None else np.exp(
             1j * (2.0 * np.pi * np.arange(self.d) / self.d + 0.4))
-        # poly.residual_scale's terms, fixed per polynomial
-        self.abs_coeffs = np.abs(poly.monomial_coeffs())
-        self.exponents = np.arange(len(self.abs_coeffs))
+        # the sum of the roots of p - w, the same at every w for d >= 2 (Vieta)
+        self.root_sum = (complex(poly.zeros.sum()) if poly.zeros is not None
+                         else complex(-poly.coeffs[-2] / poly.coeffs[-1]))
 
     def _starts(self, w: complex):
         nearest = int(np.abs(self.targets - w).argmin())
@@ -259,20 +259,30 @@ class _PreimageSolver:
             yield self.poly.zeros + 1e-3 * self.nudge
         yield initial_circle(self.poly.shifted(w))
 
+    def accepts(self, z: np.ndarray, pv: np.ndarray, dv: np.ndarray, w: complex) -> bool:
+        """Whether z are the preimages of w, from aberth's last values pv = p - w
+        and dv = p' (at z or one correction before), with no new evaluation.
+
+        Each root passes the Newton test |pv| <= RESIDUAL_REL |dv| (1 + |z|) or
+        sits at the noise floor.  Their sum must be Vieta's to RESIDUAL_REL
+        (1 + sum |z|) plus the sum of floor / |dv|, about how far rounding lets
+        each root wander: the members of a multiple root's cluster wander
+        independently, while a root found twice leaves another root out."""
+        size, slope, mags = np.abs(pv), np.abs(dv), np.abs(z)
+        settled = size <= RESIDUAL_REL * slope * (1.0 + mags)
+        gap = abs(z.sum() - self.root_sum) - RESIDUAL_REL * (1.0 + mags.sum())
+        if gap <= 0.0 and settled.all():    # the usual case, with no floor to compute
+            return True
+        floor = self.poly.noise_floor(z, pv, w)
+        wander = np.divide(floor, slope, out=np.zeros_like(floor), where=slope > 0).sum()
+        return bool(np.all(settled | (size <= floor))) and gap <= wander
+
     def solve(self, w: complex) -> np.ndarray:
         values = partial(self.poly.values, w=w)
         floor = partial(self.poly.noise_floor, w=w)
         for z0 in self._starts(w):
             z, ok, pv, dv = aberth(values, floor, z0, 300)
-            if not ok:
-                continue
-            # on the product form aberth's last values(z, w)[0] is self.poly(z) - w
-            # bit for bit, the same reduction; Horner on p - w rounds otherwise
-            if pv is None or self.poly.zeros is None:
-                pv = self.poly(z) - w
-            worst = np.abs(pv).max()
-            scale = np.power(1.0 + np.abs(z).max(), self.exponents) @ self.abs_coeffs
-            if worst <= 1e-7 * (scale + abs(w)):
+            if ok and self.accepts(z, pv, dv, w):
                 order = np.lexsort((z.imag, z.real))
                 z = z[order]
                 slot = self.count % SOLVER_MEMORY
@@ -372,11 +382,46 @@ def exact_chebyshev_moments(p: Poly, k_max: int) -> np.ndarray:
     return np.polynomial.chebyshev.chebval(zeros, np.eye(k_max + 1)).mean(axis=1)
 
 
+def nearest_distances(points: np.ndarray, queries: np.ndarray | None = None) -> np.ndarray:
+    """Distance from each query to its nearest point; without queries, from
+    each point to its nearest other point (a duplicate is at distance 0).
+
+    One sweep over the points sorted by real part: per step, each query looks
+    at the next point to its left and to its right, and gives up a side once
+    the gap in real part there is no less than its nearest distance so far,
+    for the gap only grows and the distance only shrinks.
+    """
+    pts = np.asarray(points, dtype=complex)
+    order = np.argsort(pts.real, kind="stable")
+    pts = pts[order]
+    if queries is None:
+        q, hi = pts, np.arange(1, len(pts) + 1)
+        lo = hi - 2
+    else:
+        q = np.asarray(queries, dtype=complex)
+        hi = np.searchsorted(pts.real, q.real)
+        lo = hi - 1
+    best = np.full(len(q), np.inf)
+    live = np.arange(len(q))
+    while live.size:
+        moved = np.zeros(live.size, dtype=bool)
+        for side, step in ((lo, -1), (hi, 1)):
+            at = side[live]
+            valid = (at >= 0) & (at < len(pts))
+            cand = pts[np.where(valid, at, 0)]
+            go = valid & (np.abs(q[live].real - cand.real) < best[live])
+            near = live[go]
+            best[near] = np.minimum(best[near], np.abs(q[near] - cand[go]))
+            side[near] += step
+            moved |= go
+        live = live[moved]
+    if queries is None:     # back to the order of points
+        best[order] = best.copy()
+    return best
+
+
 def median_nn_spacing(points: np.ndarray) -> float:
-    pts = np.column_stack([points.real, points.imag])
-    tree = cKDTree(pts)
-    dist, _ = tree.query(pts, k=2)
-    return float(np.median(dist[:, 1]))
+    return float(np.median(nearest_distances(points)))
 
 
 def forward_invariance_check(e: EscapeData, sample: BrolinSample, eps: float) -> float:
@@ -384,9 +429,7 @@ def forward_invariance_check(e: EscapeData, sample: BrolinSample, eps: float) ->
     if sample.size == 0:
         raise ValueError("empty sample")
     images = e.poly(sample.points)
-    tree = cKDTree(np.column_stack([sample.points.real, sample.points.imag]))
-    dist, _ = tree.query(np.column_stack([images.real, images.imag]), k=1)
-    return float(np.mean(dist <= eps))
+    return float(np.mean(nearest_distances(sample.points, images) <= eps))
 
 
 def preimage_count_in_set(e: EscapeData, w: complex, region) -> int:

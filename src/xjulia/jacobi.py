@@ -11,23 +11,30 @@ formed here (they are catastrophically ill-conditioned at high degree).  The
 orthonormalization is against the unnormalized weight
 w(x) = (1-x)^alpha (1+x)^beta on [-1, 1], with positive leading coefficients.
 
-Gauss-Jacobi rules come from the same recurrence: Golub-Welsch eigenvalues of
-the Jacobi matrix for the nodes, two vectorized Newton steps on p_order to
-polish them, and Christoffel sums for the weights.
+The recurrence coefficients of a weight are one vectorized table, sliced by
+every degree.  Gauss-Jacobi rules come from the same recurrence: Golub-Welsch
+eigenvalues of the Jacobi matrix for the nodes (numpy's dense symmetric
+eigensolver), two vectorized Newton steps on p_order to polish them, and
+Christoffel sums for the weights.  The module needs numpy and the standard
+library only.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gamma, lgamma
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
+from numpy.linalg import eigvalsh
 
 from .errors import NodeConvergenceError
 
 # Degree cap for desk-scale work: root-finding and quadrature stay reliable in
 # double precision up to here.
 DEGREE_CAP = 60
+# math.gamma is finite below 171.62
+GAMMA_FINITE = 171.0
+# recurrence rows built per weight at least: every order-200 rule and degree fit
+RECURRENCE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -45,36 +52,51 @@ class JacobiParams:
 
     @property
     def weight_mass(self) -> float:
-        """Total mass of (1-x)^alpha (1+x)^beta over [-1, 1]."""
+        """Total mass 2^(alpha+beta+1) Gamma(alpha+1) Gamma(beta+1) / Gamma(alpha+beta+2)
+        of (1-x)^alpha (1+x)^beta over [-1, 1]: from gamma while Gamma(alpha+beta+2)
+        is finite, which is the closer for moderate exponents, from lgamma beyond."""
         a, b = self.alpha, self.beta
+        if a + b + 2 < GAMMA_FINITE:
+            return 2.0 ** (a + b + 1) * (gamma(a + 1) / gamma(a + b + 2)) * gamma(b + 1)
         return float(np.exp((a + b + 1) * np.log(2.0)
-                            + gammaln(a + 1) + gammaln(b + 1) - gammaln(a + b + 2)))
+                            + lgamma(a + 1) + lgamma(b + 1) - lgamma(a + b + 2)))
 
     def weight(self, x):
         x = np.asarray(x, dtype=float)
         return (1.0 - x) ** self.alpha * (1.0 + x) ** self.beta
 
 
-@lru_cache(maxsize=512)
 def _recurrence(alpha: float, beta: float, nmax: int):
-    """Monic-recurrence coefficients (a_k, b_k), k = 0..nmax.
+    """Monic-recurrence coefficients (a_k, b_k), k = 0..nmax, as read-only
+    slices of one table per (alpha, beta), rebuilt at the next power of two
+    (at least RECURRENCE_ROWS) when a caller asks for more rows.
 
     x pi_k = pi_{k+1} + a_k pi_k + b_k pi_{k-1} for the monic family, with
-    b_0 set to the weight mass.  The k = 1 off-diagonal uses the cancelled
-    form so alpha + beta = -1 is not a 0/0.
+    b_0 set to the weight mass.
     """
-    a = np.empty(nmax + 1)
-    b = np.empty(nmax + 1)
+    a, b = _recurrence_table(alpha, beta, max(RECURRENCE_ROWS, 1 << int(nmax).bit_length()))
+    return a[:nmax + 1], b[:nmax + 1]
+
+
+@lru_cache(maxsize=512)
+def _recurrence_table(alpha: float, beta: float, rows: int):
+    """The rows (a_k, b_k), k < rows, of _recurrence in one vectorized pass.
+    The k = 1 off-diagonal uses the cancelled form so alpha + beta = -1 is
+    not a 0/0."""
     s = alpha + beta
-    b[0] = JacobiParams(alpha, beta).weight_mass
+    k = np.arange(1.0, rows)
+    t = 2 * k + s
+    a = np.empty(rows)
+    b = np.empty(rows)
     a[0] = (beta - alpha) / (s + 2)
-    for k in range(1, nmax + 1):
-        a[k] = (beta * beta - alpha * alpha) / ((2 * k + s) * (2 * k + s + 2))
-        if k == 1:
-            b[1] = 4 * (1 + alpha) * (1 + beta) / ((2 + s) ** 2 * (3 + s))
-        else:
-            b[k] = (4 * k * (k + alpha) * (k + beta) * (k + s)
-                    / ((2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1)))
+    a[1:] = (beta * beta - alpha * alpha) / (t * (t + 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # squared by libm's pow, as Python's float ** does, so every entry has the
+        # bits of the formula evaluated on Python floats (numpy's t ** 2 is t * t)
+        b[1:] = (4 * k * (k + alpha) * (k + beta) * (k + s)
+                 / (np.float_power(t, 2) * (t + 1) * (t - 1)))
+    b[0] = JacobiParams(alpha, beta).weight_mass
+    b[1] = 4 * (1 + alpha) * (1 + beta) / ((2 + s) ** 2 * (3 + s))
     a.setflags(write=False)
     b.setflags(write=False)
     return a, b
@@ -124,7 +146,7 @@ def orthonormal_values(params: JacobiParams, n: int, z, derivatives: int = 2):
     sb = np.sqrt(b)
     array = isinstance(z, np.ndarray)
     if array and z.ndim:
-        return tuple(_stacked_pass(a[:n].tolist(), sb, _real_or_complex(z), derivatives))
+        return tuple(_stacked_pass(a[:n], sb, _real_or_complex(z), derivatives))
     if array:
         z = z.astype(complex, copy=False)
     a = a.tolist()
@@ -144,7 +166,8 @@ def orthonormal_values(params: JacobiParams, n: int, z, derivatives: int = 2):
 
 def _stacked_pass(a, sb, z, derivatives):
     """Rows q, q', ... of the recurrence at array z, each step
-    t Q + j shift(Q) - sqrt(b_k) Q_prev times 1/sqrt(b_{k+1}) over all rows."""
+    t Q + j shift(Q) - sqrt(b_k) Q_prev times 1/sqrt(b_{k+1}) over all rows;
+    the factors t = z - a_k of every step come from one subtraction."""
     rows = derivatives + 1
     q = np.zeros((rows,) + z.shape, dtype=z.dtype)
     q[0] = 1.0 / sb[0]
@@ -153,9 +176,10 @@ def _stacked_pass(a, sb, z, derivatives):
     # row j gains j q^(j-1); adding -0.0 (both parts) leaves every bit of the q row alone
     shift = -np.zeros_like(q)
     j = np.arange(1.0, rows).reshape((-1,) + (1,) * z.ndim)
-    for ak, sk, rk1 in zip(a, sb.tolist(), (1.0 / sb[1:]).tolist()):
+    ts = z - a.reshape((-1,) + (1,) * z.ndim)
+    for t, sk, rk1 in zip(ts, sb.tolist(), (1.0 / sb[1:]).tolist()):
         np.multiply(q[:-1], j, out=shift[1:])
-        np.multiply(z - ak, q, out=work)   # t first: complex products need not commute
+        np.multiply(t, q, out=work)   # t first: complex products need not commute
         work += shift
         q_prev *= sk
         work -= q_prev
@@ -218,7 +242,8 @@ def gauss_nodes(params: JacobiParams, order: int) -> np.ndarray:
     """Zeros of p_order, ascending and unpolished: the eigenvalues of the Jacobi
     matrix of the recurrence (Golub & Welsch, Math. Comp. 23, 1969)."""
     a, b = _recurrence(params.alpha, params.beta, order)
-    return eigh_tridiagonal(a[:order], np.sqrt(b[1:order]), eigvals_only=True)
+    # eigvalsh reads the lower triangle alone
+    return eigvalsh(np.diag(a[:order]) + np.diag(np.sqrt(b[1:order]), -1))
 
 
 def gauss_jacobi_rule(params: JacobiParams, order: int) -> QuadratureRule:

@@ -211,11 +211,10 @@ def aberth(values, noise_floor, z0: np.ndarray, max_sweeps: int = MAX_SWEEPS):
     settled once |p(z)| dips under noise_floor(z, p(z)), the rounding-error
     level of the evaluation itself; corrections cannot shrink below that,
     whatever the sweep count.  Returns (roots, converged, values,
-    derivatives): values and derivatives are p(roots) and p'(roots) as
-    values(roots) gave them when the iteration ended on an evaluation (the
-    floor test or the sweep limit).  When it ended on a correction, values is
-    None and derivatives is p' at the points one correction, of at most
-    CONVERGENCE_REL relative size, before the roots.
+    derivatives): p and p' as the last values() call gave them, at the roots
+    when the iteration ended on an evaluation (the floor test or the sweep
+    limit), and at the points one correction, of at most CONVERGENCE_REL
+    relative size, before the roots when it ended on a correction.
     """
     z = z0.copy()
     best = np.inf
@@ -243,7 +242,7 @@ def aberth(values, noise_floor, z0: np.ndarray, max_sweeps: int = MAX_SWEEPS):
         scaled = np.abs(corr) / (1.0 + np.abs(z))
         worst = scaled.max()
         if worst <= CONVERGENCE_REL:
-            return z, True, None, dv
+            return z, True, pv, dv
         # near critical points the Newton ratio is noise over noise and the
         # corrections rattle forever; once the sweep stops improving, accept
         # any configuration whose residuals all sit below the evaluation floor

@@ -1,11 +1,17 @@
 """Command-line surface: files, schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from xjulia.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 PRESET_FLAGS = ["--preset", "x1", "--alpha", "0.02", "--beta", "1.2"]
 
@@ -389,3 +395,25 @@ class TestConfigResolution:
         }))
         assert run(["report", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert json.loads(capsys.readouterr().err)["field"] == "thresholds.schema_version"
+
+
+def test_fresh_process_loads_no_scipy(tmp_path):
+    # the package needs numpy and the standard library only: a fresh process
+    # that imports the command line and runs a small zeros and brolin pipeline
+    # must not have loaded any scipy module
+    script = """
+import json, sys
+from pathlib import Path
+from xjulia.cli import main
+out = Path(sys.argv[1])
+codes = [main(["zeros", "--preset", "x1", "--n-list", "8,12", "--out", str(out)]),
+         main(["brolin", "--preset", "x1", "--n-list", "8", "--samples", "200",
+               "--out", str(out)])]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+(out / "modules.json").write_text(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+    path = os.pathsep.join([str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    subprocess.run([sys.executable, "-c", script, str(tmp_path)], check=True,
+                   env={**os.environ, "PYTHONPATH": path}, capture_output=True, timeout=300)
+    assert read_json(tmp_path / "modules.json") == {"codes": [0, 0], "scipy": []}
+    assert (tmp_path / "brolin_n8.csv").exists()

@@ -6,6 +6,7 @@ import pytest
 
 import xjulia as xj
 from xjulia import dynamics as dyn
+from xjulia.errors import ConvergenceError
 from xjulia.poly import Poly, horner
 
 
@@ -393,7 +394,63 @@ class TestInvariance:
         assert hits / len(pts) >= 0.99
 
 
+class TestNearestDistances:
+    @staticmethod
+    def brute_force(points, queries=None):
+        d = np.abs((points if queries is None else queries)[:, None] - points[None, :])
+        if queries is None:
+            np.fill_diagonal(d, np.inf)
+        return d.min(axis=1)
+
+    @pytest.mark.parametrize("shape", ["circle", "segment", "vertical", "cloud"])
+    def test_against_brute_force(self, shape):
+        # the same |q - p| over the same candidates, so equal bit for bit
+        rng = np.random.default_rng(4)
+        t = rng.uniform(-1.0, 1.0, 700)
+        points = {"circle": np.exp(1j * np.pi * t),
+                  "segment": (0.3 + 0.8j) * t - 0.2j,
+                  "vertical": 0.5 + 1j * t,
+                  "cloud": rng.standard_normal(700) + 1j * rng.standard_normal(700)}[shape]
+        queries = points * points + 0.01 * rng.standard_normal(700)
+        assert np.array_equal(dyn.nearest_distances(points), self.brute_force(points))
+        assert np.array_equal(dyn.nearest_distances(points, queries),
+                              self.brute_force(points, queries))
+
+    def test_duplicates_and_two_points(self):
+        points = np.array([0.5, 2.0, 0.5, -1.0, 2.0 + 0j, 2.0])
+        assert np.array_equal(dyn.nearest_distances(points), [0, 0, 0, 1.5, 0, 0])
+        assert np.array_equal(dyn.nearest_distances(np.array([0.0, 3.0 + 4.0j])), [5.0, 5.0])
+        assert dyn.median_nn_spacing(np.array([0.0, 3.0 + 4.0j])) == 5.0
+
+    def test_image_at_exactly_eps_counts(self):
+        # under z^2 the images of 1, 2, -0.5 are 1, 4, 0.25, at 0, 2 and exactly
+        # 0.75 from the nearest point
+        e = dyn.escape_radius(Poly([0.0, 0.0, 1.0]))
+        sample = dyn.BrolinSample(np.array([1.0, 2.0, -0.5], dtype=complex))
+        assert dyn.forward_invariance_check(e, sample, 0.75) == 2 / 3
+        assert dyn.forward_invariance_check(e, sample, np.nextafter(0.75, 0.0)) == 1 / 3
+
+
 class TestPreimages:
+    @pytest.mark.parametrize("n", [10, 40, None])
+    def test_gate_refuses_a_moved_and_a_doubled_root(self, stock_escape, monkeypatch, n):
+        # a root moved by 0.1 fails the Newton test; a root found twice solves
+        # p(z) = w but fails Vieta's sum; the true roots pass
+        e = stock_escape[n] if n else dyn.escape_radius(Poly([0.0, -3.0, 0.0, 1.0]))
+        w = 0.3 + 0.01j
+        solver = dyn._PreimageSolver(e.poly)
+        z = solver.solve(w)
+        assert solver.accepts(z, *e.poly.values(z, w), w)
+        moved, doubled = z.copy(), z.copy()
+        moved[0] += 0.1
+        doubled[1] = doubled[0]
+        for bad in (moved, doubled):
+            assert not solver.accepts(bad, *e.poly.values(bad, w), w)
+            monkeypatch.setattr(dyn, "aberth", lambda values, floor, z0, sweeps, bad=bad:
+                                (bad, True, *values(bad)))
+            with pytest.raises(ConvergenceError):
+                dyn.solve_preimages(e, w)
+
     def test_square_one_in_box(self, square_escape):
         assert dyn.preimage_count_in_set(square_escape, 4.0,
                                          (1.9, 2.1, -0.1, 0.1)) == 1
@@ -407,6 +464,10 @@ class TestPreimages:
         (Poly([0.0, -3.0, 0.0, 1.0]), 2.0),                # 2 = p(-1), p'(-1) = 0
         (Poly.from_roots([0.3, 0.3, -1.0, 0.5j]), 0.0),    # 0.3 is inexact in binary
         (Poly.product_form([0.3, 0.3, -1.0, 0.5j]), 0.0),
+        # rounding spreads a triple root's cluster by about 1e-6, so its sum is
+        # off Vieta's by 1e-6 and 4e-7 here
+        (Poly.from_roots([0.3, 0.3, 0.3, -1.0]), 0.0),
+        (Poly.from_roots([0.3 + 0.1j] * 3 + [-1.0, 2.0j]), 0.0),
     ])
     def test_critical_value_solve(self, poly, w):
         # at a critical value two preimages coincide and the Newton ratio there

@@ -92,6 +92,31 @@ class TestParams:
         with pytest.raises(ValueError, match="beta"):
             xj.JacobiParams(0.0, -1.5)
 
+    @pytest.mark.parametrize("alpha,beta,ulps", [
+        (0.0, 0.0, 8), (-0.5, -0.5, 8), (0.02, 1.2, 8), (-0.9, 4.0, 8), (3.7, 2.1, 8),
+        (7.5, 7.9, 32), (200.0, 1.0, 5000)])    # Gamma(203) overflows: lgamma's exp
+    def test_weight_mass_against_mpmath(self, alpha, beta, ulps):
+        # 2^(a+b+1) B(a+1, b+1) in 40 digits
+        with mp.workdps(40):
+            exact = float(mp.mpf(2) ** (alpha + beta + 1) * mp.beta(alpha + 1, beta + 1))
+        assert abs(xj.JacobiParams(alpha, beta).weight_mass / exact - 1.0) <= ulps * 2.0 ** -52
+
+    @pytest.mark.parametrize("alpha,beta", [(0.02, 1.2), (-0.5, -0.5), (0.7, -0.3), (4.0, 0.1)])
+    def test_recurrence_table_matches_scalar_formula(self, alpha, beta):
+        # the vectorized table against the closed forms on Python floats, bit
+        # for bit, past the first rebuild at 256 rows
+        a, b = jacobi._recurrence(alpha, beta, 300)
+        s = alpha + beta
+        assert a[0] == (beta - alpha) / (s + 2) and b[0] == xj.JacobiParams(alpha, beta).weight_mass
+        assert b[1] == 4 * (1 + alpha) * (1 + beta) / ((2 + s) ** 2 * (3 + s))
+        for k in range(1, 301):
+            assert a[k] == (beta * beta - alpha * alpha) / ((2 * k + s) * (2 * k + s + 2))
+            if k > 1:
+                assert b[k] == (4 * k * (k + alpha) * (k + beta) * (k + s)
+                                / ((2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1)))
+        short = jacobi._recurrence(alpha, beta, 40)
+        assert np.array_equal(short[0], a[:41]) and np.array_equal(short[1], b[:41])
+
 
 class TestEvaluation:
     def test_legendre_degree_one(self):
@@ -336,8 +361,7 @@ class TestQuadrature:
 
     def test_node_check_rejects_coincident_nodes(self, monkeypatch):
         # a failed eigensolve must raise, not return a degenerate rule
-        monkeypatch.setattr(jacobi, "eigh_tridiagonal",
-                            lambda d, e, eigvals_only: np.full(len(d), 0.1))
+        monkeypatch.setattr(jacobi, "eigvalsh", lambda m: np.full(len(m), 0.1))
         with pytest.raises(NodeConvergenceError):
             xj.gauss_jacobi_rule(LEGENDRE, 4)
 

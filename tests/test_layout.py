@@ -1,6 +1,7 @@
 """Module layering of the package, read from the source: imports sit at module
-level, the package's own imports form a graph with no cycle, and the
-numerical modules never reach up to the configuration or the command line."""
+level, the package's own imports form a graph with no cycle, the
+numerical modules never reach up to the configuration or the command line,
+and no module imports scipy, which serves the tests only."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,17 @@ def test_core_modules_do_not_import_config_or_cli():
     upward = {name: sorted(_package_imports(trees[name], trees) & {"config", "cli"})
               for name in CORE}
     assert upward == {name: [] for name in CORE}
+
+
+def test_no_module_imports_scipy():
+    found = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{name}:{node.lineno}" for m in modules if m.split(".")[0] == "scipy"]
+    assert found == []
