@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dynamics, exceptional, measures
 from .config import (DEFAULT_THRESHOLDS, SCHEMA_VERSION, ExperimentConfig, from_json,
-                     validate_config)
+                     is_number, validate_config)
 from .errors import ConfigError, XjuliaError
 from .jacobi import DEGREE_CAP
 from .poly import Poly
@@ -135,6 +135,8 @@ def resolve_config(args) -> ExperimentConfig:
         obj["output_dir"] = args.out
 
     thresholds = obj.get("thresholds", {})
+    if not isinstance(thresholds, dict):
+        raise ConfigError("thresholds", "must be an object")
     for spec in args.threshold:
         if "=" not in spec:
             raise ConfigError("threshold", f"expected KEY=VALUE, got {spec!r}")
@@ -271,10 +273,29 @@ def _strictly_decreasing(xs) -> bool:
     return all(b < a for a, b in zip(xs, xs[1:]))
 
 
-def _load_json(path: Path):
+# what report reads from the prior outputs, with a check of each value
+_ZEROS_FIELDS = {"ks": is_number, "exc_dist": lambda v: v is None or is_number(v)}
+_BROLIN_FIELDS = {"max_abs_moment": is_number, "mean_abs_im": is_number,
+                  "moments": lambda v: isinstance(v, list)}
+
+
+def _read_prior(path: Path, parse):
+    """parse(text) of a prior output; a ConfigError on output_dir when the file
+    cannot be read or parsed."""
+    try:
+        return parse(path.read_text())
+    except (OSError, ValueError, XjuliaError) as exc:
+        raise ConfigError("output_dir", f"cannot read {path}: {exc}") from exc
+
+
+def _load_json(path: Path, fields):
+    """A prior output's JSON object, or None when the file is missing."""
     if not path.exists():
         return None
-    return json.loads(path.read_text())
+    obj = _read_prior(path, json.loads)
+    if not (isinstance(obj, dict) and all(k in obj and ok(obj[k]) for k, ok in fields.items())):
+        raise ConfigError("output_dir", f"{path} is not an object with valid {', '.join(fields)}")
+    return obj
 
 
 def cmd_report(cfg: ExperimentConfig) -> int:
@@ -284,8 +305,9 @@ def cmd_report(cfg: ExperimentConfig) -> int:
     if not n_list:
         raise ConfigError("n_list", "report needs a nonempty n_list")
 
-    zeros_diag = [_load_json(cfg.output_dir / f"zeros_n{n}.json") for n in n_list]
-    brolin_diag = [_load_json(cfg.output_dir / f"brolin_n{n}.json") for n in n_list]
+    zeros_diag = [_load_json(cfg.output_dir / f"zeros_n{n}.json", _ZEROS_FIELDS) for n in n_list]
+    brolin_diag = [_load_json(cfg.output_dir / f"brolin_n{n}.json", _BROLIN_FIELDS)
+                   for n in n_list]
     have_zeros = all(d is not None for d in zeros_diag)
     have_brolin = all(d is not None for d in brolin_diag)
     if not have_zeros and not have_brolin:
@@ -338,8 +360,10 @@ def cmd_report(cfg: ExperimentConfig) -> int:
         counts = []
         rng = np.random.Generator(np.random.Philox(key=cfg.seed))
         for n in n_list:
-            pts_n = measures.EmpiricalMeasure.from_csv(
-                (cfg.output_dir / f"brolin_n{n}.csv").read_text()).points
+            path = cfg.output_dir / f"brolin_n{n}.csv"
+            pts_n = _read_prior(path, lambda text: measures.EmpiricalMeasure.from_csv(text).points)
+            if not len(pts_n):
+                raise ConfigError("output_dir", f"{path} holds no sample points")
             e = dynamics.escape_radius(exceptional.monomial_coeffs(data, n))
             targets = rng.choice(pts_n, size=min(thr["p2_targets"], len(pts_n)), replace=False)
             counts.append(max(dynamics.preimage_count_in_set(e, w, region) for w in targets))

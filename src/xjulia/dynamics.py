@@ -2,6 +2,11 @@
 equilibrium-measure sampler by randomized inverse iteration, and the
 invariance / preimage-count diagnostics.
 
+Every preimage solve here, each sampler step included, is a
+poly.PreimageSolver solve, which warm-starts from the nearest stored target
+and gates each root set on Aberth's own last evaluation; poly.roots is the
+same solver's cold solve at w = 0.
+
 Randomness comes exclusively from an explicit 64-bit seed feeding a
 counter-based generator (Philox); there is no global RNG anywhere.  A sample
 is one backward orbit on that stream, so the output is a deterministic
@@ -9,20 +14,16 @@ function of the seed and the inputs.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 from .measures import EmpiricalMeasure
-from .poly import RESIDUAL_REL, Poly, aberth, horner, initial_circle, roots
+from .poly import Poly, PreimageSolver, horner, roots
 
 OVERFLOW_GUARD = 1e150
 _RADIUS_CHECK_POINTS = 200
 _RADIUS_CHECK_SEED = 73111
-# solves a sampler remembers as warm starts: 256 * d * 16 bytes, about 210 kB
-# at degree 51
-SOLVER_MEMORY = 256
 # pixels the escape raster iterates together: 16384 complex points are 256 kB
 RASTER_TILE = 16384
 
@@ -213,93 +214,12 @@ class BrolinSample:
         return EmpiricalMeasure(self.points)
 
 
-class _PreimageSolver:
-    """Aberth solves of p(z) = w along one backward orbit, each started from
-    the roots of the nearest earlier target, moved by one Newton step.
-
-    Every sweep evaluates Poly.values(z, w) and the floor Poly.noise_floor,
-    in whichever form the Poly carries.  A Poly with zeros has its starts
-    nudged off the real axis, where from real points at a real w Aberth would
-    stay: a predicted root set by 1e-6; with none stored, the zeros by 1e-3.
-
-    The targets, sorted root sets and p' at those roots of the last
-    SOLVER_MEMORY solves sit in three fixed arrays, overwritten oldest first;
-    unfilled slots hold an infinite target, so they are never nearest.  The
-    targets of one orbit fill the Julia set, so the nearest stored root set
-    z' lies within about |w - w'| / |p'| of the new preimages, and the tangent
-    predictor z' + (w - w') / p'(z') of numerical continuation (Allgower &
-    Georg, Numerical Continuation Methods, 1990) closer still; a root whose
-    stored p' is 0 starts at z'.  A solve that does not converge from one
-    start, or whose roots `accepts` refuses, retries from the next, the Cauchy
-    circle last.
-    """
-
-    def __init__(self, poly: Poly):
-        self.poly = poly
-        self.d = len(poly.coeffs) - 1
-        self.targets = np.full(SOLVER_MEMORY, np.inf, dtype=complex)
-        self.solved = np.zeros((SOLVER_MEMORY, self.d), dtype=complex)
-        self.slopes = np.zeros((SOLVER_MEMORY, self.d), dtype=complex)
-        self.count = 0
-        self.nudge = None if poly.zeros is None else np.exp(
-            1j * (2.0 * np.pi * np.arange(self.d) / self.d + 0.4))
-        # the sum of the roots of p - w, the same at every w for d >= 2 (Vieta)
-        self.root_sum = (complex(poly.zeros.sum()) if poly.zeros is not None
-                         else complex(-poly.coeffs[-2] / poly.coeffs[-1]))
-
-    def _starts(self, w: complex):
-        nearest = int(np.abs(self.targets - w).argmin())
-        if np.isfinite(self.targets[nearest]):
-            slope = self.slopes[nearest]
-            step = np.divide(w - self.targets[nearest], slope,
-                             out=np.zeros(self.d, dtype=complex), where=slope != 0)
-            warm = self.solved[nearest] + step
-            yield warm if self.nudge is None else warm + 1e-6 * self.nudge
-        if self.nudge is not None:
-            yield self.poly.zeros + 1e-3 * self.nudge
-        yield initial_circle(self.poly.shifted(w))
-
-    def accepts(self, z: np.ndarray, pv: np.ndarray, dv: np.ndarray, w: complex) -> bool:
-        """Whether z are the preimages of w, from aberth's last values pv = p - w
-        and dv = p' (at z or one correction before), with no new evaluation.
-
-        Each root passes the Newton test |pv| <= RESIDUAL_REL |dv| (1 + |z|) or
-        sits at the noise floor.  Their sum must be Vieta's to RESIDUAL_REL
-        (1 + sum |z|) plus the sum of floor / |dv|, about how far rounding lets
-        each root wander: the members of a multiple root's cluster wander
-        independently, while a root found twice leaves another root out."""
-        size, slope, mags = np.abs(pv), np.abs(dv), np.abs(z)
-        settled = size <= RESIDUAL_REL * slope * (1.0 + mags)
-        gap = abs(z.sum() - self.root_sum) - RESIDUAL_REL * (1.0 + mags.sum())
-        if gap <= 0.0 and settled.all():    # the usual case, with no floor to compute
-            return True
-        floor = self.poly.noise_floor(z, pv, w)
-        wander = np.divide(floor, slope, out=np.zeros_like(floor), where=slope > 0).sum()
-        return bool(np.all(settled | (size <= floor))) and gap <= wander
-
-    def solve(self, w: complex) -> np.ndarray:
-        values = partial(self.poly.values, w=w)
-        floor = partial(self.poly.noise_floor, w=w)
-        for z0 in self._starts(w):
-            z, ok, pv, dv = aberth(values, floor, z0, 300)
-            if ok and self.accepts(z, pv, dv, w):
-                order = np.lexsort((z.imag, z.real))
-                z = z[order]
-                slot = self.count % SOLVER_MEMORY
-                self.targets[slot] = w
-                self.solved[slot] = z
-                self.slopes[slot] = dv[order]
-                self.count += 1
-                return z
-        raise ConvergenceError(f"preimage solve failed at w = {w:.6g}")
-
-
 def solve_preimages(e: EscapeData, w: complex) -> np.ndarray:
     """All degree-many solutions of p(z) = w, sorted by (re, im)."""
-    return _PreimageSolver(e.poly).solve(complex(w))
+    return PreimageSolver(e.poly).solve(complex(w))
 
 
-def _orbit_start(solver: _PreimageSolver) -> complex:
+def _orbit_start(solver: PreimageSolver) -> complex:
     """Start 0; perturbed when the first preimage set is degenerate (0 can be
     a critical value whose root cluster pins the whole orbit)."""
     w0 = 0j
@@ -315,7 +235,7 @@ def _orbit_start(solver: _PreimageSolver) -> complex:
     return w0
 
 
-def _run_orbit(solver: _PreimageSolver, d: int, count: int, burn_in: int,
+def _run_orbit(solver: PreimageSolver, d: int, count: int, burn_in: int,
                bitgen, start: complex, refine=None) -> np.ndarray:
     rng = np.random.Generator(bitgen)
     out = np.empty(count, dtype=complex)
@@ -349,7 +269,7 @@ def brolin_sample(e: EscapeData, n_samples: int, burn_in: int = 100,
     d = e.degree
     if d < 2:
         raise ValueError("sampling needs degree >= 2")
-    solver = _PreimageSolver(e.poly)
+    solver = PreimageSolver(e.poly)
     w0 = _orbit_start(solver)
     for restart in range(6):
         bitgen = np.random.Philox(key=seed).jumped(restart)
@@ -458,31 +378,8 @@ def boundary_preimage_containment(e: EscapeData):
     r = max(1.0, e.r_uniform)
     theta = 2.0 * np.pi * (np.arange(20) + 0.37) / 20
     worst = 0.0
-    solver = _PreimageSolver(e.poly)
+    solver = PreimageSolver(e.poly)
     for w in r * np.exp(1j * theta):
         z = solver.solve(complex(w))
         worst = max(worst, float(np.max(np.abs(z))) / r)
     return worst <= 1.0, worst
-
-
-def pullback_refinement_gap(e: EscapeData, sample: BrolinSample,
-                            n_sub: int = 500, seed: int = 1) -> float:
-    """Balanced-measure self-consistency for the test function T_2.
-
-    Compares the sample mean of T_2 with the mean over one full preimage
-    refinement (all deg preimages of a subsample, each weighted 1/deg).
-    """
-    def t2(z):
-        return 2.0 * z * z - 1.0
-
-    direct = np.mean(t2(sample.points))
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    count = min(n_sub, sample.size)
-    chosen = rng.choice(sample.size, size=count, replace=False)
-    solver = _PreimageSolver(e.poly)
-    acc = 0.0 + 0j
-    for i in chosen:
-        z = solver.solve(complex(sample.points[i]))
-        acc += np.mean(t2(z))
-    refined = acc / count
-    return float(abs(direct - refined))

@@ -14,6 +14,7 @@ regular and exceptional, and give P_n its root-product form.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -396,7 +397,9 @@ def classify_zeros(data: DarbouxData, n: int) -> ZeroClassification:
     |P_n| <= RESIDUAL_REL (s + (1 + |z|) |P_n'|), s = (|b p_n'| + |bw p_n|) /
     sigma_n the size of the terms whose difference is P_n: a small residual
     next to those terms, or a Newton step below RESIDUAL_REL of the point (the
-    only yardstick left at a zero of b p_n' when bw = 0).  A zero is regular
+    only yardstick left at a zero of b p_n' when bw = 0).  The contract reads
+    Aberth's last evaluation, at most one correction of CONVERGENCE_REL
+    before the zeros, so P_n is never evaluated again.  A zero is regular
     iff |Im| <= 1e-8 and Re inside the open interval with a 1e-12 edge margin.
     """
     if n + data.m > DEGREE_CAP:
@@ -405,12 +408,9 @@ def classify_zeros(data: DarbouxData, n: int) -> ZeroClassification:
     if degree < 1:
         raise ValueError("degree must be >= 1")
 
-    def values(z):
-        return exceptional_values(data, n, z)[:2]
-
-    found, converged, _, _ = aberth(values, lambda z, pv: 0.0,
-                                    _classification_guesses(data, degree))
-    f, df, size = exceptional_values(data, n, found)
+    found, converged, f, df, size = aberth(partial(exceptional_values, data, n),
+                                           lambda z, pv: 0.0,
+                                           _classification_guesses(data, degree))
     if not converged:
         raise ConvergenceError(f"Aberth iteration did not settle in {MAX_SWEEPS} sweeps",
                                residual=float(np.max(np.abs(f))))

@@ -4,13 +4,17 @@ carries a relative error of about d u at every z (Higham, Accuracy and
 Stability of Numerical Algorithms, sec. 5), and their roots.
 
 One Aberth-Ehrlich driver, `aberth`, sweeps over all roots at once with a
-noise-floor endgame; the caller supplies the evaluation: `Poly.values` for
-`roots` and the sampler's preimage solves, the recurrence for a family
-member's zeros.
+noise-floor endgame and returns the caller's own last evaluation with the
+roots.  It has two callers.  `PreimageSolver` solves p(z) = w on
+`Poly.values`, from warm starts along a run of targets, and gates each root set
+on Aberth's last values alone; `roots(p)` is its cold solve at w = 0.
+`exceptional.classify_zeros` runs it on the recurrence for a family member's
+zeros.
 """
 
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,6 +28,9 @@ TRUNCATION_REL = 1e-14
 CONVERGENCE_REL = 1e-13
 RESIDUAL_REL = 1e-8
 MAX_SWEEPS = 500
+# solves a PreimageSolver remembers as warm starts: 256 * d * 16 bytes per
+# array, about 210 kB at degree 51
+SOLVER_MEMORY = 256
 
 
 @dataclass
@@ -185,17 +192,6 @@ def horner_with_derivative(coeffs, z):
 # ---------------------------------------------------------------------------
 # simultaneous root finding
 
-def residual_scale(p: Poly, r):
-    """Size of p near the circle |z| = 1 + |r|, as a residual yardstick.
-
-    Upper bound sum |a_i| (1+|r|)^i in the monomial basis; this is the natural
-    backward-error scale for evaluation at |z| <= 1 + |r|.  Elementwise over
-    an array r.
-    """
-    mono = np.abs(p.monomial_coeffs())
-    return np.power(1.0 + np.abs(np.asarray(r))[..., None], np.arange(len(mono))) @ mono
-
-
 def initial_circle(mono: np.ndarray) -> np.ndarray:
     """Perturbed-circle starting points enclosing all roots (Cauchy bound)."""
     d = len(mono) - 1
@@ -207,28 +203,29 @@ def initial_circle(mono: np.ndarray) -> np.ndarray:
 def aberth(values, noise_floor, z0: np.ndarray, max_sweeps: int = MAX_SWEEPS):
     """Aberth-Ehrlich iteration on all roots at once, from starting points z0.
 
-    values(z) -> (p(z), p'(z)) drives the sweeps.  A root also counts as
+    values(z) -> (p(z), p'(z), ...) drives the sweeps.  A root also counts as
     settled once |p(z)| dips under noise_floor(z, p(z)), the rounding-error
     level of the evaluation itself; corrections cannot shrink below that,
-    whatever the sweep count.  Returns (roots, converged, values,
-    derivatives): p and p' as the last values() call gave them, at the roots
-    when the iteration ended on an evaluation (the floor test or the sweep
-    limit), and at the points one correction, of at most CONVERGENCE_REL
-    relative size, before the roots when it ended on a correction.
+    whatever the sweep count.  Returns (roots, converged, *values) with the
+    tuple of the last values() call: at the roots when the iteration ended on
+    an evaluation (the floor test or the sweep limit), and at the points one
+    correction, of at most CONVERGENCE_REL relative size, before the roots
+    when it ended on a correction.
     """
     z = z0.copy()
     best = np.inf
     stalled = 0
     pending = None
     for sweep in range(max_sweeps + 1):
-        pv, dv = values(z)
+        vals = values(z)
+        pv, dv = vals[:2]
         # the floor test of the previous sweep reads this sweep's p(z), so an
         # endgame that goes on costs no extra evaluation
         if pending is not None and np.all(
                 (pending <= CONVERGENCE_REL) | (np.abs(pv) <= noise_floor(z, pv))):
-            return z, True, pv, dv
+            return (z, True, *vals)
         if sweep == max_sweeps:
-            return z, False, pv, dv
+            return (z, False, *vals)
         safe = dv.copy()        # the returned derivatives keep an exact zero
         safe[safe == 0] = 1e-300
         w = pv / safe
@@ -242,7 +239,7 @@ def aberth(values, noise_floor, z0: np.ndarray, max_sweeps: int = MAX_SWEEPS):
         scaled = np.abs(corr) / (1.0 + np.abs(z))
         worst = scaled.max()
         if worst <= CONVERGENCE_REL:
-            return z, True, pv, dv
+            return (z, True, *vals)
         # near critical points the Newton ratio is noise over noise and the
         # corrections rattle forever; once the sweep stops improving, accept
         # any configuration whose residuals all sit below the evaluation floor
@@ -253,28 +250,101 @@ def aberth(values, noise_floor, z0: np.ndarray, max_sweeps: int = MAX_SWEEPS):
         pending = scaled if worst <= 1e-9 or stalled >= 10 else None
 
 
-def roots(p: Poly, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
-    """All deg(p) roots of p, with multiplicity, by Aberth-Ehrlich iteration
-    from the perturbed Cauchy circle, evaluated by p.values in p's own form.
+class PreimageSolver:
+    """Aberth solves of p(z) = w for a run of targets w, each started from the
+    roots of the nearest earlier target, moved by one Newton step.
+
+    Every sweep evaluates Poly.values(z, w) and the floor Poly.noise_floor,
+    in whichever form the Poly carries.  A Poly with zeros has its starts
+    nudged off the real axis, where from real points at a real w Aberth would
+    stay: a predicted root set by 1e-6; with none stored, the zeros by 1e-3.
+
+    The targets, sorted root sets and p' at those roots of the last
+    SOLVER_MEMORY solves sit in three fixed arrays, overwritten oldest first;
+    unfilled slots hold an infinite target, so they are never nearest.  The
+    targets of one backward orbit fill the Julia set, so the nearest stored
+    root set z' lies within about |w - w'| / |p'| of the new preimages, and
+    the tangent predictor z' + (w - w') / p'(z') of numerical continuation
+    (Allgower & Georg, Numerical Continuation Methods, 1990) closer still; a
+    root whose stored p' is 0 starts at z'.  A solve that does not converge
+    within MAX_SWEEPS from one start, or whose roots `accepts` refuses,
+    retries from the next, the Cauchy circle last.
+    """
+
+    def __init__(self, poly: Poly):
+        self.poly = poly
+        self.d = len(poly.coeffs) - 1
+        self.targets = np.full(SOLVER_MEMORY, np.inf, dtype=complex)
+        self.solved = np.zeros((SOLVER_MEMORY, self.d), dtype=complex)
+        self.slopes = np.zeros((SOLVER_MEMORY, self.d), dtype=complex)
+        self.count = 0
+        self.nudge = None if poly.zeros is None else np.exp(
+            1j * (2.0 * np.pi * np.arange(self.d) / self.d + 0.4))
+        # the sum of the roots of p - w, the same at every w for d >= 2 (Vieta)
+        self.root_sum = (complex(poly.zeros.sum()) if poly.zeros is not None
+                         else complex(-poly.coeffs[-2] / poly.coeffs[-1]))
+
+    def _starts(self, w: complex):
+        nearest = int(np.abs(self.targets - w).argmin())
+        if np.isfinite(self.targets[nearest]):
+            slope = self.slopes[nearest]
+            step = np.divide(w - self.targets[nearest], slope,
+                             out=np.zeros(self.d, dtype=complex), where=slope != 0)
+            warm = self.solved[nearest] + step
+            yield warm if self.nudge is None else warm + 1e-6 * self.nudge
+        if self.nudge is not None:
+            yield self.poly.zeros + 1e-3 * self.nudge
+        yield initial_circle(self.poly.shifted(w))
+
+    def accepts(self, z: np.ndarray, pv: np.ndarray, dv: np.ndarray, w: complex) -> bool:
+        """Whether z are the preimages of w, from aberth's last values pv = p - w
+        and dv = p' (at z or one correction before), with no new evaluation.
+
+        Each root passes the Newton test |pv| <= RESIDUAL_REL |dv| (1 + |z|) or
+        sits at the noise floor.  Their sum must be Vieta's to RESIDUAL_REL
+        (1 + sum |z|) plus the sum of floor / |dv|, about how far rounding lets
+        each root wander: the members of a multiple root's cluster wander
+        independently, while a root found twice leaves another root out."""
+        size, slope, mags = np.abs(pv), np.abs(dv), np.abs(z)
+        settled = size <= RESIDUAL_REL * slope * (1.0 + mags)
+        gap = abs(z.sum() - self.root_sum) - RESIDUAL_REL * (1.0 + mags.sum())
+        if gap <= 0.0 and settled.all():    # the usual case, with no floor to compute
+            return True
+        floor = self.poly.noise_floor(z, pv, w)
+        wander = np.divide(floor, slope, out=np.zeros_like(floor), where=slope > 0).sum()
+        return bool(np.all(settled | (size <= floor))) and gap <= wander
+
+    def solve(self, w: complex) -> np.ndarray:
+        """The d roots of p(z) = w, sorted by (re, im); ConvergenceError when
+        no start gives a root set the gate accepts."""
+        values = partial(self.poly.values, w=w)
+        floor = partial(self.poly.noise_floor, w=w)
+        for z0 in self._starts(w):
+            z, ok, pv, dv = aberth(values, floor, z0, MAX_SWEEPS)
+            if ok and self.accepts(z, pv, dv, w):
+                order = np.lexsort((z.imag, z.real))
+                z = z[order]
+                slot = self.count % SOLVER_MEMORY
+                self.targets[slot] = w
+                self.solved[slot] = z
+                self.slopes[slot] = dv[order]
+                self.count += 1
+                return z
+        raise ConvergenceError(f"preimage solve failed at w = {w:.6g}")
+
+
+def roots(p: Poly) -> np.ndarray:
+    """All deg(p) roots of p, with multiplicity, sorted by (re, im): a cold
+    PreimageSolver solve of p(z) = 0, so they pass the sampler's gate.
 
     Trailing coefficients at or below poly.TRUNCATION_REL of the largest are
-    dropped first, so they neither count toward the degree nor raise.
+    dropped first, so they neither count toward the degree nor raise.  A
+    linear p has its closed-form root.
     """
     p = p.trimmed()
     d = p.degree
     if d < 1:
         raise ValueError("degree must be >= 1")
-    mono = p.coeffs
     if d == 1:
-        return np.array([-mono[0] / mono[1]])
-
-    z, converged, _, _ = aberth(p.values, p.noise_floor, initial_circle(mono), max_sweeps)
-    if not converged:
-        worst = float(np.max(np.abs(p(z))))
-        raise ConvergenceError(f"Aberth iteration did not settle in {max_sweeps} sweeps",
-                               residual=worst)
-
-    worst_rel = float(np.max(np.abs(p(z)) / residual_scale(p, z)))
-    if worst_rel > RESIDUAL_REL:
-        raise ConvergenceError("root residual contract violated", residual=worst_rel)
-    return z
+        return np.array([-p.coeffs[0] / p.coeffs[1]])
+    return PreimageSolver(p).solve(0.0)

@@ -249,6 +249,35 @@ class TestReport:
         assert all(row["ks"] is not None and row["green_gap"] >= 0
                    and len(row["moments"]) == 6 for row in rep["per_n"])
 
+    @pytest.mark.parametrize("name, text", [
+        ("zeros_n10.json", '{"ks": '),                          # malformed JSON
+        ("zeros_n10.json", "[0.1, 0.2]"),                       # not an object
+        ("zeros_n10.json", '{"exc_dist": 0.1}'),                # no "ks"
+        ("zeros_n10.json", '{"ks": "0.1", "exc_dist": 0.1}'),
+        ("brolin_n10.json", '{"max_abs_moment": 0.1, "moments": []}'),
+    ])
+    def test_corrupt_prior_output_exit_two(self, tmp_path, capsys, name, text):
+        (tmp_path / name).write_text(text)
+        assert run(["report", *PRESET_FLAGS, "--n-list", "10",
+                    "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and err["field"] == "output_dir"
+        assert name in err["message"]
+
+    @pytest.mark.parametrize("csv", [None, "", "re,im\n"])
+    def test_missing_or_empty_sample_exit_two(self, tmp_path, capsys, csv):
+        # the brolin JSON is there, so report reaches the preimage counts,
+        # which read the sample points from the CSV beside it
+        (tmp_path / "brolin_n10.json").write_text(json.dumps(
+            {"max_abs_moment": 0.1, "mean_abs_im": 0.1, "moments": []}))
+        if csv is not None:
+            (tmp_path / "brolin_n10.csv").write_text(csv)
+        assert run(["report", *PRESET_FLAGS, "--n-list", "10",
+                    "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and err["field"] == "output_dir"
+        assert "brolin_n10.csv" in err["message"]
+
     def test_report_deterministic(self, tmp_path):
         out = tmp_path / "det"
         args = [*PRESET_FLAGS, "--n-list", "8,12", "--out", str(out)]
@@ -376,6 +405,19 @@ class TestConfigResolution:
         assert err["error"] == "config"
         assert err["field"] == "schema_version"
         assert not (tmp_path / "zeros_n10.csv").exists()
+
+    @pytest.mark.parametrize("thresholds", [[], "ks_max", 3])
+    def test_threshold_flag_over_non_object_thresholds(self, tmp_path, capsys, thresholds):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "family": {"preset": "x1", "alpha": 0.02, "beta": 1.2},
+            "n_list": [10],
+            "thresholds": thresholds,
+        }))
+        assert run(["report", "--config", str(cfg), "--threshold", "ks_max=0.1",
+                    "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and err["field"] == "thresholds"
 
     def test_top_level_schema_version_one_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,11 +1,14 @@
 """Escape dynamics and the inverse-iteration sampler, checked against the two
 closed-form Julia sets (circle for z^2, segment [-2,2] for z^2 - 2)."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 import xjulia as xj
 from xjulia import dynamics as dyn
+from xjulia import poly as pl
 from xjulia.errors import ConvergenceError
 from xjulia.poly import Poly, horner
 
@@ -369,11 +372,6 @@ class TestInvariance:
         eps = 3 * dyn.median_nn_spacing(s.points)
         assert dyn.forward_invariance_check(stock_escape[20], s, eps) >= 0.99
 
-    def test_pullback_identity(self, stock_escape, stock_samples):
-        gap = dyn.pullback_refinement_gap(stock_escape[20], stock_samples[20],
-                                          n_sub=500, seed=7)
-        assert gap <= 0.02
-
     def test_raster_sample_consistency_square(self, square_escape, square_sample):
         # depth 8 makes the non-escaped region the disk plus a one-pixel smear,
         # so boundary samples stay inside it
@@ -432,24 +430,30 @@ class TestNearestDistances:
 
 
 class TestPreimages:
-    @pytest.mark.parametrize("n", [10, 40, None])
+    @pytest.mark.parametrize("n", [10, 40, None, "roots"])
     def test_gate_refuses_a_moved_and_a_doubled_root(self, stock_escape, monkeypatch, n):
         # a root moved by 0.1 fails the Newton test; a root found twice solves
-        # p(z) = w but fails Vieta's sum; the true roots pass
-        e = stock_escape[n] if n else dyn.escape_radius(Poly([0.0, -3.0, 0.0, 1.0]))
-        w = 0.3 + 0.01j
-        solver = dyn._PreimageSolver(e.poly)
+        # p(z) = w but fails Vieta's sum; the true roots pass.  "roots" solves
+        # a raw polynomial at w = 0 through poly.roots, which shares the gate
+        if n == "roots":
+            p, w = Poly.from_roots([0.3, -1.0, 2.0j, 0.5 + 0.5j]), 0.0
+            solve = partial(pl.roots, p)
+        else:
+            e = stock_escape[n] if n else dyn.escape_radius(Poly([0.0, -3.0, 0.0, 1.0]))
+            p, w = e.poly, 0.3 + 0.01j
+            solve = partial(dyn.solve_preimages, e, w)
+        solver = pl.PreimageSolver(p)
         z = solver.solve(w)
-        assert solver.accepts(z, *e.poly.values(z, w), w)
+        assert solver.accepts(z, *p.values(z, w), w)
         moved, doubled = z.copy(), z.copy()
         moved[0] += 0.1
         doubled[1] = doubled[0]
         for bad in (moved, doubled):
-            assert not solver.accepts(bad, *e.poly.values(bad, w), w)
-            monkeypatch.setattr(dyn, "aberth", lambda values, floor, z0, sweeps, bad=bad:
+            assert not solver.accepts(bad, *p.values(bad, w), w)
+            monkeypatch.setattr(pl, "aberth", lambda values, floor, z0, sweeps, bad=bad:
                                 (bad, True, *values(bad)))
             with pytest.raises(ConvergenceError):
-                dyn.solve_preimages(e, w)
+                solve()
 
     def test_square_one_in_box(self, square_escape):
         assert dyn.preimage_count_in_set(square_escape, 4.0,
@@ -483,7 +487,7 @@ class TestPreimages:
         # from a remembered root set lands on the cold solve's roots, which
         # start from the zeros
         e = stock_escape[20]
-        solver = dyn._PreimageSolver(e.poly)
+        solver = pl.PreimageSolver(e.poly)
         for w in stock_samples[20].points[:300]:
             warm = solver.solve(complex(w))
             cold = dyn.solve_preimages(e, w)
@@ -493,9 +497,9 @@ class TestPreimages:
             match = np.argmin(np.abs(warm[:, None] - cold[None, :]), axis=1)
             assert len(set(match.tolist())) == e.degree
             assert np.all(np.abs(warm - cold[match]) <= 1e-8 * np.abs(cold[match]))
-        assert solver.targets.shape == (dyn.SOLVER_MEMORY,)
-        assert solver.solved.shape == (dyn.SOLVER_MEMORY, e.degree)
-        assert dyn.SOLVER_MEMORY == 256
+        assert solver.targets.shape == (pl.SOLVER_MEMORY,)
+        assert solver.solved.shape == (pl.SOLVER_MEMORY, e.degree)
+        assert pl.SOLVER_MEMORY == 256
 
     @pytest.mark.parametrize("n", [10, 40])
     def test_preimages_of_zero_are_the_zeros(self, stock_family, stock_escape, n):
@@ -512,7 +516,7 @@ class TestPreimages:
         def no_circle(*args):
             raise AssertionError("fell back to the Cauchy circle")
 
-        monkeypatch.setattr(dyn, "initial_circle", no_circle)
+        monkeypatch.setattr(pl, "initial_circle", no_circle)
         e = dyn.escape_radius(xj.monomial_coeffs(stock_family, 4))
         z = dyn.solve_preimages(e, 20.9)
         assert np.count_nonzero(np.abs(z.imag) > 1e-8) == 4
@@ -523,7 +527,7 @@ class TestPreimages:
         # predictor, settles in 2.9 evaluations per solve on this orbit; from
         # the stored roots alone it took 3.45
         calls = {"values": 0, "solve": 0}
-        values, solve = Poly.values, dyn._PreimageSolver.solve
+        values, solve = Poly.values, pl.PreimageSolver.solve
 
         def counted_values(self, z, w=0.0):
             calls["values"] += 1
@@ -534,7 +538,7 @@ class TestPreimages:
             return solve(self, w)
 
         monkeypatch.setattr(Poly, "values", counted_values)
-        monkeypatch.setattr(dyn._PreimageSolver, "solve", counted_solve)
+        monkeypatch.setattr(pl.PreimageSolver, "solve", counted_solve)
         dyn.brolin_sample(stock_escape[40], 100, burn_in=100, seed=0)
         assert calls["solve"] == 201
         assert calls["values"] / calls["solve"] <= 3.2

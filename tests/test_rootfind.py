@@ -6,10 +6,11 @@ from numpy.testing import assert_allclose
 
 import xjulia as xj
 from xjulia import exceptional as ex
+from xjulia import poly as pl
 from xjulia.config import from_json
 from xjulia.errors import ConvergenceError
 from xjulia.exceptional import classification_to_csv
-from xjulia.poly import Poly, aberth, initial_circle, residual_scale
+from xjulia.poly import Poly, aberth, initial_circle
 
 
 def match_roots(found, expected):
@@ -66,14 +67,18 @@ class TestRoots:
     def test_residual_contract(self):
         rng = np.random.default_rng(5)
         p = Poly(rng.standard_normal(18))
+        size, k = np.abs(p.coeffs), np.arange(len(p.coeffs))
         for r in xj.roots(p):
-            assert abs(p(r)) <= 1e-8 * residual_scale(p, abs(r))
+            # against sum |c_k| (1 + |r|)^k, the size of p near |z| = 1 + |r|
+            assert abs(p(r)) <= 1e-8 * np.sum(size * (1.0 + abs(r)) ** k)
 
-    def test_sweep_budget_exhaustion(self):
+    def test_sweep_budget_exhaustion(self, monkeypatch):
+        # the solver reads MAX_SWEEPS at call time
         rng = np.random.default_rng(1)
         p = Poly(rng.standard_normal(13))
+        monkeypatch.setattr(pl, "MAX_SWEEPS", 2)
         with pytest.raises(ConvergenceError):
-            xj.roots(p, max_sweeps=2)
+            xj.roots(p)
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -143,6 +148,21 @@ class TestClassification:
         monkeypatch.setattr(ex, "exceptional_degree", lambda data, n: degree(data, n) + 1)
         # the spare start runs off to overflow; the warnings say nothing here
         with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+            xj.classify_zeros(stock_family, n)
+
+    @pytest.mark.parametrize("n", [10, 50])
+    def test_contract_refuses_a_moved_zero(self, stock_family, monkeypatch, n):
+        # the contract reads the values aberth returns with the zeros, so a
+        # zero moved by 0.1 together with its values must fail it
+        aberth = ex.aberth
+
+        def moved(values, noise_floor, z0, *args):
+            z = aberth(values, noise_floor, z0, *args)[0]
+            z[0] += 0.1
+            return (z, True, *values(z))
+
+        monkeypatch.setattr(ex, "aberth", moved)
+        with pytest.raises(ConvergenceError):
             xj.classify_zeros(stock_family, n)
 
     def test_classical_degenerate_config(self):
