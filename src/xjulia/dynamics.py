@@ -144,6 +144,15 @@ def escape_raster(e: EscapeData, center: complex = 0j, half_width: float = 2.0,
     equals nothing.  An orbit that returns to an earlier value repeats the
     values between, none of which escaped, for ever.  Interior orbits of
     attracting cycles land on their cycle exactly within a few dozen steps.
+
+    When every coefficient is real and the pixel rows mirror exactly about
+    the real axis (ys[::-1] == -ys, as for a window centred on it at a
+    power-of-two resolution), only the first (resolution + 1) // 2 rows are
+    iterated and the rest are their mirror image.  This is exact too: + and
+    x round symmetrically in sign, so with real coefficients the orbit of
+    conj(z) is the conjugate of the orbit of z, up to the sign of a zero,
+    which neither the escape test, the checkpoint equality nor the guard
+    reads.
     """
     if not (1 <= resolution <= 8192):
         raise ValueError("resolution must be in [1, 8192]")
@@ -155,8 +164,10 @@ def escape_raster(e: EscapeData, center: complex = 0j, half_width: float = 2.0,
     xs, ys = pixel_centers(center, float(half_width), resolution)
     raster = RasterGrid(center, float(half_width), resolution, max_iter,
                         np.full((resolution, resolution), max_iter, dtype=np.int32))
-    counts = raster.counts.ravel()      # a view: escapes land in raster.counts
     coeffs = e.poly.monomial_coeffs()
+    mirror = not coeffs.imag.any() and np.array_equal(ys[::-1], -ys)
+    half = (resolution + 1) // 2 if mirror else resolution
+    counts = raster.counts[:half].ravel()   # a view: escapes land in raster.counts
     # capped, so an r_escape whose square overflows still escapes inf and NaN only
     r_sq = min(e.r_escape * e.r_escape, np.finfo(float).max)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -164,6 +175,8 @@ def escape_raster(e: EscapeData, center: complex = 0j, half_width: float = 2.0,
             tile = counts[start:start + RASTER_TILE]
             rows, cols = np.divmod(np.arange(start, start + tile.size), resolution)
             _escape_tile(coeffs, r_sq, xs[cols] + 1j * ys[rows], tile, max_iter)
+    if mirror:
+        raster.counts[resolution - half:] = raster.counts[:half][::-1]
     return raster
 
 

@@ -399,7 +399,9 @@ def classify_zeros(data: DarbouxData, n: int) -> ZeroClassification:
     next to those terms, or a Newton step below RESIDUAL_REL of the point (the
     only yardstick left at a zero of b p_n' when bw = 0).  The contract reads
     Aberth's last evaluation, at most one correction of CONVERGENCE_REL
-    before the zeros, so P_n is never evaluated again.  A zero is regular
+    before the zeros, so P_n is never evaluated again.  Their sum must be
+    zero_sum's to RESIDUAL_REL (1 + sum |z|), which refuses a zero found
+    twice and another missed.  A zero is regular
     iff |Im| <= 1e-8 and Re inside the open interval with a 1e-12 edge margin.
     """
     if n + data.m > DEGREE_CAP:
@@ -418,6 +420,9 @@ def classify_zeros(data: DarbouxData, n: int) -> ZeroClassification:
     if not np.all(np.abs(f) <= RESIDUAL_REL * (size + (1.0 + np.abs(found)) * np.abs(df))):
         raise ConvergenceError("zero residual contract violated",
                                residual=float(np.max(np.abs(f))))
+    gap = abs(found.sum() - zero_sum(data, n))
+    if not gap <= RESIDUAL_REL * (1.0 + np.abs(found).sum()):
+        raise ConvergenceError("zeros do not sum to Vieta's closed form", residual=gap)
 
     reg_mask = (np.abs(found.imag) <= IMAG_TOL) & (np.abs(found.real) < 1.0 - EDGE_TOL)
     regular = np.sort(found[reg_mask].real)
@@ -426,6 +431,31 @@ def classify_zeros(data: DarbouxData, n: int) -> ZeroClassification:
         dist = np.min(np.abs(exceptional[:, None] - data.b_tilde_roots[None, :]), axis=1)
         exceptional = exceptional[np.argsort(dist)]
     return ZeroClassification(regular=regular, exceptional=exceptional, n=n, m=data.m)
+
+
+def zero_sum(data: DarbouxData, n: int) -> complex:
+    """Sum of the zeros of P_n, by Vieta, in closed form.
+
+    P_n is a multiple of b pi_n' - bw pi_n for the monic Jacobi pi_n =
+    x^n + s_n x^(n-1) + ..., where s_n = -(a_0 + ... + a_(n-1)) from the monic
+    recurrence.  With b monic of degree D, b_(D-1) its x^(D-1) coefficient and
+    B, C those of bw at x^(D-1), x^(D-2) (0 where absent), its top two
+    coefficients are n - B and (n-1-B) s_n + n b_(D-1) - C.  P_0 is a
+    multiple of bw itself.  b and bw are read from data.multipliers, whose
+    coefficient lists end at the leading one.
+    """
+    b, _, bw, _ = data.multipliers
+    if n == 0:
+        return -bw[-2] / bw[-1]
+    a, _ = jacobi._recurrence(data.params.alpha, data.params.beta, n)
+    s = -float(np.sum(a[:n]))
+    D = len(b) - 1
+
+    def coeff(c, k):
+        return c[k] if 0 <= k < len(c) else 0.0
+
+    B, C = coeff(bw, D - 1), coeff(bw, D - 2)
+    return -((n - 1 - B) * s + n * coeff(b, D - 1) - C) / (n - B)
 
 
 def _classification_guesses(data: DarbouxData, degree: int) -> np.ndarray:

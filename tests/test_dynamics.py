@@ -170,7 +170,10 @@ class TestRasterMatchesReference:
         ([0.0, 0.0, 1.0], {"resolution": 513, "half_width": 1.5, "max_iter": 200}),
         ([-1.0, 0.0, 1.0], {"resolution": 513, "max_iter": 1}),
         ([-2.0, 0.0, 1.0], {"resolution": 513, "half_width": 3.0, "max_iter": 200}),
-    ], ids=["z2", "z2-1", "rabbit", "z3-3z", "slow", "res513", "max_iter1", "cheb"])
+        # real, but rows at resolution 513 do not mirror: the full loop runs
+        ([0.3, -1.0, 0.5, 1.0], {"resolution": 513, "max_iter": 150}),
+    ], ids=["z2", "z2-1", "rabbit", "z3-3z", "slow", "res513", "max_iter1", "cheb",
+            "cubic513"])
     def test_closed_forms(self, coeffs, window):
         e = dyn.escape_radius(Poly(coeffs))
         assert np.array_equal(dyn.escape_raster(e, **window).counts,
@@ -179,6 +182,12 @@ class TestRasterMatchesReference:
     def test_family_member(self, stock_escape):
         e = stock_escape[40]
         assert np.array_equal(dyn.escape_raster(e).counts, _reference_counts(e))
+
+    def test_family_member_off_axis(self, stock_escape):
+        e = stock_escape[20]
+        window = {"center": 0.3 + 0.2j}
+        assert np.array_equal(dyn.escape_raster(e, **window).counts,
+                              _reference_counts(e, **window))
 
     @pytest.mark.parametrize("e, window", [
         # 1.7e308 z^2 overflows to inf and NaN inside its escape disk
@@ -233,6 +242,39 @@ class TestRasterMatchesReference:
         assert stepped[0] < 0.1 * 64 * 64 * 1000
         monkeypatch.undo()
         assert np.array_equal(counts, _reference_counts(e, **window))
+
+
+class TestRasterMirror:
+    """A real polynomial on rows that mirror about the real axis iterates only
+    the rows on and above it; any other raster iterates every pixel."""
+
+    @staticmethod
+    def _tiled_pixels(monkeypatch, e, **window):
+        pixels = [0]
+        tile = dyn._escape_tile
+
+        def spy(coeffs, r_sq, cur, counts, max_iter):
+            pixels[0] += cur.size
+            return tile(coeffs, r_sq, cur, counts, max_iter)
+
+        monkeypatch.setattr(dyn, "_escape_tile", spy)
+        dyn.escape_raster(e, **window)
+        return pixels[0]
+
+    @pytest.mark.parametrize("resolution", [64, 512])
+    def test_real_polynomials_step_half(self, monkeypatch, stock_escape, resolution):
+        for e in (dyn.escape_radius(Poly([-1.0, 0.0, 1.0])), stock_escape[20]):
+            stepped = self._tiled_pixels(monkeypatch, e, resolution=resolution)
+            assert stepped == (resolution + 1) // 2 * resolution
+
+    @pytest.mark.parametrize("coeffs, center", [
+        ([RABBIT, 0.0, 1.0], 0j), ([-1.0, 0.0, 1.0], 0.1j),
+    ], ids=["rabbit", "off-axis"])
+    @pytest.mark.parametrize("resolution", [64, 512])
+    def test_others_step_all(self, monkeypatch, coeffs, center, resolution):
+        e = dyn.escape_radius(Poly(coeffs))
+        stepped = self._tiled_pixels(monkeypatch, e, center=center, resolution=resolution)
+        assert stepped == resolution * resolution
 
 
 class TestBrolinSampler:

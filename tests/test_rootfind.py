@@ -165,6 +165,33 @@ class TestClassification:
         with pytest.raises(ConvergenceError):
             xj.classify_zeros(stock_family, n)
 
+    @pytest.mark.parametrize("n", [10, 50])
+    def test_contract_refuses_a_doubled_zero(self, stock_family, monkeypatch, n):
+        # one zero replaced by its neighbour: every residual stays tiny, and
+        # only the sum against Vieta's closed form can tell
+        aberth = ex.aberth
+
+        def doubled(values, noise_floor, z0, *args):
+            z = aberth(values, noise_floor, z0, *args)[0]
+            z = z[np.argsort(z.real)]
+            z[len(z) // 2] = z[len(z) // 2 + 1]
+            return (z, True, *values(z))
+
+        monkeypatch.setattr(ex, "aberth", doubled)
+        with pytest.raises(ConvergenceError, match="Vieta"):
+            xj.classify_zeros(stock_family, n)
+
+    @pytest.mark.parametrize("n", [0, 1, 30])
+    def test_zero_sum_with_short_bw(self, n):
+        # deg bw = 1 < deg b - 1: B = 0, and P_0 has bw's single zero
+        data = ex.make_darboux_data(xj.JacobiParams(0.3, 0.7),
+                                    Poly.from_roots([2.0, -3.0, 1.5]), Poly([0.5, 1.0]),
+                                    1, 1, 0.0, validate=False)
+        zc = xj.classify_zeros(data, n)
+        found = np.concatenate([zc.regular, zc.exceptional])
+        assert len(found) == (1 if n == 0 else n + 2)
+        assert abs(found.sum() - ex.zero_sum(data, n)) <= 1e-12 * (1.0 + np.abs(found).sum())
+
     def test_classical_degenerate_config(self):
         # b = 1, bw = 0 turns the transform into plain differentiation: the
         # resulting family is the shifted classical one, all zeros regular;
