@@ -223,19 +223,10 @@ def weight(data: DarbouxData) -> ExceptionalWeight:
     return ExceptionalWeight(data, normalization_constant(data))
 
 
-def _transform(data: DarbouxData, n: int, z):
-    """Unnormalized b p_n' - bw p_n at z, its derivative, and the size
-    |b p_n'| + |bw p_n| of the two terms, from one recurrence pass; z is an
-    array or a Python number, and so are the results."""
-    p, dp, ddp = jacobi.orthonormal_values(data.params, n, z)
-    bc, dbc, bwc, dbwc = data.multipliers
-    b, db, bw, dbw = horner(bc, z), horner(dbc, z), horner(bwc, z), horner(dbwc, z)
-    return b * dp - bw * p, db * dp + b * ddp - dbw * p - bw * dp, abs(b * dp) + abs(bw * p)
-
-
 def _transform_real(data: DarbouxData, n: int, x: np.ndarray) -> np.ndarray:
-    """Unnormalized b p_n' - bw p_n at real x, in float64, from the recurrence
-    pass for p_n and p_n' alone; b and bw have real coefficients."""
+    """Unnormalized b p_n' - bw p_n at real quadrature nodes x, in float64,
+    from the pass for p_n and p_n' alone (b, bw have real coefficients); it
+    defines sigma_n, so every other evaluation goes through exceptional_values."""
     p, dp = jacobi.orthonormal_values(data.params, n, x, 1)
     bc, _, bwc, _ = data.multipliers
     return horner(bc, x).real * dp - horner(bwc, x).real * p
@@ -277,18 +268,25 @@ def sigma_discrepancy(data: DarbouxData, n: int) -> float:
     return abs(q - c) / c
 
 
-def exceptional_values(data: DarbouxData, n: int, z: np.ndarray):
-    """(P_n, P_n', s) at array z from one recurrence pass, where
+def exceptional_values(data: DarbouxData, n: int, z):
+    """(P_n, P_n', s) at z from one recurrence pass, where
     P_n = (b p_n' - bw p_n) / sigma_n and s = (|b p_n'| + |bw p_n|) / sigma_n
-    is the size of the two terms, the yardstick for P_n's rounding error."""
+    is the size of the two terms, the yardstick for P_n's rounding error;
+    z is an array or a Python number, and so are the results."""
     sig = sigma_n(data, n)
-    return tuple(v / sig for v in _transform(data, n, z))
+    p, dp, ddp = jacobi.orthonormal_values(data.params, n, z)
+    bc, dbc, bwc, dbwc = data.multipliers
+    b, db, bw, dbw = horner(bc, z), horner(dbc, z), horner(bwc, z), horner(dbwc, z)
+    return ((b * dp - bw * p) / sig, (db * dp + b * ddp - dbw * p - bw * dp) / sig,
+            (abs(b * dp) + abs(bw * p)) / sig)
 
 
 def eval_exceptional(data: DarbouxData, n: int, z):
-    """P_n(z) = (b(z) p_n'(z) - bw(z) p_n(z)) / sigma_n, recurrence-based."""
-    out = exceptional_values(data, n, np.asarray(z, dtype=complex))[0]
-    return complex(out) if out.shape == () else out
+    """P_n(z) = (b(z) p_n'(z) - bw(z) p_n(z)) / sigma_n, recurrence-based; a
+    scalar z, numpy's or 0-d included, gives a Python complex."""
+    if np.ndim(z) == 0:
+        return complex(exceptional_values(data, n, complex(z))[0])
+    return exceptional_values(data, n, np.asarray(z, dtype=complex))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -343,20 +341,19 @@ def newton_refiner(data: DarbouxData, n: int):
     while |P_n(z) - w| falls and is above the recurrence's rounding level, at
     most REFINE_MAX_STEPS of them.
     """
-    sig = sigma_n(data, n)
     # rounding level of the recurrence evaluation, relative to the size of the
     # terms whose difference is P_n
     level = 4.0 * (n + 1) * np.finfo(float).eps
 
     def refine(z: complex, w: complex) -> complex:
-        f, df, scale = _transform(data, n, z)
-        f, df, scale = f / sig - w, df / sig, scale / sig
+        f, df, scale = exceptional_values(data, n, z)
+        f -= w
         for _ in range(REFINE_MAX_STEPS):
             if df == 0 or abs(f) <= level * (scale + abs(w)):
                 break
             cand = z - f / df
-            f2, df2, scale2 = _transform(data, n, cand)
-            f2, df2, scale2 = f2 / sig - w, df2 / sig, scale2 / sig
+            f2, df2, scale2 = exceptional_values(data, n, cand)
+            f2 -= w
             if not abs(f2) < abs(f):
                 break
             z, f, df, scale = cand, f2, df2, scale2

@@ -2,12 +2,14 @@
 
 Everything is driven by the three-term recurrence in double precision: one pass
 of it, differentiated up to twice, gives p_n and as many of p_n', p_n'' as the
-caller asks for (orthonormal_values).  On arrays the orders are the rows of one
-stacked array, and real points run in float64: real and complex points give the
-same bits, because numpy divides complex by real as a multiply by 1/s, which the
-recurrence does itself, and with zero imaginary parts the real part of each
-complex product is the real product.  Explicit monomial coefficients are never
-formed here (they are catastrophically ill-conditioned at high degree).  The
+caller asks for (orthonormal_values), in one arithmetic per input shape.  On
+arrays the orders are the rows of one stacked array, and real points run in
+float64: real and complex points give the same bits, because numpy divides
+complex by real as a multiply by 1/s, which the recurrence does itself, and with
+zero imaginary parts the real part of each complex product is the real product.
+Python numbers run a plain loop in Python arithmetic, and the point evaluators
+pass any scalar to it as a Python complex.  Explicit monomial coefficients are
+never formed here (they are catastrophically ill-conditioned at high degree).  The
 orthonormalization is against the unnormalized weight
 w(x) = (1-x)^alpha (1+x)^beta on [-1, 1], with positive leading coefficients.
 
@@ -130,13 +132,13 @@ def orthonormal_values(params: JacobiParams, n: int, z, derivatives: int = 2):
 
     Differentiating sqrt(b_{k+1}) q_{k+1} = (z - a_k) q_k - sqrt(b_k) q_{k-1}
     j times gives the same recurrence for q^(j) with the extra term j q^(j-1)
-    (Gautschi, Orthogonal Polynomials, 2004).  A Python scalar or 0-d array z
-    runs it in a plain Python loop, on Python or numpy scalars, and returns
-    Python numbers or 0-d complex arrays.  An array z of higher dimension carries
-    the orders as the rows of one array, in float64 when z is real and complex
-    otherwise (see the module docstring for why the two agree bit for bit);
-    p_n is formed exactly as in jacobi_table, and a call with fewer
-    derivatives returns the leading rows of a call with more.
+    (Gautschi, Orthogonal Polynomials, 2004).  An ndarray z, 0-d included,
+    carries the orders as the rows of one array, in float64 when z is real and
+    complex otherwise (see the module docstring for why the two agree bit for
+    bit); p_n is formed exactly as in jacobi_table, and a call with fewer
+    derivatives returns the leading rows of a call with more.  Any other z, a
+    Python number, runs a plain loop in Python arithmetic and gives Python
+    numbers (floats at n = 0, where the loop never touches z).
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -144,11 +146,8 @@ def orthonormal_values(params: JacobiParams, n: int, z, derivatives: int = 2):
         raise ValueError("derivatives must be 0, 1 or 2")
     a, b = _recurrence(params.alpha, params.beta, n + 1)
     sb = np.sqrt(b)
-    array = isinstance(z, np.ndarray)
-    if array and z.ndim:
+    if isinstance(z, np.ndarray):
         return tuple(_stacked_pass(a[:n], sb, _real_or_complex(z), derivatives))
-    if array:
-        z = z.astype(complex, copy=False)
     a = a.tolist()
     sb = sb.tolist()
     q_prev, q = 0.0, 1.0 / sb[0]
@@ -158,10 +157,7 @@ def orthonormal_values(params: JacobiParams, n: int, z, derivatives: int = 2):
         ddq_prev, ddq = ddq, (t * ddq + 2.0 * dq - sk * ddq_prev) / sk1
         dq_prev, dq = dq, (t * dq + q - sk * dq_prev) / sk1
         q_prev, q = q, (t * q - sk * q_prev) / sk1
-    out = (q, dq, ddq)[:derivatives + 1]
-    if array:
-        return tuple(np.full(z.shape, v, dtype=complex) for v in out)
-    return out
+    return (q, dq, ddq)[:derivatives + 1]
 
 
 def _stacked_pass(a, sb, z, derivatives):
@@ -189,12 +185,14 @@ def _stacked_pass(a, sb, z, derivatives):
 
 
 def _at(params: JacobiParams, n: int, z, which: int):
-    out = orthonormal_values(params, n, np.asarray(z, dtype=complex), which)[which]
-    return complex(out) if out.shape == () else out
+    if np.ndim(z) == 0:
+        return complex(orthonormal_values(params, n, complex(z), which)[which])
+    return orthonormal_values(params, n, np.asarray(z, dtype=complex), which)[which]
 
 
 def eval_orthonormal_jacobi(params: JacobiParams, n: int, z):
-    """Orthonormal Jacobi polynomial p_n at z (scalar or array, complex ok)."""
+    """Orthonormal Jacobi polynomial p_n at z (scalar or array, complex ok); a
+    scalar, numpy's or 0-d included, gives a Python complex."""
     return _at(params, n, z, 0)
 
 

@@ -255,9 +255,9 @@ class PreimageSolver:
     roots of the nearest earlier target, moved by one Newton step.
 
     Every sweep evaluates Poly.values(z, w) and the floor Poly.noise_floor,
-    in whichever form the Poly carries.  A Poly with zeros has its starts
-    nudged off the real axis, where from real points at a real w Aberth would
-    stay: a predicted root set by 1e-6; with none stored, the zeros by 1e-3.
+    in whichever form the Poly carries.  Starts are nudged off the real axis,
+    where from real points at a real w Aberth would stay: every predicted root
+    set by 1e-6, and for a Poly with zeros, the zeros by 1e-3.
 
     The targets, sorted root sets and p' at those roots of the last
     SOLVER_MEMORY solves sit in three fixed arrays, overwritten oldest first;
@@ -278,8 +278,7 @@ class PreimageSolver:
         self.solved = np.zeros((SOLVER_MEMORY, self.d), dtype=complex)
         self.slopes = np.zeros((SOLVER_MEMORY, self.d), dtype=complex)
         self.count = 0
-        self.nudge = None if poly.zeros is None else np.exp(
-            1j * (2.0 * np.pi * np.arange(self.d) / self.d + 0.4))
+        self.nudge = np.exp(1j * (2.0 * np.pi * np.arange(self.d) / self.d + 0.4))
         # the sum of the roots of p - w, the same at every w for d >= 2 (Vieta)
         self.root_sum = (complex(poly.zeros.sum()) if poly.zeros is not None
                          else complex(-poly.coeffs[-2] / poly.coeffs[-1]))
@@ -291,8 +290,8 @@ class PreimageSolver:
             step = np.divide(w - self.targets[nearest], slope,
                              out=np.zeros(self.d, dtype=complex), where=slope != 0)
             warm = self.solved[nearest] + step
-            yield warm if self.nudge is None else warm + 1e-6 * self.nudge
-        if self.nudge is not None:
+            yield warm + 1e-6 * self.nudge
+        if self.poly.zeros is not None:
             yield self.poly.zeros + 1e-3 * self.nudge
         yield initial_circle(self.poly.shifted(w))
 

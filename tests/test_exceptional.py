@@ -152,6 +152,18 @@ class TestEvaluation:
             assert_allclose(ex.exceptional_values(stock_family, 9, np.array([z]))[1],
                             [fd], rtol=1e-6)
 
+    @pytest.mark.parametrize("n", [0, 10, 40])
+    def test_point_evaluation_runs_python_arithmetic(self, stock_family, n):
+        # eval_exceptional at a Python complex, a numpy complex or a 0-d array
+        # gives the bits of exceptional_values at the Python number, which the
+        # refiner evaluates, as complex
+        for z in (1.0 + 1.0j, 0.4 + 0.0j, -2.5 + 0.3j, 1.2 - 0.7j):
+            want = ex.exceptional_values(stock_family, n, z)[0]
+            for point in (z, np.complex128(z), np.asarray(z)):
+                got = ex.eval_exceptional(stock_family, n, point)
+                assert type(got) is complex
+                assert got == want
+
     def test_refiner_agrees_with_vector_eval(self, stock_family):
         refine = ex.newton_refiner(stock_family, 15)
         # refining an already-exact preimage is a no-op

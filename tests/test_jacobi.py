@@ -220,9 +220,8 @@ class TestDerivative:
                 assert np.all(ddp == 0)
 
     def test_scalar_matches_array(self):
-        # Python scalars and 0-d arrays run the plain loop below bit for bit, in
-        # Python and in numpy scalar arithmetic respectively; arrays agree with
-        # it to rounding
+        # Python scalars run the plain loop below bit for bit, in Python
+        # arithmetic; arrays agree with it to rounding
         params = xj.JacobiParams(0.7, -0.3)
         a, b = jacobi._recurrence(0.7, -0.3, 38)
         sb = np.sqrt(b).tolist()
@@ -245,10 +244,20 @@ class TestDerivative:
             assert all(isinstance(v, complex) for v in got)
             assert got == want
             assert jacobi.orthonormal_values(params, 37, complex(zi), 1) == want[:2]
-            zero_d = jacobi.orthonormal_values(params, 37, np.asarray(zi))
-            assert all(v.shape == () and v.dtype == complex for v in zero_d)
-            assert [complex(v) for v in zero_d] == [complex(v) for v in loop(np.asarray(zi))]
             assert_allclose(got, [v[i] for v in arr], rtol=1e-14)
+
+    @pytest.mark.parametrize("n", [0, 10, 40])
+    def test_point_evaluators_run_python_arithmetic(self, n):
+        # a Python complex, a numpy complex and a 0-d array are one point, so
+        # they give the bits of the plain loop at the Python number, as complex
+        params = xj.JacobiParams(0.7, -0.3)
+        for z in (1.0 + 1.0j, 0.3 + 0.0j, -0.95 + 0.1j, 1.4 - 0.2j):
+            want = jacobi.orthonormal_values(params, n, z, 1)
+            for point in (z, np.complex128(z), np.asarray(z)):
+                got = (xj.eval_orthonormal_jacobi(params, n, point),
+                       xj.eval_jacobi_derivative(params, n, point))
+                assert all(type(v) is complex for v in got)
+                assert got == want
 
 
 class TestLeadingCoefficient:
