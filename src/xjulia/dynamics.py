@@ -33,9 +33,9 @@ class EscapeData:
     """A polynomial with its certified escape radius.
 
     poly: evaluated in root-product form when it carries its zeros; the
-    raster and the radius certificate read its coeffs.
+    raster steps its coeffs.
     r_escape: one application of the polynomial at |z| > r_escape at least
-    doubles the modulus (triangle-inequality certificate, degree >= 2).
+    doubles the modulus (degree >= 2); see escape_radius for the certificate.
     r_uniform: a radius meant to bound the filled Julia sets of a whole batch;
     r_escape for a single polynomial, the batch maximum in batch mode.
     refine: optional scalar (z, w) -> z step against another evaluation form
@@ -53,24 +53,72 @@ class EscapeData:
 
 
 def escape_radius(p: Poly, refine=None) -> EscapeData:
-    """EscapeData for p, with the doubling inequality spot-checked by sampling."""
+    """EscapeData for p, with the doubling inequality spot-checked by sampling.
+
+    The coefficient certificate max(1, (2 + sum_{k<d} |a_k|) / |a_d|) serves
+    every p.  A product form a_d prod (z - zeta_i) takes the smaller of it and
+    the radius from its zeros (_product_form_radius), which certifies both the
+    product it is evaluated in and the expanded coefficients the raster steps.
+    """
     p = p.trimmed()
     d = p.degree
     if d < 2:
         raise ValueError("escape dynamics need degree >= 2")
     mono = p.monomial_coeffs()
     r = max(1.0, (2.0 + float(np.sum(np.abs(mono[:d])))) / abs(mono[d]))
+    if p.zeros is not None:
+        r = _product_form_radius(p, r)
     rng = np.random.default_rng(_RADIUS_CHECK_SEED)
     radii = rng.uniform(1.01 * r, 10.0 * r, _RADIUS_CHECK_POINTS)
     z = radii * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, _RADIUS_CHECK_POINTS))
     if p.zeros is None:
         holds = np.abs(p(z)) > 2.0 * np.abs(z)
-    else:   # in logs: at up to 10 r, a_d prod (z - zeta_i) overflows from degree 54 on
+    else:   # in logs, so no product overflows whatever the radius
         logs = np.log(np.abs(z[:, None] - p.zeros)).sum(axis=1) + np.log(abs(p.coeffs[-1]))
         holds = logs > np.log(2.0 * np.abs(z))
     if not np.all(holds):
         raise ValidationError("escape inequality failed the sampling check")
     return EscapeData(p, r, r, refine)
+
+
+def _product_form_radius(p: Poly, r_hi: float) -> float:
+    """The smallest r <= r_hi, to about 1e-12 relative from above, with
+
+        |a_d| [prod (r - |zeta_i|) - eps prod (r + |zeta_i|)] >= 2 r,
+
+    or r_hi when r_hi itself fails, found by bisection with the products in logs.
+
+    For |z| > max |zeta_i|, |a_d prod (z - zeta_i)| >= |a_d| prod (|z| - |zeta_i|).
+    The expanded coefficients are off the product's by at most eps |a_d| times
+    those of prod (z + |zeta_i|): each of the d clongdouble convolution steps
+    and the multiply by a_d is a complex multiply and an add (sqrt 2 gamma_2 + u
+    <= gamma_4 each, Higham, Accuracy and Stability of Numerical Algorithms,
+    lemma 3.5), and the cast to complex rounds once more, so
+    eps = u + gamma_{4d+4} in clongdouble precision.  Both the product and the
+    coefficients therefore satisfy |p(z)| >= 2 |z| at |z| = r, and at every
+    larger |z|, since both sides' ratio grows with r for d >= 2.
+    """
+    mags = np.abs(p.zeros)
+    d = len(mags)
+    k = 4 * d + 4
+    u_long = float(np.finfo(np.clongdouble).eps) / 2.0
+    log_eps = np.log(np.finfo(float).eps / 2.0 + k * u_long / (1.0 - k * u_long))
+    log_lead = np.log(abs(p.coeffs[-1]))
+
+    def holds(r):
+        below = np.log(r - mags).sum()
+        # 1 - eps prod (r + |zeta_i|) / prod (r - |zeta_i|)
+        margin = -np.expm1(log_eps + np.log(r + mags).sum() - below)
+        return bool(margin > 0.0 and log_lead + below + np.log(margin) >= np.log(2.0 * r))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if not holds(r_hi):
+            return r_hi
+        lo, hi = float(mags.max()), float(r_hi)
+        while hi - lo > 1e-12 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
 
 def batch_escape_data(polys, refiners=None) -> list[EscapeData]:
@@ -153,6 +201,14 @@ def escape_raster(e: EscapeData, center: complex = 0j, half_width: float = 2.0,
     conj(z) is the conjugate of the orbit of z, up to the sign of a zero,
     which neither the escape test, the checkpoint equality nor the guard
     reads.
+
+    Rows whose y * y alone is not <= r_escape^2 are not iterated: they get
+    the count 0 that the step-0 test would give each of their pixels, since
+    x * x + y * y rounds to no less than y * y.  As |y| falls toward the
+    real axis and then rises, the iterated rows are one contiguous band.
+    With a product form's radius from its zeros (escape_radius), a window of
+    half-width 2 keeps 61% of the stock family's rows at n = 10 and 20, 79%
+    at n = 40.
     """
     if not (1 <= resolution <= 8192):
         raise ValueError("resolution must be in [1, 8192]")
@@ -167,14 +223,18 @@ def escape_raster(e: EscapeData, center: complex = 0j, half_width: float = 2.0,
     coeffs = e.poly.monomial_coeffs()
     mirror = not coeffs.imag.any() and np.array_equal(ys[::-1], -ys)
     half = (resolution + 1) // 2 if mirror else resolution
-    counts = raster.counts[:half].ravel()   # a view: escapes land in raster.counts
     # capped, so an r_escape whose square overflows still escapes inf and NaN only
     r_sq = min(e.r_escape * e.r_escape, np.finfo(float).max)
     with np.errstate(over="ignore", invalid="ignore"):
+        inside = np.flatnonzero(ys[:half] * ys[:half] <= r_sq)
+        top, bottom = (inside[0], inside[-1] + 1) if inside.size else (0, 0)
+        raster.counts[:top] = 0
+        raster.counts[bottom:half] = 0
+        counts = raster.counts[top:bottom].ravel()   # a view: escapes land in raster.counts
         for start in range(0, counts.size, RASTER_TILE):
             tile = counts[start:start + RASTER_TILE]
             rows, cols = np.divmod(np.arange(start, start + tile.size), resolution)
-            _escape_tile(coeffs, r_sq, xs[cols] + 1j * ys[rows], tile, max_iter)
+            _escape_tile(coeffs, r_sq, xs[cols] + 1j * ys[top + rows], tile, max_iter)
     if mirror:
         raster.counts[resolution - half:] = raster.counts[:half][::-1]
     return raster

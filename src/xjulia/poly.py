@@ -192,10 +192,14 @@ def horner_with_derivative(coeffs, z):
 # ---------------------------------------------------------------------------
 # simultaneous root finding
 
-def initial_circle(mono: np.ndarray) -> np.ndarray:
-    """Perturbed-circle starting points enclosing all roots (Cauchy bound)."""
+def initial_circle(mono: np.ndarray, radius: float | None = None) -> np.ndarray:
+    """Perturbed-circle starting points for the d = len(mono) - 1 roots of mono,
+    on a circle of the given radius, by default the Cauchy bound
+    1 + max |c_k| / |c_d| enclosing all roots; either is capped at 1e6."""
     d = len(mono) - 1
-    radius = min(1.0 + float(np.max(np.abs(mono[:d])) / abs(mono[d])), 1e6)
+    if radius is None:
+        radius = 1.0 + float(np.max(np.abs(mono[:d])) / abs(mono[d]))
+    radius = min(radius, 1e6)
     ang = 2.0 * np.pi * np.arange(d) / d + 0.4
     return radius * np.exp(1j * ang) * (1.0 + 0.01 * np.sin(7.0 * ang))
 
@@ -268,7 +272,10 @@ class PreimageSolver:
     (Allgower & Georg, Numerical Continuation Methods, 1990) closer still; a
     root whose stored p' is 0 starts at z'.  A solve that does not converge
     within MAX_SWEEPS from one start, or whose roots `accepts` refuses,
-    retries from the next, the Cauchy circle last.
+    retries from the next, a circle around every root last: for a Poly with
+    zeros, of radius rho + (|w| / |a_d|)^(1/d) with rho = max |zeta_i|, since
+    |p(z)| >= |a_d| (|z| - rho)^d beyond rho; the Cauchy circle of p - w
+    otherwise.
     """
 
     def __init__(self, poly: Poly):
@@ -291,9 +298,13 @@ class PreimageSolver:
                              out=np.zeros(self.d, dtype=complex), where=slope != 0)
             warm = self.solved[nearest] + step
             yield warm + 1e-6 * self.nudge
-        if self.poly.zeros is not None:
-            yield self.poly.zeros + 1e-3 * self.nudge
-        yield initial_circle(self.poly.shifted(w))
+        zeros = self.poly.zeros
+        if zeros is None:
+            yield initial_circle(self.poly.shifted(w))
+        else:
+            yield zeros + 1e-3 * self.nudge
+            bound = np.max(np.abs(zeros)) + (abs(w) / abs(self.poly.coeffs[-1])) ** (1.0 / self.d)
+            yield initial_circle(self.poly.coeffs, bound)
 
     def accepts(self, z: np.ndarray, pv: np.ndarray, dv: np.ndarray, w: complex) -> bool:
         """Whether z are the preimages of w, from aberth's last values pv = p - w

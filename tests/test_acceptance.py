@@ -147,7 +147,7 @@ class TestAcceptance:
             elif not ok:
                 contained_from = None
         verdict(8, sample_bound <= r_uniform + 1e-6 and contained_from is not None,
-                f"samples bounded by {sample_bound:.3f} <= R~ {r_uniform:.1f}, "
+                f"samples bounded by {sample_bound:.3f} <= R~ {r_uniform:.3f}, "
                 f"boundary containment from n={contained_from}")
 
     def test_c09_preimage_counts(self, stock_escape, stock_samples):

@@ -35,18 +35,52 @@ class TestEscapeRadius:
 
     @pytest.mark.parametrize("n", [53, 57])
     def test_product_form_checked_in_logs(self, stock_family, n):
-        # the spot check samples |z| up to 10 r, r ~ 3e4..7e4 here, where
-        # a_d prod (z - zeta_i) overflows and inf * inf is NaN
+        # the bisection starts from the coefficient radius, 3.3e4 and 7.0e4
+        # here, where a_d prod (r + |zeta_i|) reaches 1e261 and 1e299, next to
+        # the overflow, so it and the spot check run in logs; both stay finite
+        # and hold
         p = xj.monomial_coeffs(stock_family, n)
         e = dyn.escape_radius(p)
         mono = np.abs(p.coeffs)
         assert e.degree == n + 1
-        assert e.r_escape == (2.0 + mono[:-1].sum()) / mono[-1] > 1e4
+        assert (2.0 + mono[:-1].sum()) / mono[-1] > 1e4
+        assert np.isfinite(e.r_escape) and 1.0 < e.r_escape < 3.0
+        z = 1.001 * e.r_escape * np.exp(2j * np.pi * np.arange(64) / 64)
+        logs = np.log(np.abs(z[:, None] - p.zeros)).sum(axis=1) + np.log(mono[-1])
+        assert np.all(np.isfinite(logs)) and np.all(logs >= np.log(2.0 * np.abs(z)))
 
     def test_batch_shares_uniform_bound(self, stock_escape):
         bounds = {e.r_uniform for e in stock_escape.values()}
         assert len(bounds) == 1
         assert all(e.r_uniform >= e.r_escape for e in stock_escape.values())
+
+    def test_uniform_bound_can_fail(self, stock_escape):
+        # c08 bounds the samples, of size 1.068, by r_uniform: from the zeros it
+        # is 1.900, where the coefficient radius read 18651
+        assert stock_escape[10].r_uniform < 2.0
+
+    @pytest.mark.parametrize("zeros, want", [([0.0, 0.0], 2.0),
+                                             ([np.sqrt(2.0), -np.sqrt(2.0)], 4.0)],
+                             ids=["z2", "z2-2"])
+    def test_product_form_keeps_closed_form_radius(self, zeros, want):
+        # from the zeros: (r - sqrt 2)^2 - eps (r + sqrt 2)^2 >= 2 r needs
+        # r >= 4.37 for z^2 - 2, and r^2 (1 - eps) >= 2 r a hair over 2 for z^2,
+        # so the coefficient radius, as for the raw polynomials, is the smaller
+        p = Poly.product_form(zeros)
+        assert dyn.escape_radius(p).r_escape == pytest.approx(want, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("n", [10, 20, 30, 40, 50])
+    def test_radius_from_zeros_certified(self, stock_escape, n):
+        # no larger than the coefficient radius, and |P(z)| >= 2 |z| just past
+        # it, both in the product form the sampler solves and on the expanded
+        # coefficients the raster steps, z = +-1.001 R included
+        e = stock_escape[n]
+        mono = np.abs(e.poly.coeffs)
+        assert e.r_escape <= (2.0 + mono[:-1].sum()) / mono[-1]
+        r = 1.001 * e.r_escape
+        z = np.concatenate([[r, -r], r * np.exp(2j * np.pi * (np.arange(256) + 0.5) / 256)])
+        assert np.all(np.abs(e.poly(z)) >= 2.0 * np.abs(z))
+        assert np.all(np.abs(horner(e.poly.coeffs, z)) >= 2.0 * np.abs(z))
 
 
 class TestRaster:
@@ -263,9 +297,23 @@ class TestRasterMirror:
 
     @pytest.mark.parametrize("resolution", [64, 512])
     def test_real_polynomials_step_half(self, monkeypatch, stock_escape, resolution):
+        # of the upper half, only the rows with y^2 <= r_escape^2: all of them
+        # for z^2 - 1 (radius 2, half-width 2), about 61% for n = 20 (1.217)
         for e in (dyn.escape_radius(Poly([-1.0, 0.0, 1.0])), stock_escape[20]):
             stepped = self._tiled_pixels(monkeypatch, e, resolution=resolution)
-            assert stepped == (resolution + 1) // 2 * resolution
+            ys = dyn.pixel_centers(0j, 2.0, resolution)[1][:(resolution + 1) // 2]
+            assert stepped == np.count_nonzero(ys * ys <= e.r_escape * e.r_escape) * resolution
+        assert stepped < 0.65 * ((resolution + 1) // 2) * resolution
+
+    def test_rows_outside_the_disk_skipped_off_axis(self, monkeypatch, stock_escape):
+        # the window of test_family_member_off_axis: rows outside |y| <= 1.217
+        # lie both above and below the iterated band, and neither is stepped
+        e, center = stock_escape[20], 0.3 + 0.2j
+        stepped = self._tiled_pixels(monkeypatch, e, center=center, resolution=64)
+        ys = dyn.pixel_centers(center, 2.0, 64)[1]
+        inside = ys * ys <= e.r_escape * e.r_escape
+        assert not inside[0] and not inside[-1]
+        assert stepped == np.count_nonzero(inside) * 64
 
     @pytest.mark.parametrize("coeffs, center", [
         ([RABBIT, 0.0, 1.0], 0j), ([-1.0, 0.0, 1.0], 0.1j),
@@ -425,8 +473,12 @@ class TestInvariance:
         assert hits / 20000 >= 0.99
 
     def test_raster_sample_consistency_family(self, stock_escape, stock_samples):
+        # J(P_20) is a Cantor set, so a pixel center 2e-3 from it mostly leaves
+        # the certified disk (radius 1.217) within two steps: 2 iterations read
+        # 68%, where at the coefficient radius 67.3 they read 100%.  One
+        # iteration asks that every sample's pixel lie in that disk
         e = stock_escape[20]
-        r = dyn.escape_raster(e, half_width=1.6, resolution=1024, max_iter=2)
+        r = dyn.escape_raster(e, half_width=1.6, resolution=1024, max_iter=1)
         pts = stock_samples[20].points
         hits = sum(1 for z in pts
                    if (ij := r.pixel_index(complex(z))) is not None
@@ -563,6 +615,30 @@ class TestPreimages:
         z = dyn.solve_preimages(e, 20.9)
         assert np.count_nonzero(np.abs(z.imag) > 1e-8) == 4
         assert np.max(np.abs(e.poly(z) - 20.9)) <= 1e-10 * 20.9
+
+    @pytest.mark.parametrize("n", [10, 40])
+    def test_last_start_circle_from_the_zeros(self, stock_escape, monkeypatch, n):
+        # every preimage of w lies in |z| <= rho + (|w| / |a_d|)^(1/d), so a
+        # product form's last start is a circle there, about 1.5 here, where
+        # the Cauchy circle of p - w is about 4.4 (n = 10) and 450
+        # (n = 40); it is forced by refusing the start from the zeros
+        e = stock_escape[n]
+        p, w = e.poly, 0.3 + 0.01j
+        starts, aberth = [], pl.aberth
+
+        def refuse_first(values, floor, z0, sweeps):
+            starts.append(z0)
+            z, ok, *vals = aberth(values, floor, z0, sweeps)
+            return (z, ok and len(starts) > 1, *vals)
+
+        monkeypatch.setattr(pl, "aberth", refuse_first)
+        z = pl.PreimageSolver(p).solve(w)
+        assert len(starts) == 2
+        radius = np.max(np.abs(p.zeros)) + (abs(w) / abs(p.coeffs[-1])) ** (1.0 / e.degree)
+        assert np.allclose(np.abs(starts[1]), radius, rtol=0.011, atol=0)
+        assert np.max(np.abs(z)) <= radius
+        monkeypatch.undo()
+        assert np.allclose(z, dyn.solve_preimages(e, w), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("coeffs, w", [([-1.0, 0.0, 1.0], -1.554),
                                            ([0.0, -3.0, 0.0, 1.0], 2.5)])
