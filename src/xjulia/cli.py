@@ -335,6 +335,7 @@ def cmd_report(cfg: ExperimentConfig) -> int:
     green_section = {"points": green_rows, "pass": bool(green_ok)}
     worst_green = [max(r["gap"][i] for r in green_rows) for i in range(len(n_list))]
 
+    zeros_section = brolin_section = p2_section = None
     if have_zeros:
         ks = [d["ks"] for d in zeros_diag]
         exc_dist = [d["exc_dist"] for d in zeros_diag]
@@ -342,8 +343,6 @@ def cmd_report(cfg: ExperimentConfig) -> int:
               and all(d is not None for d in exc_dist)
               and _strictly_decreasing(exc_dist))
         zeros_section = {"n": n_list, "ks": ks, "exc_dist": exc_dist, "pass": bool(ok)}
-    else:
-        zeros_section = None
 
     if have_brolin:
         moms = [d["max_abs_moment"] for d in brolin_diag]
@@ -352,26 +351,20 @@ def cmd_report(cfg: ExperimentConfig) -> int:
               and _strictly_decreasing(ims))
         brolin_section = {"n": n_list, "max_abs_moment": moms, "mean_abs_im": ims,
                           "pass": bool(ok)}
-    else:
-        brolin_section = None
 
-    if have_brolin:
         region = tuple(thr["p2_region"])
         counts = []
         rng = np.random.Generator(np.random.Philox(key=cfg.seed))
         for n in n_list:
-            path = cfg.output_dir / f"brolin_n{n}.csv"
-            pts_n = _read_prior(path, lambda text: measures.EmpiricalMeasure.from_csv(text).points)
-            if not len(pts_n):
-                raise ConfigError("output_dir", f"{path} holds no sample points")
+            # EmpiricalMeasure refuses an empty or non-finite sample
+            pts_n = _read_prior(cfg.output_dir / f"brolin_n{n}.csv",
+                                lambda text: measures.EmpiricalMeasure.from_csv(text).points)
             e = dynamics.escape_radius(exceptional.monomial_coeffs(data, n))
             targets = rng.choice(pts_n, size=min(thr["p2_targets"], len(pts_n)), replace=False)
             counts.append(max(dynamics.preimage_count_in_set(e, w, region) for w in targets))
         half = max(1, len(counts) // 2)
         ok = max(counts[half:] or counts) <= max(counts[:half]) + thr["p2_growth_allowance"]
         p2_section = {"n": n_list, "max_count": counts, "pass": bool(ok)}
-    else:
-        p2_section = None
 
     sections = {
         "leading_coeff_root": lead_section,

@@ -122,8 +122,8 @@ def make_darboux_data(params: JacobiParams, b: Poly, bw: Poly, eps1: int, eps2: 
                       lambda_tilde: float, validate: bool = True) -> DarbouxData:
     """Assemble and gate one family configuration.
 
-    Structural checks (monic b, degree gap, pole locations, b_tilde of one
-    sign on [-1, 1]) run always.  Unless validate=False, the orthonormality
+    Structural checks (monic b, degree gap, pole locations: no zero of b_tilde
+    on [-1, 1]) run always.  Unless validate=False, the orthonormality
     oracle gate runs, then lambda_tilde is checked: the closed-form norm must
     match the quadrature one to ORTHO_GATE_TOL at every n up to ORTHO_GATE_INDEX.
     """
@@ -141,19 +141,17 @@ def make_darboux_data(params: JacobiParams, b: Poly, bw: Poly, eps1: int, eps2: 
         raise ValidationError(
             f"shifted weight exponents ({wp_alpha:g}, {wp_beta:g}) must exceed -1")
 
-    if b.degree >= 1:
-        for r in roots(b):
-            if abs(r.imag) <= 1e-9 and abs(r.real) <= 1.0 - 1e-9:
-                raise ValidationError(f"b has a root at {r:.6g} inside (-1, 1)")
     b_tilde = _divide_out_interval_factors(b, eps1, eps2)
-    # b = b_tilde (1-x)^d1 (1+x)^d2 then has b_tilde's sign on (-1, 1)
-    bt_vals = b_tilde(np.cos(np.pi * np.arange(513) / 512)).real
-    if not (np.all(bt_vals > 0) or np.all(bt_vals < 0)):
-        raise ValidationError("b_tilde must have one sign on [-1, 1]")
-
     data = DarbouxData(params=params, b=b, bw=bw, eps1=eps1, eps2=eps2,
                        lambda_tilde=float(lambda_tilde), m=b_tilde.degree,
                        b_tilde=b_tilde)
+    # b has b_tilde's sign on (-1, 1), so |b_tilde| nearest each zero must top its rounding
+    # level anywhere on [-1, 1]; a double zero splits off the axis by ~sqrt(u)
+    x = np.clip(data.b_tilde_roots.real, -1.0, 1.0)
+    bt = b_tilde(x)
+    low = np.abs(bt) <= b_tilde.noise_floor(1.0, bt)
+    if low.any():
+        raise ValidationError(f"b_tilde vanishes on [-1, 1], at {x[np.argmax(low)]:.6g}")
     if validate:
         dev, where = orthonormality_deviation(data, ORTHO_GATE_INDEX)
         if dev > ORTHO_GATE_TOL:
@@ -223,13 +221,21 @@ def weight(data: DarbouxData) -> ExceptionalWeight:
     return ExceptionalWeight(data, normalization_constant(data))
 
 
-def _transform_real(data: DarbouxData, n: int, x: np.ndarray) -> np.ndarray:
-    """Unnormalized b p_n' - bw p_n at real quadrature nodes x, in float64,
-    from the pass for p_n and p_n' alone (b, bw have real coefficients); it
-    defines sigma_n, so every other evaluation goes through exceptional_values."""
-    p, dp = jacobi.orthonormal_values(data.params, n, x, 1)
+def _transform_rows(data: DarbouxData, n: int, x: np.ndarray) -> np.ndarray:
+    """Unnormalized b p_k' - bw p_k, k = 0..n, at real quadrature nodes x, in
+    float64, from one table pass (b, bw have real coefficients); the rows define
+    sigma_k, so every other evaluation goes through exceptional_values."""
+    p, dp = jacobi.jacobi_table(data.params, n, x, 1)
     bc, _, bwc, _ = data.multipliers
     return horner(bc, x).real * dp - horner(bwc, x).real * p
+
+
+def _family_rows(data: DarbouxData, kmax: int, x: np.ndarray) -> np.ndarray:
+    """P_k = (b p_k' - bw p_k) / sigma_k at real nodes x, k = first_index..kmax;
+    sigma_kmax is asked first, as its pass caches every lower sigma on its rule."""
+    lo = first_index(data)
+    sig = np.array([sigma_n(data, k) for k in range(kmax, lo - 1, -1)][::-1])
+    return _transform_rows(data, kmax, x)[lo:] / sig[:, None]
 
 
 def _sigma_order(data: DarbouxData, n: int) -> int:
@@ -237,17 +243,21 @@ def _sigma_order(data: DarbouxData, n: int) -> int:
 
 
 def sigma_n(data: DarbouxData, n: int) -> float:
-    """L2(W) norm of b p_n' - bw p_n, by quadrature (the defining normalizer)."""
+    """L2(W) norm of b p_n' - bw p_n, by quadrature (the defining normalizer).
+    One table pass caches sigma_k for every k <= n on n's rule that is positive
+    and finite; asking for any other one raises ValidationError."""
     key = ("sigma", n)
     if key not in data._cache:
         c0 = normalization_constant(data)
         rule = data.quad_rule(_sigma_order(data, n))
-        vals = _transform_real(data, n, rule.nodes)
+        vals = _transform_rows(data, n, rule.nodes)
         bt = data.b_tilde(rule.nodes).real
-        norm_sq = c0 * float(rule.integrate_values(vals * vals / bt ** 2))
-        if norm_sq <= 0 or not np.isfinite(norm_sq):
+        norm_sq = c0 * rule.integrate_values(vals * vals / bt ** 2)
+        for k, sq in enumerate(norm_sq.tolist()):
+            if 0.0 < sq < np.inf and _sigma_order(data, k) == rule.order:
+                data._cache[("sigma", k)] = float(np.sqrt(sq))
+        if key not in data._cache:
             raise ValidationError(f"degenerate transform: ||A p_{n}|| ~ 0")
-        data._cache[key] = float(np.sqrt(norm_sq))
     return data._cache[key]
 
 
@@ -520,10 +530,7 @@ def inner_product_matrix(data: DarbouxData, kmax: int) -> np.ndarray:
     c0 = normalization_constant(data)
     rule = data.quad_rule(_orthonormality_order(kmax, data.m))
     bt = data.b_tilde(rule.nodes).real
-    lo = first_index(data)
-    rows = np.empty((kmax + 1 - lo, rule.order))
-    for k in range(lo, kmax + 1):
-        rows[k - lo] = _transform_real(data, k, rule.nodes) / sigma_n(data, k)
+    rows = _family_rows(data, kmax, rule.nodes)
     return c0 * (rows * (rule.weights / bt ** 2)) @ rows.T
 
 
@@ -559,9 +566,8 @@ def verify_span_property(data: DarbouxData, p: Poly):
     norm = float(np.sqrt(c0 * rule.integrate_values(b2p * b2p / bt ** 2)))
 
     coeffs = np.zeros(l_max + 1)
-    for l in range(first_index(data), l_max + 1):
-        pl = _transform_real(data, l, x) / sigma_n(data, l)
-        coeffs[l] = c0 * rule.integrate_values(b2p * pl / bt ** 2)
+    coeffs[first_index(data):] = c0 * rule.integrate_values(
+        b2p * _family_rows(data, l_max, x) / bt ** 2)
     residuals = np.abs(coeffs)
     if norm == 0.0:
         return 0, residuals

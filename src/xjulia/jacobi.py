@@ -3,8 +3,8 @@
 Everything is driven by the three-term recurrence in double precision: one pass
 of it, differentiated up to twice, gives p_n and as many of p_n', p_n'' as the
 caller asks for (orthonormal_values), in one arithmetic per input shape.  On
-arrays the orders are the rows of one stacked array, and real points run in
-float64: real and complex points give the same bits, because numpy divides
+arrays one loop keeps the orders as rows, of one degree or all (jacobi_table),
+and real points run in float64 with the complex bits, because numpy divides
 complex by real as a multiply by 1/s, which the recurrence does itself, and with
 zero imaginary parts the real part of each complex product is the real product.
 Python numbers run a plain loop in Python arithmetic, and the point evaluators
@@ -23,6 +23,7 @@ library only.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import cycle
 from math import gamma, lgamma
 
 import numpy as np
@@ -110,20 +111,21 @@ def _real_or_complex(z) -> np.ndarray:
     return z.astype(complex if np.iscomplexobj(z) else float, copy=False)
 
 
-def jacobi_table(params: JacobiParams, nmax: int, z):
-    """Values of the orthonormal p_0..p_nmax at z; shape (nmax+1,) + z.shape,
-    float64 for real z and complex otherwise."""
-    z = _real_or_complex(z)
-    a, b = _recurrence(params.alpha, params.beta, nmax + 1)
-    sb = np.sqrt(b)
-    rs = 1.0 / sb
-    out = np.empty((nmax + 1,) + z.shape, dtype=z.dtype)
-    out[0] = rs[0]
-    if nmax >= 1:
-        out[1] = (z - a[0]) * out[0] * rs[1]
-    for k in range(1, nmax):
-        out[k + 1] = ((z - a[k]) * out[k] - sb[k] * out[k - 1]) * rs[k + 1]
-    return out
+def _pass_coefficients(params: JacobiParams, n: int, derivatives: int):
+    """(a_k for k < n, sqrt(b_k) for k <= n + 1): the steps of a pass to degree n."""
+    if n < 0 or not 0 <= derivatives <= 2:
+        raise ValueError(f"need a degree >= 0 and 0, 1 or 2 derivatives, got {n}, {derivatives}")
+    a, b = _recurrence(params.alpha, params.beta, n + 1)
+    return a[:n], np.sqrt(b)
+
+
+def jacobi_table(params: JacobiParams, nmax: int, z, derivatives: int = 0):
+    """p_0..p_nmax at z from one pass, shape (nmax+1,) + z.shape, float64 for real
+    z and complex otherwise; with derivatives = j > 0 the j+1 tables of p_k, p_k',
+    ... stacked, so table[i][k] is orthonormal_values(params, k, z, j)[i] bit for bit."""
+    a, sb = _pass_coefficients(params, nmax, derivatives)
+    table = np.moveaxis(_stacked_pass(a, sb, _real_or_complex(z), derivatives, table=True), 1, 0)
+    return table if derivatives else table[0]
 
 
 def orthonormal_values(params: JacobiParams, n: int, z, derivatives: int = 2):
@@ -135,24 +137,18 @@ def orthonormal_values(params: JacobiParams, n: int, z, derivatives: int = 2):
     (Gautschi, Orthogonal Polynomials, 2004).  An ndarray z, 0-d included,
     carries the orders as the rows of one array, in float64 when z is real and
     complex otherwise (see the module docstring for why the two agree bit for
-    bit); p_n is formed exactly as in jacobi_table, and a call with fewer
+    bit); it is the last row of jacobi_table, and a call with fewer
     derivatives returns the leading rows of a call with more.  Any other z, a
     Python number, runs a plain loop in Python arithmetic and gives Python
     numbers (floats at n = 0, where the loop never touches z).
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if not 0 <= derivatives <= 2:
-        raise ValueError("derivatives must be 0, 1 or 2")
-    a, b = _recurrence(params.alpha, params.beta, n + 1)
-    sb = np.sqrt(b)
+    a, sb = _pass_coefficients(params, n, derivatives)
     if isinstance(z, np.ndarray):
-        return tuple(_stacked_pass(a[:n], sb, _real_or_complex(z), derivatives))
-    a = a.tolist()
+        return tuple(_stacked_pass(a, sb, _real_or_complex(z), derivatives))
     sb = sb.tolist()
     q_prev, q = 0.0, 1.0 / sb[0]
     dq_prev = dq = ddq_prev = ddq = 0.0
-    for ak, sk, sk1 in zip(a[:n], sb, sb[1:]):
+    for ak, sk, sk1 in zip(a.tolist(), sb, sb[1:]):
         t = z - ak
         ddq_prev, ddq = ddq, (t * ddq + 2.0 * dq - sk * ddq_prev) / sk1
         dq_prev, dq = dq, (t * dq + q - sk * dq_prev) / sk1
@@ -160,28 +156,32 @@ def orthonormal_values(params: JacobiParams, n: int, z, derivatives: int = 2):
     return (q, dq, ddq)[:derivatives + 1]
 
 
-def _stacked_pass(a, sb, z, derivatives):
-    """Rows q, q', ... of the recurrence at array z, each step
-    t Q + j shift(Q) - sqrt(b_k) Q_prev times 1/sqrt(b_{k+1}) over all rows;
-    the factors t = z - a_k of every step come from one subtraction."""
-    rows = derivatives + 1
-    q = np.zeros((rows,) + z.shape, dtype=z.dtype)
+def _stacked_pass(a, sb, z, derivatives, table=False):
+    """Rows q, q', ... at array z after len(a) steps of t Q + j shift(Q) - sqrt(b_k) Q_prev
+    times 1/sqrt(b_{k+1}), t = z - a_k; Q_prev, Q and the step being formed roll over
+    three slots, or with table over one per degree 0..len(a), all returned, Q_{-1} = 0."""
+    shape = (derivatives + 1,) + z.shape
+    qs = np.zeros((len(a) + 2 if table else 3,) + shape, dtype=z.dtype)
+    slots = list(qs)
+    q_prev, q, work = slots[-1], slots[0], slots[1]
     q[0] = 1.0 / sb[0]
-    q_prev = np.zeros_like(q)
-    work = np.empty_like(q)
+    scaled = np.empty(shape, dtype=z.dtype)
     # row j gains j q^(j-1); adding -0.0 (both parts) leaves every bit of the q row alone
-    shift = -np.zeros_like(q)
-    j = np.arange(1.0, rows).reshape((-1,) + (1,) * z.ndim)
+    shift = -np.zeros(shape, dtype=z.dtype)
+    shift_tail = shift[1:]
+    j = np.arange(1.0, derivatives + 1).reshape((-1,) + (1,) * z.ndim)
     ts = z - a.reshape((-1,) + (1,) * z.ndim)
-    for t, sk, rk1 in zip(ts, sb.tolist(), (1.0 / sb[1:]).tolist()):
-        np.multiply(q[:-1], j, out=shift[1:])
-        np.multiply(t, q, out=work)   # t first: complex products need not commute
-        work += shift
-        q_prev *= sk
-        work -= q_prev
+    for t, sk, rk1, nxt in zip(ts, sb.tolist(), (1.0 / sb[1:]).tolist(),
+                               cycle(slots[2:] + slots[:2])):
+        np.multiply(t, q, work)   # t first: complex products need not commute
+        if derivatives:
+            np.multiply(q[:-1], j, shift_tail)
+            work += shift
+        np.multiply(q_prev, sk, scaled)
+        work -= scaled
         work *= rk1
-        q_prev, q, work = q, work, q_prev
-    return q
+        q_prev, q, work = q, work, nxt
+    return qs[:-1] if table else q
 
 
 def _at(params: JacobiParams, n: int, z, which: int):

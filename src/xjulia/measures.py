@@ -22,8 +22,8 @@ class EmpiricalMeasure:
 
     def __post_init__(self):
         self.points = np.atleast_1d(np.asarray(self.points, dtype=complex))
-        if len(self.points) == 0:
-            raise ValidationError("points must be nonempty")
+        if len(self.points) == 0 or not np.isfinite(self.points).all():
+            raise ValidationError("points must be finite and nonempty")
 
     @property
     def size(self) -> int:

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one verdict line per
 criterion.  Everything is deterministic given the seeds baked into the shared
-fixtures; it runs in about 20 s, and the full suite in about 45 s, on two cores.
+fixtures; it runs in 22-32 s, and the full suite in 42-54 s, on two shared cores.
 """
 
 import math

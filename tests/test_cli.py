@@ -266,7 +266,8 @@ class TestReport:
         assert err["error"] == "config" and err["field"] == "output_dir"
         assert name in err["message"]
 
-    @pytest.mark.parametrize("csv", [None, "", "re,im\n"])
+    @pytest.mark.parametrize("csv", [None, "", "re,im\n", "re,im\nnan,0\n", "re,im\ninf,0\n",
+                                     "re,im\n0.5,0\n0,-inf\n"])
     def test_missing_or_empty_sample_exit_two(self, tmp_path, capsys, csv):
         # the brolin JSON is there, so report reaches the preimage counts,
         # which read the sample points from the CSV beside it

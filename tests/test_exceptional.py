@@ -6,9 +6,36 @@ from numpy.testing import assert_allclose
 
 import xjulia as xj
 from xjulia import exceptional as ex
+from xjulia import jacobi
 from xjulia.config import from_json, to_json
 from xjulia.errors import ConfigError, ValidationError
-from xjulia.poly import Poly
+from xjulia.poly import Poly, horner
+
+
+def _fresh_family(kind):
+    """A family with nothing cached: the stock preset, the preset (3.0, 1.0),
+    where b_tilde is negative, or the pure derivative b = 1, bw = 0."""
+    if kind == "pure":
+        return ex.make_darboux_data(xj.JacobiParams(0.5, 0.5), Poly([1.0]), Poly([0.0]),
+                                    1, 1, 0.0, validate=False)
+    preset = xj.make_x1_preset(xj.JacobiParams(*{"stock": (0.02, 1.2), "negative": (3.0, 1.0)}[kind]))
+    return ex.make_darboux_data(preset.params, preset.b, preset.bw, preset.eps1, preset.eps2,
+                                preset.lambda_tilde, validate=False)
+
+
+def _transform_single_degree(data, k, x):
+    """b p_k' - bw p_k at real nodes x from the pass to degree k alone."""
+    p, dp = jacobi.orthonormal_values(data.params, k, x, 1)
+    bc, _, bwc, _ = data.multipliers
+    return horner(bc, x).real * dp - horner(bwc, x).real * p
+
+
+def _sigma_single_degree(data, k):
+    rule = data.quad_rule(ex._sigma_order(data, k))
+    vals = _transform_single_degree(data, k, rule.nodes)
+    bt = data.b_tilde(rule.nodes).real
+    c0 = ex.normalization_constant(data)
+    return float(np.sqrt(c0 * float(rule.integrate_values(vals * vals / bt ** 2))))
 
 
 class TestPreset:
@@ -69,6 +96,26 @@ class TestPreset:
         data = xj.make_x1_preset(xj.JacobiParams(alpha, beta))
         assert data.m == 1
 
+    @pytest.mark.parametrize("zeros", [(1.0, 0.5, 0.5), (1.0, 0.0, 0.0), (1.0, 1.0, 2.0)])
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_double_zero_on_interval_rejected(self, zeros, validate):
+        # with eps1 = -1, b_tilde = b / (1 - x) keeps b's double zero at 0.5 or 0,
+        # which Aberth splits off the axis, or a zero at 1 from b's double zero
+        # there, with one sign on the open interval
+        b = Poly(np.polynomial.polynomial.polyfromroots(zeros))
+        with pytest.raises(ValidationError, match="vanishes on"):
+            ex.make_darboux_data(xj.JacobiParams(2.0, 2.0), b, Poly([3.0, -1.0]), -1, 1, 4.0,
+                                 validate=validate)
+
+    @pytest.mark.parametrize("alpha,beta", [(0.02, 1.2), (1.2, 0.02), (3.0, 1.0)])
+    def test_presets_clear_structural_check(self, alpha, beta):
+        # the stock family and its mirrors: b_tilde = c - x is |c| - 1 from zero at
+        # the end of [-1, 1] nearest the pole
+        data = xj.make_x1_preset(xj.JacobiParams(alpha, beta))
+        c = (alpha + beta) / (beta - alpha)
+        x = np.clip(data.b_tilde_roots.real, -1.0, 1.0)
+        assert_allclose(np.abs(data.b_tilde(x)), abs(c) - 1.0, rtol=1e-12)
+
     def test_b_positive_on_interval(self, stock_family):
         grid = np.linspace(-0.999, 0.999, 101)
         assert np.all(stock_family.b(grid).real > 0)
@@ -99,6 +146,32 @@ class TestOrthonormality:
         dev, _ = ex.orthonormality_deviation(stock_family, 15)
         assert dev <= 1e-8
 
+    def test_gate_takes_two_passes(self, stock_family, monkeypatch):
+        # the gate's Gram rows and sigma_0..sigma_10 come from one table pass
+        # each; the order-200 rule, with passes of its own, is built beforehand
+        wp = stock_family.weight_params
+        jacobi.cached_rule(wp.alpha, wp.beta, ex.BASE_QUAD_ORDER)
+        passes = []
+        stacked_pass = jacobi._stacked_pass
+
+        def counted(*args, **kwargs):
+            passes.append(kwargs.get("table", False))
+            return stacked_pass(*args, **kwargs)
+
+        monkeypatch.setattr(jacobi, "_stacked_pass", counted)
+        xj.make_x1_preset(xj.JacobiParams(0.02, 1.2))
+        assert passes == [True, True]
+
+    @pytest.mark.parametrize("kind", ["stock", "negative", "pure"])
+    def test_gram_matrix_matches_single_degree_rows(self, kind):
+        data = _fresh_family(kind)
+        rule = data.quad_rule(ex._orthonormality_order(15, data.m))
+        x = rule.nodes
+        rows = np.array([_transform_single_degree(data, k, x) / _sigma_single_degree(data, k)
+                         for k in range(ex.first_index(data), 16)])
+        want = ex.normalization_constant(data) * (rows * (rule.weights / data.b_tilde(x).real ** 2)) @ rows.T
+        assert np.array_equal(ex.inner_product_matrix(data, 15), want)
+
     def test_gate_rejects_wrong_bw(self):
         # perturbing bw destroys orthogonality; the construction must notice
         good = xj.make_x1_preset(xj.JacobiParams(1.0, 3.0))
@@ -115,6 +188,21 @@ class TestSigma:
 
     def test_sigma_zero_positive(self, stock_family):
         assert ex.sigma_n(stock_family, 0) > 0
+
+    @pytest.mark.parametrize("kind", ["stock", "negative", "pure"])
+    def test_one_pass_caches_single_degree_sigmas(self, kind):
+        # sigma_59's table pass caches sigma_k for every k < 59 on its rule, each
+        # the single-degree pass's bit for bit; the pure derivative's sigma_0
+        # vanishes, so it is not cached and raises when asked for
+        data = _fresh_family(kind)
+        lo = ex.first_index(data)
+        ex.sigma_n(data, 59)
+        assert [k for k in range(60) if ("sigma", k) in data._cache] == list(range(lo, 60))
+        for k in range(lo, 60):
+            assert ex.sigma_n(data, k) == _sigma_single_degree(data, k)
+        if lo:
+            with pytest.raises(ValidationError, match="degenerate"):
+                ex.sigma_n(data, 0)
 
     def test_degenerate_transform_rejected(self):
         # b = 1, bw = 0 differentiates: the n = 0 member vanishes identically

@@ -219,6 +219,25 @@ class TestDerivative:
             else:
                 assert np.all(ddp == 0)
 
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.7, -0.3), (-0.98, 1.2), (2.5, 1.0)])
+    def test_table_matches_single_degree_passes(self, alpha, beta):
+        # jacobi_table is the stacked pass keeping the rows of every degree: each
+        # order's table row k is the single-degree pass to k bit for bit, on real
+        # and complex points, for every count of derivatives
+        params = xj.JacobiParams(alpha, beta)
+        x = np.linspace(-1.0, 1.0, 101)
+        for z in (x, 1.1 * x + 0.4j * np.sin(3 * x)):
+            assert jacobi_table(params, 59, z).shape == (60, 101)
+            for order in range(3):
+                table = jacobi_table(params, 59, z, order)
+                if order == 0:
+                    table = table[None]
+                assert table.shape == (order + 1, 60, 101)
+                assert table.dtype == z.dtype
+                for n in range(60):
+                    single = jacobi.orthonormal_values(params, n, z, order)
+                    assert all(np.array_equal(t[n], v) for t, v in zip(table, single))
+
     def test_scalar_matches_array(self):
         # Python scalars run the plain loop below bit for bit, in Python
         # arithmetic; arrays agree with it to rounding
