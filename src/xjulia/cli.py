@@ -302,8 +302,8 @@ def cmd_report(cfg: ExperimentConfig) -> int:
     data = _family_data(cfg)
     thr = cfg.thresholds
     n_list = cfg.n_list
-    if not n_list:
-        raise ConfigError("n_list", "report needs a nonempty n_list")
+    if not n_list or n_list[0] < 1:
+        raise ConfigError("n_list", "report needs a nonempty n_list of indices >= 1")
 
     zeros_diag = [_load_json(cfg.output_dir / f"zeros_n{n}.json", _ZEROS_FIELDS) for n in n_list]
     brolin_diag = [_load_json(cfg.output_dir / f"brolin_n{n}.json", _BROLIN_FIELDS)

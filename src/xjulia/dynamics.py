@@ -52,7 +52,7 @@ class EscapeData:
         return self.poly.degree
 
 
-def escape_radius(p: Poly, refine=None) -> EscapeData:
+def escape_radius(p: Poly) -> EscapeData:
     """EscapeData for p, with the doubling inequality spot-checked by sampling.
 
     The coefficient certificate max(1, (2 + sum_{k<d} |a_k|) / |a_d|) serves
@@ -78,7 +78,7 @@ def escape_radius(p: Poly, refine=None) -> EscapeData:
         holds = logs > np.log(2.0 * np.abs(z))
     if not np.all(holds):
         raise ValidationError("escape inequality failed the sampling check")
-    return EscapeData(p, r, r, refine)
+    return EscapeData(p, r, r)
 
 
 def _product_form_radius(p: Poly, r_hi: float) -> float:
@@ -122,11 +122,12 @@ def _product_form_radius(p: Poly, r_hi: float) -> float:
 
 
 def batch_escape_data(polys, refiners=None) -> list[EscapeData]:
-    """EscapeData for a family, sharing r_uniform = max of the escape radii."""
+    """EscapeData for a family, sharing r_uniform = max of the escape radii,
+    each with its refiner when refiners are given."""
     refiners = refiners if refiners is not None else [None] * len(polys)
-    datas = [escape_radius(p, refine=ref) for p, ref in zip(polys, refiners)]
+    datas = [escape_radius(p) for p in polys]
     r_tilde = max(e.r_escape for e in datas)
-    return [EscapeData(e.poly, e.r_escape, r_tilde, e.refine) for e in datas]
+    return [EscapeData(e.poly, e.r_escape, r_tilde, ref) for e, ref in zip(datas, refiners)]
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +309,10 @@ def _orbit_start(solver: PreimageSolver) -> complex:
     return w0
 
 
-def _run_orbit(solver: PreimageSolver, d: int, count: int, burn_in: int,
+def _run_orbit(solver: PreimageSolver, count: int, burn_in: int,
                bitgen, start: complex, refine=None) -> np.ndarray:
     rng = np.random.Generator(bitgen)
+    d = solver.d
     out = np.empty(count, dtype=complex)
     w = start
     total = burn_in + count
@@ -339,16 +341,14 @@ def brolin_sample(e: EscapeData, n_samples: int, burn_in: int = 100,
         raise ValueError("n_samples must be in [1, 1e6]")
     if burn_in < 1:
         raise ValueError("burn_in must be >= 1")
-    d = e.degree
-    if d < 2:
+    if e.degree < 2:
         raise ValueError("sampling needs degree >= 2")
     solver = PreimageSolver(e.poly)
     w0 = _orbit_start(solver)
     for restart in range(6):
         bitgen = np.random.Philox(key=seed).jumped(restart)
         try:
-            points = _run_orbit(solver, d, n_samples, burn_in, bitgen, w0,
-                                refine=e.refine)
+            points = _run_orbit(solver, n_samples, burn_in, bitgen, w0, refine=e.refine)
         except ConvergenceError:
             continue
         return BrolinSample(points)

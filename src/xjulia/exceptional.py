@@ -9,10 +9,15 @@ and rejects anything that fails it.  sigma_n is *defined* as the quadrature
 norm of b p_n' - bw p_n; the closed form sqrt(c0 (n(n+alpha+beta+1)+lambda))
 is the cross-check that validates the configured lambda.
 
+Inner products against W of members up to degree n (sigma_n, the Gram matrix,
+the span check) take the Gauss rule of order max(200, 2 (n + m) + 60) and slice
+one cached table pass per rule, run to the top degree it serves (70 - m at 200).
+
 The zeros of P_n are found by Aberth on the recurrence itself, split into
 regular and exceptional, and give P_n its root-product form.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -221,44 +226,54 @@ def weight(data: DarbouxData) -> ExceptionalWeight:
     return ExceptionalWeight(data, normalization_constant(data))
 
 
-def _transform_rows(data: DarbouxData, n: int, x: np.ndarray) -> np.ndarray:
-    """Unnormalized b p_k' - bw p_k, k = 0..n, at real quadrature nodes x, in
-    float64, from one table pass (b, bw have real coefficients); the rows define
-    sigma_k, so every other evaluation goes through exceptional_values."""
-    p, dp = jacobi.jacobi_table(data.params, n, x, 1)
-    bc, _, bwc, _ = data.multipliers
-    return horner(bc, x).real * dp - horner(bwc, x).real * p
-
-
-def _family_rows(data: DarbouxData, kmax: int, x: np.ndarray) -> np.ndarray:
-    """P_k = (b p_k' - bw p_k) / sigma_k at real nodes x, k = first_index..kmax;
-    sigma_kmax is asked first, as its pass caches every lower sigma on its rule."""
-    lo = first_index(data)
-    sig = np.array([sigma_n(data, k) for k in range(kmax, lo - 1, -1)][::-1])
-    return _transform_rows(data, kmax, x)[lo:] / sig[:, None]
-
-
-def _sigma_order(data: DarbouxData, n: int) -> int:
+def quad_order(data: DarbouxData, n: int) -> int:
+    """Order of the Gauss rule for inner products against W of members up to
+    degree n; the 60 nodes past the polynomial part's n + m + 1 serve 1/b_tilde^2."""
     return max(BASE_QUAD_ORDER, 2 * (n + data.m) + 60)
 
 
-def sigma_n(data: DarbouxData, n: int) -> float:
-    """L2(W) norm of b p_n' - bw p_n, by quadrature (the defining normalizer).
-    One table pass caches sigma_k for every k <= n on n's rule that is positive
-    and finite; asking for any other one raises ValidationError."""
-    key = ("sigma", n)
+_RulePass = namedtuple("_RulePass", "rule bt rows norms")
+
+
+def _rule_pass(data: DarbouxData, n: int) -> _RulePass:
+    """n's rule record, cached: the rule, b_tilde at its nodes, the rows
+    b p_k' - bw p_k there in float64 from one table pass to the top k on the
+    rule, and their norms, which define sigma_k (not yet checked for degeneracy)."""
+    if n < 0:
+        raise ValueError(f"need a degree >= 0, got {n}")
+    order = quad_order(data, n)
+    key = ("pass", order)
     if key not in data._cache:
-        c0 = normalization_constant(data)
-        rule = data.quad_rule(_sigma_order(data, n))
-        vals = _transform_rows(data, n, rule.nodes)
-        bt = data.b_tilde(rule.nodes).real
-        norm_sq = c0 * rule.integrate_values(vals * vals / bt ** 2)
-        for k, sq in enumerate(norm_sq.tolist()):
-            if 0.0 < sq < np.inf and _sigma_order(data, k) == rule.order:
-                data._cache[("sigma", k)] = float(np.sqrt(sq))
-        if key not in data._cache:
-            raise ValidationError(f"degenerate transform: ||A p_{n}|| ~ 0")
+        top = n
+        while quad_order(data, top + 1) == order:
+            top += 1
+        rule = data.quad_rule(order)
+        x = rule.nodes
+        p, dp = jacobi.jacobi_table(data.params, top, x, 1)
+        bc, _, bwc, _ = data.multipliers
+        rows = horner(bc, x).real * dp - horner(bwc, x).real * p
+        bt = data.b_tilde(x).real
+        norm_sq = normalization_constant(data) * rule.integrate_values(rows * rows / bt ** 2)
+        data._cache[key] = _RulePass(rule, bt, rows, np.sqrt(norm_sq).tolist())
     return data._cache[key]
+
+
+def _family_rows(data: DarbouxData, kmax: int):
+    """(kmax's rule record, P_k = (b p_k' - bw p_k) / sigma_k at its nodes for
+    k = first_index..kmax, sliced from the record's pass)."""
+    rec = _rule_pass(data, kmax)
+    lo = first_index(data)
+    sig = np.array([sigma_n(data, k) for k in range(lo, kmax + 1)])
+    return rec, rec.rows[lo:kmax + 1] / sig[:, None]
+
+
+def sigma_n(data: DarbouxData, n: int) -> float:
+    """L2(W) norm of b p_n' - bw p_n, by quadrature (the defining normalizer),
+    from n's rule record; one not positive and finite raises ValidationError."""
+    norm = _rule_pass(data, n).norms[n]
+    if not 0.0 < norm < np.inf:
+        raise ValidationError(f"degenerate transform: ||A p_{n}|| ~ 0")
+    return norm
 
 
 def sigma_n_closed_form(data: DarbouxData, n: int) -> float:
@@ -521,17 +536,10 @@ def monomial_coeffs(data: DarbouxData, n: int) -> Poly:
 # ---------------------------------------------------------------------------
 # structural oracles
 
-def _orthonormality_order(kmax: int, m: int) -> int:
-    return max(BASE_QUAD_ORDER, 4 * (kmax + m))
-
-
 def inner_product_matrix(data: DarbouxData, kmax: int) -> np.ndarray:
     """Gram matrix <P_i, P_j>_W for first_index(data) <= i, j <= kmax."""
-    c0 = normalization_constant(data)
-    rule = data.quad_rule(_orthonormality_order(kmax, data.m))
-    bt = data.b_tilde(rule.nodes).real
-    rows = _family_rows(data, kmax, rule.nodes)
-    return c0 * (rows * (rule.weights / bt ** 2)) @ rows.T
+    rec, rows = _family_rows(data, kmax)
+    return normalization_constant(data) * (rows * (rec.rule.weights / rec.bt ** 2)) @ rows.T
 
 
 def orthonormality_deviation(data: DarbouxData, kmax: int):
@@ -551,28 +559,19 @@ def verify_span_property(data: DarbouxData, p: Poly):
     1e-8 * ||b^2 p||_W for every l beyond deg(p) + s.  For a family produced
     by one first-order transformation, s_observed <= deg b + 1.
     """
-    n = p.degree if not _is_zero(p) else 0
-    db = data.b.degree
+    n = p.degree
     if n + 5 > DEGREE_CAP:
         raise ValueError("polynomial degree too large for the scan")
-    l_max = n + 2 * db + 5
+    l_max = n + 2 * data.b.degree + 5
 
     c0 = normalization_constant(data)
-    order = n + l_max + 2 * db + 10
-    rule = data.quad_rule(max(BASE_QUAD_ORDER, order))
-    x = rule.nodes
-    bt = data.b_tilde(x).real
+    rec, rows = _family_rows(data, l_max)
+    x, bt = rec.rule.nodes, rec.bt
     b2p = data.b(x).real ** 2 * p(x).real
-    norm = float(np.sqrt(c0 * rule.integrate_values(b2p * b2p / bt ** 2)))
-
-    coeffs = np.zeros(l_max + 1)
-    coeffs[first_index(data):] = c0 * rule.integrate_values(
-        b2p * _family_rows(data, l_max, x) / bt ** 2)
-    residuals = np.abs(coeffs)
-    if norm == 0.0:
-        return 0, residuals
-    tol = 1e-8 * norm
-    above = np.nonzero(residuals > tol)[0]
+    norm = float(np.sqrt(c0 * rec.rule.integrate_values(b2p * b2p / bt ** 2)))
+    residuals = np.zeros(l_max + 1)
+    residuals[first_index(data):] = np.abs(c0 * rec.rule.integrate_values(b2p * rows / bt ** 2))
+    above = np.nonzero(residuals > 1e-8 * norm)[0]
     if len(above) == 0:
         return 0, residuals
     l_star = int(above[-1])

@@ -223,6 +223,18 @@ class TestReport:
         err = json.loads(capsys.readouterr().err)
         assert "zeros" in err["message"]
 
+    def test_index_zero_refused_before_files(self, tmp_path, capsys):
+        # the leading-coefficient and Green's-function rows need n >= 1; a
+        # prior zeros_n0.json must not get report as far as reading it
+        out = tmp_path / "n0"
+        out.mkdir()
+        for n in (0, 5):
+            (out / f"zeros_n{n}.json").write_text('{"ks": 0.1, "exc_dist": 0.1}')
+        assert run(["report", *PRESET_FLAGS, "--n-list", "0,5", "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["field"] == "n_list"
+        assert not (out / "report.json").exists()
+
     def test_partial_outputs_null_sections(self, tmp_path):
         out = tmp_path / "p"
         assert run(["zeros", *PRESET_FLAGS, "--n-list", "10,40",

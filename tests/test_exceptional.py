@@ -31,11 +31,26 @@ def _transform_single_degree(data, k, x):
 
 
 def _sigma_single_degree(data, k):
-    rule = data.quad_rule(ex._sigma_order(data, k))
+    rule = data.quad_rule(ex.quad_order(data, k))
     vals = _transform_single_degree(data, k, rule.nodes)
     bt = data.b_tilde(rule.nodes).real
     c0 = ex.normalization_constant(data)
     return float(np.sqrt(c0 * float(rule.integrate_values(vals * vals / bt ** 2))))
+
+
+def _count_passes(data, monkeypatch):
+    """A list that records each recurrence pass from here on (True for a table
+    pass), with data's order-200 rule, which makes passes of its own, built."""
+    data.quad_rule(ex.BASE_QUAD_ORDER)
+    passes = []
+    stacked_pass = jacobi._stacked_pass
+
+    def counted(*args, **kwargs):
+        passes.append(kwargs.get("table", False))
+        return stacked_pass(*args, **kwargs)
+
+    monkeypatch.setattr(jacobi, "_stacked_pass", counted)
+    return passes
 
 
 class TestPreset:
@@ -146,26 +161,17 @@ class TestOrthonormality:
         dev, _ = ex.orthonormality_deviation(stock_family, 15)
         assert dev <= 1e-8
 
-    def test_gate_takes_two_passes(self, stock_family, monkeypatch):
-        # the gate's Gram rows and sigma_0..sigma_10 come from one table pass
-        # each; the order-200 rule, with passes of its own, is built beforehand
-        wp = stock_family.weight_params
-        jacobi.cached_rule(wp.alpha, wp.beta, ex.BASE_QUAD_ORDER)
-        passes = []
-        stacked_pass = jacobi._stacked_pass
-
-        def counted(*args, **kwargs):
-            passes.append(kwargs.get("table", False))
-            return stacked_pass(*args, **kwargs)
-
-        monkeypatch.setattr(jacobi, "_stacked_pass", counted)
+    def test_gate_takes_one_pass(self, stock_family, monkeypatch):
+        # the gate's Gram rows and sigma_0..sigma_10 are slices of the order-200
+        # rule's one table pass; the rule, with passes of its own, is built beforehand
+        passes = _count_passes(stock_family, monkeypatch)
         xj.make_x1_preset(xj.JacobiParams(0.02, 1.2))
-        assert passes == [True, True]
+        assert passes == [True]
 
     @pytest.mark.parametrize("kind", ["stock", "negative", "pure"])
     def test_gram_matrix_matches_single_degree_rows(self, kind):
         data = _fresh_family(kind)
-        rule = data.quad_rule(ex._orthonormality_order(15, data.m))
+        rule = data.quad_rule(ex.quad_order(data, 15))
         x = rule.nodes
         rows = np.array([_transform_single_degree(data, k, x) / _sigma_single_degree(data, k)
                          for k in range(ex.first_index(data), 16)])
@@ -189,20 +195,35 @@ class TestSigma:
     def test_sigma_zero_positive(self, stock_family):
         assert ex.sigma_n(stock_family, 0) > 0
 
+    def test_negative_index_refused(self, stock_family):
+        # the record's norms are a list: -1 must not read its last entry
+        with pytest.raises(ValueError, match="degree >= 0"):
+            ex.sigma_n(stock_family, -1)
+
     @pytest.mark.parametrize("kind", ["stock", "negative", "pure"])
     def test_one_pass_caches_single_degree_sigmas(self, kind):
-        # sigma_59's table pass caches sigma_k for every k < 59 on its rule, each
-        # the single-degree pass's bit for bit; the pure derivative's sigma_0
-        # vanishes, so it is not cached and raises when asked for
+        # sigma_59 reads the order-200 rule's pass, which runs to 70 - m, the top
+        # degree on that rule: sigma_k for every k up to it is the single-degree
+        # pass's bit for bit, and the next degree takes a larger rule; the pure
+        # derivative's sigma_0 vanishes, so it raises when asked for
         data = _fresh_family(kind)
-        lo = ex.first_index(data)
+        lo, top = ex.first_index(data), 70 - data.m
         ex.sigma_n(data, 59)
-        assert [k for k in range(60) if ("sigma", k) in data._cache] == list(range(lo, 60))
-        for k in range(lo, 60):
+        assert list(data._cache) == ["c0", ("pass", ex.BASE_QUAD_ORDER)]
+        assert len(data._cache[("pass", ex.BASE_QUAD_ORDER)].rows) == top + 1
+        assert ex.quad_order(data, top) == ex.BASE_QUAD_ORDER < ex.quad_order(data, top + 1)
+        for k in range(lo, top + 1):
             assert ex.sigma_n(data, k) == _sigma_single_degree(data, k)
         if lo:
             with pytest.raises(ValidationError, match="degenerate"):
                 ex.sigma_n(data, 0)
+
+    def test_sigmas_to_fifty_take_one_pass(self, monkeypatch):
+        # sigma_0..sigma_50 all lie on the order-200 rule, read from its one pass
+        data = _fresh_family("stock")
+        passes = _count_passes(data, monkeypatch)
+        [ex.sigma_n(data, n) for n in range(51)]
+        assert passes == [True]
 
     def test_degenerate_transform_rejected(self):
         # b = 1, bw = 0 differentiates: the n = 0 member vanishes identically
@@ -362,13 +383,15 @@ class TestMonomialCoeffs:
         assert np.max(np.abs(by_recurrence - exact)) <= 1e-12
 
 
+def _p7(params):
+    """p_7 from its zeros, the order-7 Gauss-Jacobi nodes, and its leading coefficient."""
+    return Poly.from_roots(xj.gauss_jacobi_rule(params, 7).nodes,
+                           xj.leading_coeff_jacobi(params, 7))
+
+
 class TestSpanProperty:
     def test_classical_multiplier(self, stock_family):
-        # p_7 from its zeros, the order-7 Gauss-Jacobi nodes, and its leading coefficient
-        params = stock_family.params
-        p7 = Poly.from_roots(xj.gauss_jacobi_rule(params, 7).nodes,
-                             xj.leading_coeff_jacobi(params, 7))
-        s_obs, residuals = xj.verify_span_property(stock_family, p7)
+        s_obs, residuals = xj.verify_span_property(stock_family, _p7(stock_family.params))
         # one first-order transformation gives expansions of length deg b + 1
         assert s_obs <= stock_family.b.degree + 1
         tail = residuals[7 + s_obs + 1:]
@@ -382,6 +405,23 @@ class TestSpanProperty:
         s_obs, residuals = xj.verify_span_property(stock_family, Poly([0.0]))
         assert s_obs == 0
         assert np.all(residuals == 0.0)
+
+    @pytest.mark.parametrize("multiplier", ["p7", "constant", "zero"])
+    def test_residuals_match_single_degree_rows(self, multiplier):
+        # the coefficients <b^2 p, P_l>_W, l <= deg p + 2 deg b + 5, read rows
+        # sliced from the cached pass: bit for bit those of single-degree passes
+        # on the rule quad_order gives l_max
+        data = _fresh_family("stock")
+        p = {"p7": _p7(data.params), "constant": Poly([1.0]), "zero": Poly([0.0])}[multiplier]
+        l_max = p.degree + 2 * data.b.degree + 5
+        rule = data.quad_rule(ex.quad_order(data, l_max))
+        x = rule.nodes
+        rows = np.array([_transform_single_degree(data, k, x) / _sigma_single_degree(data, k)
+                         for k in range(l_max + 1)])
+        b2p = data.b(x).real ** 2 * p(x).real
+        want = np.abs(ex.normalization_constant(data)
+                      * rule.integrate_values(b2p * rows / data.b_tilde(x).real ** 2))
+        assert np.array_equal(xj.verify_span_property(data, p)[1], want)
 
 
 class TestJson:
