@@ -30,6 +30,11 @@ GREEN_TEST_KEY = "green_test_points"
 DEFAULT_ALPHA = 0.02
 DEFAULT_BETA = 1.2
 
+# (argparse attribute, config field) of each value flag; "grid.x" is x in grid
+_VALUE_FLAGS = (("samples", "samples"), ("burn_in", "burn_in"), ("seed", "seed"),
+                ("out", "output_dir"), ("resolution", "grid.resolution"),
+                ("max_iter", "grid.max_iter"), ("half_width", "grid.half_width"))
+
 
 class _Parser(argparse.ArgumentParser):
     """An argparse parser whose usage errors raise ConfigError, so they reach
@@ -118,25 +123,8 @@ def resolve_config(args) -> ExperimentConfig:
         obj["n_list"] = [args.n]
     obj.setdefault("n_list", [])
 
-    for key, val in (("samples", args.samples), ("burn_in", args.burn_in),
-                     ("seed", args.seed)):
-        if val is not None:
-            obj[key] = val
-    grid = obj.get("grid", {})
-    if not isinstance(grid, dict):
-        raise ConfigError("grid", "must be an object")
-    for key, val in (("resolution", args.resolution), ("max_iter", args.max_iter),
-                     ("half_width", args.half_width)):
-        if val is not None:
-            grid[key] = val
-    if grid:
-        obj["grid"] = grid
-    if args.out is not None:
-        obj["output_dir"] = args.out
-
-    thresholds = obj.get("thresholds", {})
-    if not isinstance(thresholds, dict):
-        raise ConfigError("thresholds", "must be an object")
+    overrides = [(path, getattr(args, attr)) for attr, path in _VALUE_FLAGS
+                 if getattr(args, attr) is not None]
     for spec in args.threshold:
         if "=" not in spec:
             raise ConfigError("threshold", f"expected KEY=VALUE, got {spec!r}")
@@ -144,21 +132,29 @@ def resolve_config(args) -> ExperimentConfig:
         if key not in DEFAULT_THRESHOLDS:
             raise ConfigError("threshold", f"unknown threshold {key!r}")
         try:
-            thresholds[key] = json.loads(raw)
+            overrides.append((f"thresholds.{key}", json.loads(raw)))
         except json.JSONDecodeError as exc:
             raise ConfigError("threshold", f"bad value for {key}: {exc}") from exc
-    if thresholds:
-        obj["thresholds"] = thresholds
+    for path, val in overrides:
+        *outer, key = path.split(".")
+        target = obj.setdefault(outer[0], {}) if outer else obj
+        if isinstance(target, dict):    # validate_config refuses another grid or thresholds
+            target[key] = val
     return validate_config(obj)
 
 
-def _family_data(cfg: ExperimentConfig):
+def _family_data(cfg: ExperimentConfig, min_degree: int):
+    """The Darboux family, once every member P_n, n in cfg.n_list, is within the
+    degree cap and of degree >= min_degree."""
     if cfg.is_raw:
         raise ConfigError("family", "this command needs a Darboux family, not raw_poly")
     data = from_json(cfg.family)
     for n in cfg.n_list:
         if n + data.m > DEGREE_CAP:
             raise ConfigError("n_list", f"n + m = {n + data.m} exceeds the degree cap {DEGREE_CAP}")
+        if exceptional.exceptional_degree(data, n) < min_degree:
+            raise ConfigError("n_list", f"P_{n} has degree < {min_degree}; "
+                                        f"this command needs degree >= {min_degree}")
     return data
 
 
@@ -166,10 +162,7 @@ def _poly_schedule(cfg: ExperimentConfig):
     """[(label, n or None, Poly)] to run dynamics over."""
     if cfg.is_raw:
         return [("raw", None, Poly(cfg.family["raw_poly"]))]
-    data = _family_data(cfg)
-    for n in cfg.n_list:
-        if exceptional.exceptional_degree(data, n) < 2:
-            raise ConfigError("n_list", f"P_{n} has degree < 2; dynamics need degree >= 2")
+    data = _family_data(cfg, 2)
     return [(f"n{n}", n, exceptional.monomial_coeffs(data, n)) for n in cfg.n_list]
 
 
@@ -190,7 +183,7 @@ def _json_text(obj) -> str:
 # subcommands
 
 def cmd_zeros(cfg: ExperimentConfig) -> int:
-    data = _family_data(cfg)
+    data = _family_data(cfg, 1)
     bt_roots = data.b_tilde_roots
     for n in cfg.n_list:
         zc = exceptional.classify_zeros(data, n)
@@ -299,7 +292,7 @@ def _load_json(path: Path, fields):
 
 
 def cmd_report(cfg: ExperimentConfig) -> int:
-    data = _family_data(cfg)
+    data = _family_data(cfg, 1)
     thr = cfg.thresholds
     n_list = cfg.n_list
     if not n_list or n_list[0] < 1:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 from .measures import EmpiricalMeasure
-from .poly import Poly, PreimageSolver, horner, roots
+from .poly import Poly, PreimageSolver, expansion_error, horner, roots
 
 OVERFLOW_GUARD = 1e150
 _RADIUS_CHECK_POINTS = 200
@@ -90,19 +90,12 @@ def _product_form_radius(p: Poly, r_hi: float) -> float:
 
     For |z| > max |zeta_i|, |a_d prod (z - zeta_i)| >= |a_d| prod (|z| - |zeta_i|).
     The expanded coefficients are off the product's by at most eps |a_d| times
-    those of prod (z + |zeta_i|): each of the d clongdouble convolution steps
-    and the multiply by a_d is a complex multiply and an add (sqrt 2 gamma_2 + u
-    <= gamma_4 each, Higham, Accuracy and Stability of Numerical Algorithms,
-    lemma 3.5), and the cast to complex rounds once more, so
-    eps = u + gamma_{4d+4} in clongdouble precision.  Both the product and the
-    coefficients therefore satisfy |p(z)| >= 2 |z| at |z| = r, and at every
-    larger |z|, since both sides' ratio grows with r for d >= 2.
+    those of prod (z + |zeta_i|), eps = expansion_error(d).  Both the product
+    and the coefficients therefore satisfy |p(z)| >= 2 |z| at |z| = r, and at
+    every larger |z|, since both sides' ratio grows with r for d >= 2.
     """
     mags = np.abs(p.zeros)
-    d = len(mags)
-    k = 4 * d + 4
-    u_long = float(np.finfo(np.clongdouble).eps) / 2.0
-    log_eps = np.log(np.finfo(float).eps / 2.0 + k * u_long / (1.0 - k * u_long))
+    log_eps = np.log(expansion_error(len(mags)))
     log_lead = np.log(abs(p.coeffs[-1]))
 
     def holds(r):

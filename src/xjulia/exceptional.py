@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from . import jacobi
 from .errors import ConfigError, ConvergenceError, ValidationError
@@ -54,7 +55,9 @@ class DarbouxData:
     exponents (alpha + eps1, beta + eps2).  m = deg b_tilde is the codimension.
     Fixed with the family: multipliers, the ascending coefficients of b, b',
     bw and bw' as Python lists, which horner evaluates at arrays and Python
-    numbers alike, and b_tilde_roots, the zeros of b_tilde.
+    numbers alike; b_tilde_roots, the zeros of b_tilde; and top = (B, C, b_(D-1)),
+    for D = deg b bw's coefficients at x^(D-1), x^(D-2) and b's at x^(D-1), 0
+    where absent, which decide the top two coefficients of P_n (zero_sum).
     """
 
     params: JacobiParams
@@ -67,6 +70,7 @@ class DarbouxData:
     b_tilde: Poly
     multipliers: tuple = field(init=False, repr=False, compare=False)
     b_tilde_roots: np.ndarray = field(init=False, repr=False, compare=False)
+    top: tuple = field(init=False, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -74,6 +78,10 @@ class DarbouxData:
                                  (self.b, self.b.deriv(), self.bw, self.bw.deriv()))
         self.b_tilde_roots = (roots(self.b_tilde) if self.m >= 1
                               else np.array([], dtype=complex))
+        b, _, bw, _ = self.multipliers
+        D = len(b) - 1
+        self.top = tuple(c[k] if 0 <= k < len(c) else 0.0
+                         for c, k in ((bw, D - 1), (bw, D - 2), (b, D - 1)))
 
     @property
     def weight_params(self) -> JacobiParams:
@@ -107,19 +115,13 @@ def _divide_out_interval_factors(b: Poly, eps1: int, eps2: int) -> Poly:
     for eps, root in ((eps1, 1.0), (eps2, -1.0)):
         if eps == 1:
             continue
-        # synthetic division by (x - root); remainder must vanish
-        out = np.empty(len(coeffs) - 1, dtype=complex)
-        acc = coeffs[-1]
-        for k in range(len(coeffs) - 2, -1, -1):
-            out[k] = acc
-            acc = coeffs[k] + root * acc
         scale = max(1.0, np.max(np.abs(coeffs)))
-        if abs(acc) > 1e-9 * scale:
+        # 1 - root x is (1 -+ x), so the quotient is b / (1 -+ x) itself
+        coeffs, rem = npoly.polydiv(coeffs, (1.0, -root))
+        if abs(rem[0]) > 1e-9 * scale:
             raise ValidationError(
                 f"b is not divisible by (x - {root:g}) as the sign pattern requires "
-                f"(remainder {abs(acc):.2e})")
-        # (1 -+ x) = -+(x - root): flip sign so the quotient is b / (1 -+ x)
-        coeffs = -out if root == 1.0 else out
+                f"(remainder {abs(rem[0]):.2e})")
     return Poly(coeffs)
 
 
@@ -318,15 +320,14 @@ def eval_exceptional(data: DarbouxData, n: int, z):
 # degrees and leading coefficients
 
 def exceptional_degree(data: DarbouxData, n: int) -> int:
-    """Actual degree of P_n, accounting for the possible top cancellation."""
-    db, dbw = data.b.degree, data.bw.degree
+    """Actual degree of P_n, n + deg b - 1 for n >= 1; ValidationError at a
+    degenerate n = B, where the top coefficient, a multiple of n - B, cancels."""
     if n == 0:
-        return dbw if not _is_zero(data.bw) else 0
-    if dbw == db - 1:
-        B = data.bw.leading_coeff().real
-        if abs(n - B) <= 1e-12 * max(1.0, abs(B)):
-            raise ValidationError(f"degree degenerates at n={n} (n = leading coeff of bw)")
-    return n + db - 1
+        return data.bw.degree if not _is_zero(data.bw) else 0
+    B = data.top[0].real
+    if abs(n - B) <= 1e-12 * max(1.0, abs(B)):
+        raise ValidationError(f"degree degenerates at n={n} (n = leading coeff of bw)")
+    return n + data.b.degree - 1
 
 
 def leading_coeff_estimate(data: DarbouxData, n: int) -> float:
@@ -341,20 +342,19 @@ def leading_coeff_estimate(data: DarbouxData, n: int) -> float:
 
 
 def leading_coeff_exceptional(data: DarbouxData, n: int) -> float:
-    """Leading coefficient of P_n, gamma_n (n - eps B) / sigma_n, in closed form.
+    """Leading coefficient of P_n, gamma_n (n - B) / sigma_n, in closed form.
 
     b is monic, so b p_n' leads with n gamma_n at degree n + deg b - 1, where
-    gamma_n leads p_n.  bw p_n reaches that degree, with B gamma_n for B the
-    leading coefficient of bw, exactly when deg bw = deg b - 1: then eps = 1,
-    otherwise eps = 0.  Raises ValueError for n < 1 and ValidationError at a
-    degenerate n = B, where the top coefficient cancels (exceptional_degree).
+    gamma_n leads p_n, and bw p_n adds B gamma_n there, B = data.top[0] being
+    bw's coefficient at x^(deg b - 1) (0 when deg bw is lower).  Raises
+    ValueError for n < 1 and ValidationError at a degenerate n = B, where the
+    top coefficient cancels (exceptional_degree).
     """
     if n < 1:
         raise ValueError("the leading-coefficient formula needs n >= 1")
     exceptional_degree(data, n)
-    eps = 1 if data.bw.degree == data.b.degree - 1 else 0
     gam = jacobi.leading_coeff_jacobi(data.params, n)
-    return gam * (n - eps * data.bw.leading_coeff().real) / sigma_n(data, n)
+    return gam * (n - data.top[0].real) / sigma_n(data, n)
 
 
 def newton_refiner(data: DarbouxData, n: int):
@@ -449,7 +449,7 @@ def classify_zeros(data: DarbouxData, n: int) -> ZeroClassification:
     reg_mask = (np.abs(found.imag) <= IMAG_TOL) & (np.abs(found.real) < 1.0 - EDGE_TOL)
     regular = np.sort(found[reg_mask].real)
     exceptional = found[~reg_mask]
-    if len(exceptional):
+    if len(exceptional) and len(data.b_tilde_roots):
         dist = np.min(np.abs(exceptional[:, None] - data.b_tilde_roots[None, :]), axis=1)
         exceptional = exceptional[np.argsort(dist)]
     return ZeroClassification(regular=regular, exceptional=exceptional, n=n, m=data.m)
@@ -460,24 +460,17 @@ def zero_sum(data: DarbouxData, n: int) -> complex:
 
     P_n is a multiple of b pi_n' - bw pi_n for the monic Jacobi pi_n =
     x^n + s_n x^(n-1) + ..., where s_n = -(a_0 + ... + a_(n-1)) from the monic
-    recurrence.  With b monic of degree D, b_(D-1) its x^(D-1) coefficient and
-    B, C those of bw at x^(D-1), x^(D-2) (0 where absent), its top two
-    coefficients are n - B and (n-1-B) s_n + n b_(D-1) - C.  P_0 is a
-    multiple of bw itself.  b and bw are read from data.multipliers, whose
-    coefficient lists end at the leading one.
+    recurrence.  With (B, C, b_(D-1)) = data.top, its top two coefficients are
+    n - B and (n-1-B) s_n + n b_(D-1) - C.  P_0 is a multiple of bw itself,
+    whose coefficient list in data.multipliers ends at the leading one.
     """
-    b, _, bw, _ = data.multipliers
     if n == 0:
+        bw = data.multipliers[2]
         return -bw[-2] / bw[-1]
     a, _ = jacobi._recurrence(data.params.alpha, data.params.beta, n)
     s = -float(np.sum(a[:n]))
-    D = len(b) - 1
-
-    def coeff(c, k):
-        return c[k] if 0 <= k < len(c) else 0.0
-
-    B, C = coeff(bw, D - 1), coeff(bw, D - 2)
-    return -((n - 1 - B) * s + n * coeff(b, D - 1) - C) / (n - B)
+    B, C, b1 = data.top
+    return -((n - 1 - B) * s + n * b1 - C) / (n - B)
 
 
 def _classification_guesses(data: DarbouxData, degree: int) -> np.ndarray:

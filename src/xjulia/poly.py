@@ -164,6 +164,18 @@ def _expand(roots, leading):
     return np.asarray(c * leading, dtype=complex)
 
 
+def expansion_error(d: int) -> float:
+    """eps with |expanded - exact| <= eps |a_d| times the coefficients of
+    prod (z + |zeta_i|), coefficientwise, for _expand on d roots: each of the
+    d clongdouble convolution steps and the multiply by a_d is a complex
+    multiply and an add (sqrt 2 gamma_2 + u <= gamma_4 each, Higham, Accuracy
+    and Stability of Numerical Algorithms, lemma 3.5), and the cast to complex
+    rounds once more, so eps = u + gamma_{4d+4} in clongdouble precision."""
+    k = 4 * d + 4
+    u_long = float(np.finfo(np.clongdouble).eps) / 2.0
+    return np.finfo(float).eps / 2.0 + k * u_long / (1.0 - k * u_long)
+
+
 def horner(coeffs, z):
     """Value of the monomial-basis polynomial with ascending coeffs at array z,
     accumulated in place; at a Python number, in Python arithmetic."""

@@ -15,6 +15,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 PRESET_FLAGS = ["--preset", "x1", "--alpha", "0.02", "--beta", "1.2"]
 
+# b = x^2 - 1 with both interval factors divided out: b_tilde = -1 has no
+# zero, P_n is a multiple of (x^2 - 1) p_n' with exceptional zeros +-1, and
+# P_0 = 0 has degree 0
+SQUARE_DERIVATIVE = {"alpha": 2.0, "beta": 2.0, "eps1": -1, "eps2": -1,
+                     "b": [-1.0, 0.0, 1.0], "bw": [0.0], "lambda_tilde": 0.0}
+
 
 def run(argv, capsys=None):
     code = main(argv)
@@ -119,6 +125,27 @@ class TestZeros:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "numerical"
         assert err["message"] == "P_0 has no regular zeros in (-1, 1)"
+
+
+class TestFamilyWithoutBTildeZeros:
+    def test_every_command_exits_zero(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": SQUARE_DERIVATIVE, "n_list": [6, 10]}))
+        out = tmp_path / "out"
+        for command in ("zeros", "julia", "brolin", "report"):
+            assert run([command, "--config", str(cfg), "--samples", "300", "--burn-in", "20",
+                        "--resolution", "64", "--out", str(out)]) == 0
+        assert read_json(out / "zeros_n6.json")["exc_dist"] is None
+        zero_counting = read_json(out / "report.json")["sections"]["zero_counting"]
+        assert zero_counting["exc_dist"] == [None, None] and zero_counting["pass"] is False
+
+    def test_degree_zero_member_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": SQUARE_DERIVATIVE}))
+        assert run(["zeros", "--config", str(cfg), "--n-list", "0", "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and err["field"] == "n_list"
+        assert not list(tmp_path.glob("zeros_*"))
 
 
 class TestJulia:

@@ -23,6 +23,24 @@ def _fresh_family(kind):
                                 preset.lambda_tilde, validate=False)
 
 
+# b = x^2 - 1 with both interval factors divided out: b_tilde = -1, m = 0, and
+# bw = 0, so P_n is a multiple of (x^2 - 1) p_n' and deg bw < deg b - 1
+SQUARE_DERIVATIVE = {"alpha": 2.0, "beta": 2.0, "eps1": -1, "eps2": -1,
+                     "b": [-1.0, 0.0, 1.0], "bw": [0.0], "lambda_tilde": 0.0}
+
+
+def _synthetic_division(coeffs, root):
+    """(quotient, remainder) of ascending coeffs by (1 - root x), root = +-1,
+    by the synthetic-division loop b_tilde was once built with."""
+    out = np.empty(len(coeffs) - 1, dtype=complex)
+    acc = coeffs[-1]
+    for k in range(len(coeffs) - 2, -1, -1):
+        out[k] = acc
+        acc = coeffs[k] + root * acc
+    # (1 - x) = -(x - 1): the loop divides by (x - root)
+    return (-out if root == 1.0 else out), acc
+
+
 def _transform_single_degree(data, k, x):
     """b p_k' - bw p_k at real nodes x from the pass to degree k alone."""
     p, dp = jacobi.orthonormal_values(data.params, k, x, 1)
@@ -139,6 +157,39 @@ class TestPreset:
     def test_monic_and_degree_gap(self, stock_family):
         assert stock_family.b.is_monic()
         assert stock_family.b.degree >= stock_family.bw.degree + 1
+
+
+class TestIntervalFactors:
+    def test_polydiv_matches_synthetic_division(self):
+        # b_tilde's coefficients, and the remainder the 1e-9 refusal reads,
+        # are the loop's bit for bit in their real parts, for either factor
+        # alone or both, on divisible b and on b with a remainder
+        rng = np.random.default_rng(20)
+        for _ in range(40):
+            free = rng.uniform(-3.0, 3.0, rng.integers(0, 6))
+            for eps1 in (1, -1):
+                for eps2 in (1, -1):
+                    roots = [*free, *[1.0] * (eps1 == -1), *[-1.0] * (eps2 == -1)]
+                    b = Poly.from_roots(roots)
+                    ref = b.coeffs.astype(complex)
+                    for eps, root in ((eps1, 1.0), (eps2, -1.0)):
+                        if eps == -1:
+                            ref, _ = _synthetic_division(ref, root)
+                    got = ex._divide_out_interval_factors(b, eps1, eps2).coeffs
+                    assert np.array_equal(got, ref)
+                    assert got.real.tobytes() == ref.real.tobytes()
+            coeffs = np.append(rng.uniform(-3.0, 3.0, rng.integers(1, 6)), 1.0).astype(complex)
+            for root in (1.0, -1.0):
+                quotient, rem = np.polynomial.polynomial.polydiv(coeffs, (1.0, -root))
+                ref_quotient, ref_rem = _synthetic_division(coeffs, root)
+                assert quotient.real.tobytes() == ref_quotient.real.tobytes()
+                assert rem[0].real == ref_rem.real and np.array_equal(quotient, ref_quotient)
+
+    def test_indivisible_b_refused(self):
+        # x^2 + 1 has no (1 - x) factor: the remainder 2 is refused
+        with pytest.raises(ValidationError, match=r"\(x - 1\).*remainder 2.00e\+00"):
+            ex.make_darboux_data(xj.JacobiParams(2.0, 1.0), Poly([1.0, 0.0, 1.0]),
+                                 Poly([0.0]), -1, 1, 0.0, validate=False)
 
 
 class TestWeight:
@@ -314,11 +365,11 @@ class TestDegreesAndLeadingCoeffs:
         assert g50 < g25
 
     def test_degenerate_degree_errors(self):
-        # the degree rule picks eps: bw p_n reaches the top degree of b p_n'
-        # (eps = 1) only when deg bw = deg b - 1
+        # bw p_n reaches the top degree of b p_n' only when deg bw = deg b - 1;
+        # otherwise B, bw's coefficient at x^(deg b - 1), is 0
         params = xj.JacobiParams(2.0, 2.0)
         b = Poly([2.0, -3.0, 1.0])            # (x-1)(x-2)
-        for bw in (Poly([3.0]), Poly([1.0, 5.0])):    # eps = 0, eps = 1
+        for bw in (Poly([3.0]), Poly([1.0, 5.0])):    # B = 0, B = 5
             data = ex.make_darboux_data(params, b, bw, -1, 1, 4.0, validate=False)
             for n in (4, 10, 20):
                 lead = xj.leading_coeff_exceptional(data, n)
@@ -329,6 +380,40 @@ class TestDegreesAndLeadingCoeffs:
         for f in (ex.exceptional_degree, xj.leading_coeff_exceptional):
             with pytest.raises(ValidationError, match="degenerate"):
                 f(data, 5)
+
+    def test_top_coefficients_pinned(self, stock_family):
+        # the stock family has deg bw = deg b - 1, so B = -alpha, C = bw's
+        # constant term and b_1 = -(1 + c); the square-derivative one has
+        # deg bw < deg b - 1, so B = C = b_1 = 0, P_n leads with n gamma_n /
+        # sigma_n and its zeros, symmetric for alpha = beta, sum to 0
+        c = 1.22 / 1.18
+        assert_allclose(np.real(stock_family.top), [-0.02, 1.02 * c - 1.0, -(1.0 + c)],
+                        rtol=1e-15)
+        square = from_json(SQUARE_DERIVATIVE)
+        assert square.top == (0.0, 0.0, 0.0)
+        pinned = {
+            "stock": (stock_family, 1, {
+                1: (2, 6.925309419361875, 2.0425307927150227),
+                10: (11, 6015.700309440311, 1.6874231217751083),
+                40: (41, 7007329374921.14, 1.6404951606642761)}),
+            "square": (square, 0, {
+                1: (2, 1.20761472884912, 0.0),
+                10: (11, 1874.1390547436424, 0.0),
+                40: (41, 2584706907148.893, 0.0)}),
+        }
+        for data, degree_at_0, rows in pinned.values():
+            assert ex.exceptional_degree(data, 0) == degree_at_0
+            for n, (degree, lead, total) in rows.items():
+                assert ex.exceptional_degree(data, n) == degree
+                assert_allclose(xj.leading_coeff_exceptional(data, n), lead, rtol=1e-12)
+                assert_allclose(ex.zero_sum(data, n), total, rtol=1e-13)
+
+    def test_exceptional_zeros_without_b_tilde_zeros(self):
+        # m = 0 leaves no b_tilde zero to sort exceptional zeros by, yet P_4,
+        # a multiple of (x^2 - 1) p_4', has the exceptional zeros +-1
+        zc = xj.classify_zeros(from_json(SQUARE_DERIVATIVE), 4)
+        assert_allclose(zc.regular, [-np.sqrt(3 / 11), 0.0, np.sqrt(3 / 11)], atol=1e-13)
+        assert_allclose(np.sort_complex(zc.exceptional), [-1.0, 1.0], atol=1e-13)
 
 
 class TestMonomialCoeffs:
