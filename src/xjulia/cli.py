@@ -184,16 +184,11 @@ def _json_text(obj) -> str:
 
 def cmd_zeros(cfg: ExperimentConfig) -> int:
     data = _family_data(cfg, 1)
-    bt_roots = data.b_tilde_roots
     for n in cfg.n_list:
         zc = exceptional.classify_zeros(data, n)
         mu = exceptional.zero_counting_measure(zc)
         ks = measures.ks_distance_real(mu, measures.arcsine_cdf)
-        if len(zc.exceptional) and len(bt_roots):
-            exc_dist = float(np.max(np.min(
-                np.abs(zc.exceptional[:, None] - bt_roots[None, :]), axis=1)))
-        else:
-            exc_dist = None
+        exc_dist = float(zc.exceptional_dist[-1]) if len(zc.exceptional_dist) else None
         _write(cfg.output_dir / f"zeros_n{n}.csv", exceptional.classification_to_csv(zc))
         _write(cfg.output_dir / f"zeros_n{n}.json", _json_text({
             "schema_version": SCHEMA_VERSION,

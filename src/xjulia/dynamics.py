@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .measures import EmpiricalMeasure
+from .measures import EmpiricalMeasure, chebyshev_moments
 from .poly import Poly, PreimageSolver, expansion_error, horner, roots
 
 OVERFLOW_GUARD = 1e150
@@ -358,14 +358,15 @@ def exact_chebyshev_moments(p: Poly, k_max: int) -> np.ndarray:
     The balanced measure mu is invariant under the pull-back (1/d) sum over
     p(z) = w (Brolin 1965), and for k < d = deg p the power sums of the roots
     of p(z) - w do not depend on w.  Hence m_k is the mean of T_k over the
-    zeros of p: those a product form carries, roots(p) otherwise.
+    zeros of p, those a product form carries or roots(p), by chebyshev_moments,
+    whose cap k_max <= 32 holds here too (no caller asks for more than 6).
     """
     p = p.trimmed()
     d = p.degree
     if not 0 <= k_max < d:
         raise ValueError(f"k_max must be in [0, {d - 1}] for degree {d}")
     zeros = p.zeros if p.zeros is not None else roots(p)
-    return np.polynomial.chebyshev.chebval(zeros, np.eye(k_max + 1)).mean(axis=1)
+    return chebyshev_moments(EmpiricalMeasure(zeros), k_max)
 
 
 def nearest_distances(points: np.ndarray, queries: np.ndarray | None = None) -> np.ndarray:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import jacobi
 from .errors import ConfigError, ConvergenceError, ValidationError
@@ -110,19 +109,19 @@ class ExceptionalWeight:
 
 
 def _divide_out_interval_factors(b: Poly, eps1: int, eps2: int) -> Poly:
-    """b_tilde = b / (1-x)^d1 / (1+x)^d2 with d_i = (1 - eps_i)/2, by exact division."""
-    coeffs = np.array(b.coeffs[:b.degree + 1], dtype=complex)
+    """b_tilde = b / (1-x)^d1 / (1+x)^d2, d_i = (1 - eps_i)/2, by numpy's np.polydiv."""
+    coeffs = b.coeffs[b.degree::-1]
     for eps, root in ((eps1, 1.0), (eps2, -1.0)):
         if eps == 1:
             continue
         scale = max(1.0, np.max(np.abs(coeffs)))
-        # 1 - root x is (1 -+ x), so the quotient is b / (1 -+ x) itself
-        coeffs, rem = npoly.polydiv(coeffs, (1.0, -root))
-        if abs(rem[0]) > 1e-9 * scale:
+        # descending, 1 -+ x reads (-+1, 1), so the quotient is b / (1 -+ x) itself
+        coeffs, rem = np.polydiv(coeffs, (-root, 1.0))
+        if abs(rem[-1]) > 1e-9 * scale:
             raise ValidationError(
                 f"b is not divisible by (x - {root:g}) as the sign pattern requires "
-                f"(remainder {abs(rem[0]):.2e})")
-    return Poly(coeffs)
+                f"(remainder {abs(rem[-1]):.2e})")
+    return Poly(coeffs[::-1])
 
 
 def make_darboux_data(params: JacobiParams, b: Poly, bw: Poly, eps1: int, eps2: int,
@@ -394,14 +393,16 @@ def newton_refiner(data: DarbouxData, n: int):
 class ZeroClassification:
     """Zeros of one Darboux-family polynomial, split by location.
 
-    regular: real zeros in (-1, 1), ascending.  exceptional: all others,
-    sorted by distance to the nearest zero of the one-signed divisor b_tilde.
+    regular: real zeros in (-1, 1), ascending.  exceptional: all others, sorted
+    by exceptional_dist, the distance to the nearest zero of the one-signed
+    divisor b_tilde (empty, and exceptional unsorted, when b_tilde has none).
     """
 
     regular: np.ndarray
     exceptional: np.ndarray
     n: int
     m: int
+    exceptional_dist: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
     def total(self) -> int:
@@ -448,11 +449,11 @@ def classify_zeros(data: DarbouxData, n: int) -> ZeroClassification:
 
     reg_mask = (np.abs(found.imag) <= IMAG_TOL) & (np.abs(found.real) < 1.0 - EDGE_TOL)
     regular = np.sort(found[reg_mask].real)
-    exceptional = found[~reg_mask]
-    if len(exceptional) and len(data.b_tilde_roots):
+    exceptional, dist = found[~reg_mask], np.empty(0)
+    if len(data.b_tilde_roots):
         dist = np.min(np.abs(exceptional[:, None] - data.b_tilde_roots[None, :]), axis=1)
-        exceptional = exceptional[np.argsort(dist)]
-    return ZeroClassification(regular=regular, exceptional=exceptional, n=n, m=data.m)
+        exceptional, dist = exceptional[np.argsort(dist)], np.sort(dist)
+    return ZeroClassification(regular, exceptional, n, data.m, dist)
 
 
 def zero_sum(data: DarbouxData, n: int) -> complex:
@@ -462,9 +463,12 @@ def zero_sum(data: DarbouxData, n: int) -> complex:
     x^n + s_n x^(n-1) + ..., where s_n = -(a_0 + ... + a_(n-1)) from the monic
     recurrence.  With (B, C, b_(D-1)) = data.top, its top two coefficients are
     n - B and (n-1-B) s_n + n b_(D-1) - C.  P_0 is a multiple of bw itself,
-    whose coefficient list in data.multipliers ends at the leading one.
+    whose coefficient list in data.multipliers ends at the leading one; a P_0
+    of degree 0 (bw zero or constant) has no zero and is refused.
     """
     if n == 0:
+        if exceptional_degree(data, 0) < 1:
+            raise ValueError("degree must be >= 1")
         bw = data.multipliers[2]
         return -bw[-2] / bw[-1]
     a, _ = jacobi._recurrence(data.params.alpha, data.params.beta, n)

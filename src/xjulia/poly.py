@@ -216,7 +216,7 @@ def initial_circle(mono: np.ndarray, radius: float | None = None) -> np.ndarray:
     return radius * np.exp(1j * ang) * (1.0 + 0.01 * np.sin(7.0 * ang))
 
 
-def aberth(values, noise_floor, z0: np.ndarray, max_sweeps: int = MAX_SWEEPS):
+def aberth(values, noise_floor, z0: np.ndarray):
     """Aberth-Ehrlich iteration on all roots at once, from starting points z0.
 
     values(z) -> (p(z), p'(z), ...) drives the sweeps.  A root also counts as
@@ -224,15 +224,15 @@ def aberth(values, noise_floor, z0: np.ndarray, max_sweeps: int = MAX_SWEEPS):
     level of the evaluation itself; corrections cannot shrink below that,
     whatever the sweep count.  Returns (roots, converged, *values) with the
     tuple of the last values() call: at the roots when the iteration ended on
-    an evaluation (the floor test or the sweep limit), and at the points one
-    correction, of at most CONVERGENCE_REL relative size, before the roots
-    when it ended on a correction.
+    an evaluation (the floor test or the sweep limit MAX_SWEEPS, read at each
+    call), and at the points one correction, of at most CONVERGENCE_REL
+    relative size, before the roots when it ended on a correction.
     """
     z = z0.copy()
     best = np.inf
     stalled = 0
     pending = None
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(MAX_SWEEPS + 1):
         vals = values(z)
         pv, dv = vals[:2]
         # the floor test of the previous sweep reads this sweep's p(z), so an
@@ -240,7 +240,7 @@ def aberth(values, noise_floor, z0: np.ndarray, max_sweeps: int = MAX_SWEEPS):
         if pending is not None and np.all(
                 (pending <= CONVERGENCE_REL) | (np.abs(pv) <= noise_floor(z, pv))):
             return (z, True, *vals)
-        if sweep == max_sweeps:
+        if sweep == MAX_SWEEPS:
             return (z, False, *vals)
         safe = dv.copy()        # the returned derivatives keep an exact zero
         safe[safe == 0] = 1e-300
@@ -342,7 +342,7 @@ class PreimageSolver:
         values = partial(self.poly.values, w=w)
         floor = partial(self.poly.noise_floor, w=w)
         for z0 in self._starts(w):
-            z, ok, pv, dv = aberth(values, floor, z0, MAX_SWEEPS)
+            z, ok, pv, dv = aberth(values, floor, z0)
             if ok and self.accepts(z, pv, dv, w):
                 order = np.lexsort((z.imag, z.real))
                 z = z[order]

@@ -482,22 +482,30 @@ class TestConfigResolution:
 
 
 def test_fresh_process_loads_no_scipy(tmp_path):
-    # the package needs numpy and the standard library only: a fresh process
-    # that imports the command line and runs a small zeros and brolin pipeline
-    # must not have loaded any scipy module
+    # the package needs numpy's core and the standard library only: a fresh
+    # process that imports the command line and runs a small zeros and brolin
+    # pipeline must not have loaded any scipy module, nor any numpy.polynomial
+    # module beyond any that `import numpy` loads itself (none on numpy 2,
+    # while an older numpy may import the subpackage eagerly)
     script = """
 import json, sys
 from pathlib import Path
+import numpy
+with_numpy = set(sys.modules)
 from xjulia.cli import main
 out = Path(sys.argv[1])
 codes = [main(["zeros", "--preset", "x1", "--n-list", "8,12", "--out", str(out)]),
          main(["brolin", "--preset", "x1", "--n-list", "8", "--samples", "200",
                "--out", str(out)])]
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-(out / "modules.json").write_text(json.dumps({"codes": codes, "scipy": loaded}))
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+polynomial = sorted(m for m in set(sys.modules) - with_numpy
+                    if m.startswith("numpy.polynomial"))
+(out / "modules.json").write_text(json.dumps(
+    {"codes": codes, "scipy": scipy, "numpy.polynomial": polynomial}))
 """
     path = os.pathsep.join([str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     subprocess.run([sys.executable, "-c", script, str(tmp_path)], check=True,
                    env={**os.environ, "PYTHONPATH": path}, capture_output=True, timeout=300)
-    assert read_json(tmp_path / "modules.json") == {"codes": [0, 0], "scipy": []}
+    assert read_json(tmp_path / "modules.json") == {"codes": [0, 0], "scipy": [],
+                                                    "numpy.polynomial": []}
     assert (tmp_path / "brolin_n8.csv").exists()

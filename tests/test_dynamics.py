@@ -430,6 +430,12 @@ class TestExactMoments:
         with pytest.raises(ValueError):
             dyn.exact_chebyshev_moments(Poly([0.0, 0.0, 1.0]), 2)
 
+    def test_moment_cap(self, stock_escape):
+        # the moments are chebyshev_moments of the zeros, capped at k = 32
+        # below the degree 41 of n = 40
+        with pytest.raises(ValueError, match="capped at 32"):
+            dyn.exact_chebyshev_moments(stock_escape[40].poly, 33)
+
     def test_stock_values(self, stock_escape):
         worst = [float(np.max(np.abs(dyn.exact_chebyshev_moments(stock_escape[n].poly, 6)[1:])))
                  for n in (10, 20, 40)]
@@ -544,7 +550,7 @@ class TestPreimages:
         doubled[1] = doubled[0]
         for bad in (moved, doubled):
             assert not solver.accepts(bad, *p.values(bad, w), w)
-            monkeypatch.setattr(pl, "aberth", lambda values, floor, z0, sweeps, bad=bad:
+            monkeypatch.setattr(pl, "aberth", lambda values, floor, z0, bad=bad:
                                 (bad, True, *values(bad)))
             with pytest.raises(ConvergenceError):
                 solve()
@@ -626,9 +632,9 @@ class TestPreimages:
         p, w = e.poly, 0.3 + 0.01j
         starts, aberth = [], pl.aberth
 
-        def refuse_first(values, floor, z0, sweeps):
+        def refuse_first(values, floor, z0):
             starts.append(z0)
-            z, ok, *vals = aberth(values, floor, z0, sweeps)
+            z, ok, *vals = aberth(values, floor, z0)
             return (z, ok and len(starts) > 1, *vals)
 
         monkeypatch.setattr(pl, "aberth", refuse_first)

@@ -180,10 +180,11 @@ class TestIntervalFactors:
                     assert got.real.tobytes() == ref.real.tobytes()
             coeffs = np.append(rng.uniform(-3.0, 3.0, rng.integers(1, 6)), 1.0).astype(complex)
             for root in (1.0, -1.0):
-                quotient, rem = np.polynomial.polynomial.polydiv(coeffs, (1.0, -root))
+                quotient, rem = np.polydiv(coeffs[::-1], (-root, 1.0))
+                quotient = quotient[::-1]
                 ref_quotient, ref_rem = _synthetic_division(coeffs, root)
                 assert quotient.real.tobytes() == ref_quotient.real.tobytes()
-                assert rem[0].real == ref_rem.real and np.array_equal(quotient, ref_quotient)
+                assert rem[-1].real == ref_rem.real and np.array_equal(quotient, ref_quotient)
 
     def test_indivisible_b_refused(self):
         # x^2 + 1 has no (1 - x) factor: the remainder 2 is refused
@@ -414,6 +415,17 @@ class TestDegreesAndLeadingCoeffs:
         zc = xj.classify_zeros(from_json(SQUARE_DERIVATIVE), 4)
         assert_allclose(zc.regular, [-np.sqrt(3 / 11), 0.0, np.sqrt(3 / 11)], atol=1e-13)
         assert_allclose(np.sort_complex(zc.exceptional), [-1.0, 1.0], atol=1e-13)
+        assert zc.exceptional_dist.size == 0
+
+    def test_degree_zero_member_refused(self):
+        # P_0 is a multiple of bw, of degree 0 when bw is 0 or a constant: no
+        # zero to sum, refused as classify_zeros refuses it
+        constant = ex.make_darboux_data(xj.JacobiParams(2.0, 2.0), Poly([2.0, -3.0, 1.0]),
+                                        Poly([3.0]), -1, 1, 4.0, validate=False)
+        for data in (from_json(SQUARE_DERIVATIVE), constant):
+            for f in (ex.zero_sum, xj.classify_zeros):
+                with pytest.raises(ValueError, match="degree must be >= 1"):
+                    f(data, 0)
 
 
 class TestMonomialCoeffs:
@@ -459,13 +471,15 @@ class TestMonomialCoeffs:
         # for k < d the power sums of the roots of P_n(z) - w do not depend on w
         # (Brolin 1965), so the balanced measure's Chebyshev moments are the
         # means of T_k over the zeros; exact_chebyshev_moments takes them by
-        # chebval on the product form's zeros, checked here against the T
-        # recurrence on the classified zeros
+        # the T recurrence on the product form's zeros, checked here against
+        # numpy's chebval on the classified zeros
         zc = xj.classify_zeros(stock_family, n)
         zeros = np.concatenate([zc.regular, zc.exceptional])
-        by_recurrence = xj.chebyshev_moments(xj.EmpiricalMeasure(zeros), 6)
-        exact = xj.exact_chebyshev_moments(xj.monomial_coeffs(stock_family, n), 6)
-        assert np.max(np.abs(by_recurrence - exact)) <= 1e-12
+        by_chebval = np.polynomial.chebyshev.chebval(zeros, np.eye(7)).mean(axis=1)
+        p = xj.monomial_coeffs(stock_family, n)
+        exact = xj.exact_chebyshev_moments(p, 6)
+        assert np.max(np.abs(by_chebval - exact)) <= 1e-12
+        assert np.array_equal(exact, xj.chebyshev_moments(xj.EmpiricalMeasure(p.zeros), 6))
 
 
 def _p7(params):

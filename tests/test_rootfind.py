@@ -30,12 +30,14 @@ class TestAberth:
         (Poly.product_form([0.3, 0.3, -1.0]), 1e-3, 300),
         (Poly([0.0, -3.0, 0.0, 1.0]), 2.0, 300),
     ])
-    def test_returned_derivatives_are_the_last_evaluation(self, poly, w, sweeps):
+    def test_returned_derivatives_are_the_last_evaluation(self, monkeypatch, poly, w, sweeps):
         def values(z):
             return poly.values(z, w)
 
+        # aberth reads the sweep limit at call time
+        monkeypatch.setattr(pl, "MAX_SWEEPS", sweeps)
         z, _, pv, dv = aberth(values, lambda z, pv: poly.noise_floor(z, pv, w),
-                              initial_circle(poly.shifted(w)), sweeps)
+                              initial_circle(poly.shifted(w)))
         assert pv is not None
         assert np.array_equal(pv, values(z)[0]) and np.array_equal(dv, values(z)[1])
 
@@ -104,6 +106,13 @@ class TestClassification:
         dists = [abs(stock_classifications[n].exceptional[0] - stock_pole)
                  for n in (10, 20, 30, 40, 50)]
         assert all(b < a for a, b in zip(dists, dists[1:]))
+
+    def test_exceptional_distances_kept(self, stock_family, stock_classifications):
+        # the distances the exceptional zeros are sorted by, which `zeros`
+        # writes out as exc_dist, stay with them
+        for zc in stock_classifications.values():
+            want = np.min(np.abs(zc.exceptional[:, None] - stock_family.b_tilde_roots), axis=1)
+            assert np.array_equal(zc.exceptional_dist, want)
 
     def test_regular_counts_across_n(self, stock_classifications):
         for n, zc in stock_classifications.items():
