@@ -172,37 +172,27 @@ def escape_raster(e: EscapeData, center: complex = 0j, half_width: float = 2.0,
                   resolution: int = 512, max_iter: int = 100) -> RasterGrid:
     """Iterate every pixel center until it leaves the escape disk (or max_iter).
 
-    Pixels run in tiles of RASTER_TILE points, row-major, so one tile and its
-    work arrays stay in cache.  An orbit leaves at step k when its squared
-    modulus is not <= r_escape^2, which also catches inf and NaN; a value
-    with a real or imaginary part not within OVERFLOW_GUARD is replaced by
-    2 OVERFLOW_GUARD, so it leaves at the next step.
+    An orbit leaves at step k when its squared modulus is not <= r_escape^2,
+    inf and NaN included.  Pixels whose x * x + y * y fails that test get the
+    count 0 uniterated; the rest start from exactly those parts, in tiles of
+    RASTER_TILE points.  A tile retires an orbit equal to its checkpoint
+    (saved at steps 0, 1, 2, 4, ...: Brent's cycle detection) with the count
+    max_iter: the step is elementwise complex + and x, so the orbit repeats
+    values that never escaped.  When r_escape^2 is not below
+    OVERFLOW_GUARD^2, a value with a part beyond OVERFLOW_GUARD is replaced
+    by 2 OVERFLOW_GUARD before it can overflow; below that bound such a
+    value, like inf or NaN, escapes at the next step anyway, so no guard runs.
 
-    Each tile keeps a checkpoint of its live orbits, saved at steps 0, 1, 2,
-    4, 8, ... (Brent's cycle detection), and retires an orbit whose value
-    equals its checkpoint with the count max_iter.  This is exact: the step
-    is complex + and x element by element (then the guard), so its result
-    depends on the value alone; the sign of a zero changes no value, and NaN
-    equals nothing.  An orbit that returns to an earlier value repeats the
-    values between, none of which escaped, for ever.  Interior orbits of
-    attracting cycles land on their cycle exactly within a few dozen steps.
-
-    When every coefficient is real and the pixel rows mirror exactly about
-    the real axis (ys[::-1] == -ys, as for a window centred on it at a
-    power-of-two resolution), only the first (resolution + 1) // 2 rows are
-    iterated and the rest are their mirror image.  This is exact too: + and
-    x round symmetrically in sign, so with real coefficients the orbit of
-    conj(z) is the conjugate of the orbit of z, up to the sign of a zero,
-    which neither the escape test, the checkpoint equality nor the guard
-    reads.
-
-    Rows whose y * y alone is not <= r_escape^2 are not iterated: they get
-    the count 0 that the step-0 test would give each of their pixels, since
-    x * x + y * y rounds to no less than y * y.  As |y| falls toward the
-    real axis and then rises, the iterated rows are one contiguous band.
-    With a product form's radius from its zeros (escape_radius), a window of
-    half-width 2 keeps 61% of the stock family's rows at n = 10 and 20, 79%
-    at n = 40.
+    + and x round symmetrically in sign, so up to zero signs, which no test
+    reads, the orbit of conj(z) is the conjugate of that of z for real
+    coefficients, and, when every odd-index or every even-index coefficient
+    is 0, the orbit of -z is that of z or its negative step by step.  So with
+    mirrored rows (ys[::-1] == -ys) only the top (resolution + 1) // 2 rows
+    are iterated for a real polynomial, and for an even or odd one when the
+    columns mirror too; a real even or odd one iterates the left half of
+    those.  The rest are copied; the counts stay the full loop's bit for bit.
+    Of a 512^2 window of half-width 2, z^2 - 1 iterates 25% of the pixels,
+    the stock family 15-25%.
     """
     if not (1 <= resolution <= 8192):
         raise ValueError("resolution must be in [1, 8192]")
@@ -213,47 +203,71 @@ def escape_raster(e: EscapeData, center: complex = 0j, half_width: float = 2.0,
         raise ValueError("center must be finite and half_width finite and positive")
     xs, ys = pixel_centers(center, float(half_width), resolution)
     raster = RasterGrid(center, float(half_width), resolution, max_iter,
-                        np.full((resolution, resolution), max_iter, dtype=np.int32))
+                        np.zeros((resolution, resolution), dtype=np.int32))
     coeffs = e.poly.monomial_coeffs()
-    mirror = not coeffs.imag.any() and np.array_equal(ys[::-1], -ys)
-    half = (resolution + 1) // 2 if mirror else resolution
+    real = not coeffs.imag.any()
+    parity = not coeffs[0::2].any() or not coeffs[1::2].any()
+    rows_mirror = np.array_equal(ys[::-1], -ys)
+    point = parity and rows_mirror and np.array_equal(xs[::-1], -xs)
+    half = (resolution + 1) // 2
+    # rows mirror by conj(z) or by -z, columns by -conj(z)
+    n_rows = half if point or real and rows_mirror else resolution
+    n_cols = half if point and real else resolution
     # capped, so an r_escape whose square overflows still escapes inf and NaN only
     r_sq = min(e.r_escape * e.r_escape, np.finfo(float).max)
     with np.errstate(over="ignore", invalid="ignore"):
-        inside = np.flatnonzero(ys[:half] * ys[:half] <= r_sq)
-        top, bottom = (inside[0], inside[-1] + 1) if inside.size else (0, 0)
-        raster.counts[:top] = 0
-        raster.counts[bottom:half] = 0
-        counts = raster.counts[top:bottom].ravel()   # a view: escapes land in raster.counts
-        for start in range(0, counts.size, RASTER_TILE):
-            tile = counts[start:start + RASTER_TILE]
-            rows, cols = np.divmod(np.arange(start, start + tile.size), resolution)
-            _escape_tile(coeffs, r_sq, xs[cols] + 1j * ys[top + rows], tile, max_iter)
-    if mirror:
-        raster.counts[resolution - half:] = raster.counts[:half][::-1]
+        # int32 halves the index list that stays alive beside the tiles
+        inside = np.flatnonzero(np.add.outer(ys[:n_rows] * ys[:n_rows],
+                                             xs[:n_cols] * xs[:n_cols]) <= r_sq).astype(np.int32)
+        for start in range(0, inside.size, RASTER_TILE):
+            rows, cols = np.divmod(inside[start:start + RASTER_TILE], n_cols)
+            cur = np.empty(rows.size, dtype=complex)
+            cur.real, cur.imag = xs[cols], ys[rows]
+            raster.counts[rows, cols] = _escape_tile(coeffs, r_sq, cur, max_iter)
+            del cur   # freed before the next tile allocates: a lower peak RSS
+    counts = raster.counts
+    if n_cols < resolution:
+        counts[:n_rows, resolution - n_cols:] = counts[:n_rows, :n_cols][:, ::-1]
+    if n_rows < resolution:
+        top = counts[:n_rows][::-1]
+        counts[resolution - n_rows:] = top if real else top[:, ::-1]
     return raster
 
 
-def _escape_tile(coeffs, r_sq, cur, counts, max_iter):
-    """Escape counts of the orbits from cur into counts, preset to max_iter."""
+def _escape_tile(coeffs, r_sq, cur, max_iter):
+    """Escape counts of the orbits from the points cur."""
+    counts = np.full(cur.size, max_iter, dtype=np.int32)
+    guard = not r_sq < OVERFLOW_GUARD * OVERFLOW_GUARD
     idx = np.arange(cur.size)
+    live = np.ones(cur.size, dtype=bool)
+    n_live = cur.size
     saved = np.full_like(cur, np.nan)
     for k in range(max_iter):
-        mag_sq = cur.real * cur.real + cur.imag * cur.imag
-        esc = ~(mag_sq <= r_sq)
-        gone = esc | (cur == saved)
-        if gone.any():
-            counts[idx[esc]] = k
-            keep = ~gone
-            idx, cur, saved = idx[keep], cur[keep], saved[keep]
-            if idx.size == 0:
-                return
+        mag_sq = np.square(cur.real)
+        mag_sq += np.square(cur.imag)
+        inside = mag_sq <= r_sq
+        stay = inside & live
+        # and not equal to the checkpoint: both parts compared on the float
+        # view, as complex == is several times slower
+        stay &= np.equal(cur.view(float), saved.view(float)).view(np.uint16) != 257
+        n_stay = np.count_nonzero(stay)
+        if n_stay < n_live:
+            counts[idx[live & ~inside]] = k
+            live, n_live = stay, n_stay
+            if n_live == 0:
+                return counts
+            if n_live <= 0.75 * live.size:
+                keep = np.flatnonzero(live)
+                idx, cur, saved = idx.take(keep), cur.take(keep), saved.take(keep)
+                live = np.ones(keep.size, dtype=bool)
         if k & (k - 1) == 0:
             np.copyto(saved, cur)
         cur = horner(coeffs, cur)
-        bad = ~(np.abs(cur.real) <= OVERFLOW_GUARD) | ~(np.abs(cur.imag) <= OVERFLOW_GUARD)
-        if bad.any():
-            cur[bad] = 2.0 * OVERFLOW_GUARD
+        if guard:
+            bad = ~(np.abs(cur.real) <= OVERFLOW_GUARD) | ~(np.abs(cur.imag) <= OVERFLOW_GUARD)
+            if bad.any():
+                cur[bad] = 2.0 * OVERFLOW_GUARD
+    return counts
 
 
 def raster_to_pgm(raster: RasterGrid) -> bytes:

@@ -206,8 +206,16 @@ class TestRasterMatchesReference:
         ([-2.0, 0.0, 1.0], {"resolution": 513, "half_width": 3.0, "max_iter": 200}),
         # real, but rows at resolution 513 do not mirror: the full loop runs
         ([0.3, -1.0, 0.5, 1.0], {"resolution": 513, "max_iter": 150}),
+        # odd with a complex coefficient: -z mirrors, conj(z) does not
+        ([0.0, 0.9 + 0.2j, 0.0, 1.0], {"half_width": 1.5}),
+        # odd and real: both mirror, a quarter is iterated
+        ([0.0, -0.5, 0.0, 0.0, 0.0, 1.0], {"half_width": 1.3}),
+        # even with complex coefficients
+        ([0.2 - 0.6j, 0.0, -1.0, 0.0, 1.0], {"half_width": 1.6}),
+        # rows mirror, columns do not: conj(z) only
+        ([-1.0, 0.0, 1.0], {"center": 0.1}),
     ], ids=["z2", "z2-1", "rabbit", "z3-3z", "slow", "res513", "max_iter1", "cheb",
-            "cubic513"])
+            "cubic513", "odd-complex", "odd-quintic", "even-quartic", "z2-1-shifted"])
     def test_closed_forms(self, coeffs, window):
         e = dyn.escape_radius(Poly(coeffs))
         assert np.array_equal(dyn.escape_raster(e, **window).counts,
@@ -235,11 +243,25 @@ class TestRasterMatchesReference:
         # guarded orbits inside never escape
         (dyn.EscapeData(Poly([0.0, 0.0, 1.0]), 1e200, 1e200),
          {"half_width": 1e154, "resolution": 64}),
-    ], ids=["inf-nan", "inf-start", "huge-radius"])
+        # the guard runs from r_escape^2 = OVERFLOW_GUARD^2 up, and not below
+        (dyn.EscapeData(Poly([0.0, 0.0, 1.0]), 1e150, 1e150),
+         {"half_width": 2e150, "resolution": 64}),
+        (dyn.EscapeData(Poly([0.0, 0.0, 1.0]), np.nextafter(1e150, 0), 1e150),
+         {"half_width": 2e150, "resolution": 64}),
+    ], ids=["inf-nan", "inf-start", "huge-radius", "guard-bound", "below-guard-bound"])
     def test_overflow_windows(self, e, window):
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.array_equal(dyn.escape_raster(e, **window).counts,
                                   _reference_counts(e, **window))
+
+    def test_pixel_on_the_escape_circle(self):
+        # the pixel center 1.5 + 2i has x * x + y * y == r_escape^2 exactly, so
+        # it passes the step-0 test and leaves at step 1
+        e = dyn.EscapeData(Poly([0.0, 0.0, 1.0]), 2.5, 2.5)
+        window = {"center": 0.25 + 0.25j, "half_width": 4.0, "resolution": 16}
+        r = dyn.escape_raster(e, **window)
+        assert r.counts[r.pixel_index(1.5 + 2j)] == 1
+        assert np.array_equal(r.counts, _reference_counts(e, **window))
 
     def test_window_whose_pixel_centers_overflow_rejected(self):
         e = dyn.EscapeData(Poly([0.0, 0.0, 1.0]), 2.0, 2.0)
@@ -279,31 +301,62 @@ class TestRasterMatchesReference:
 
 
 class TestRasterMirror:
-    """A real polynomial on rows that mirror about the real axis iterates only
-    the rows on and above it; any other raster iterates every pixel."""
+    """Only the block of pixels that no symmetry copies is iterated, and of it
+    only the pixels that pass the step-0 test x * x + y * y <= r_escape^2:
+    the top-left quarter for a real even or odd polynomial, the top half of
+    the rows for any other real or even or odd one, and the whole grid when
+    the rows do not mirror."""
 
     @staticmethod
     def _tiled_pixels(monkeypatch, e, **window):
         pixels = [0]
         tile = dyn._escape_tile
 
-        def spy(coeffs, r_sq, cur, counts, max_iter):
+        def spy(coeffs, r_sq, cur, max_iter):
             pixels[0] += cur.size
-            return tile(coeffs, r_sq, cur, counts, max_iter)
+            return tile(coeffs, r_sq, cur, max_iter)
 
         monkeypatch.setattr(dyn, "_escape_tile", spy)
         dyn.escape_raster(e, **window)
         return pixels[0]
 
+    @staticmethod
+    def _inside(e, n_rows, n_cols, center=0j, resolution=512):
+        """Pixels of the top-left n_rows x n_cols block inside the escape disk."""
+        xs, ys = dyn.pixel_centers(center, 2.0, resolution)
+        x_sq, y_sq = xs[:n_cols] * xs[:n_cols], ys[:n_rows] * ys[:n_rows]
+        return np.count_nonzero(x_sq[None, :] + y_sq[:, None] <= e.r_escape * e.r_escape)
+
     @pytest.mark.parametrize("resolution", [64, 512])
     def test_real_polynomials_step_half(self, monkeypatch, stock_escape, resolution):
-        # of the upper half, only the rows with y^2 <= r_escape^2: all of them
-        # for z^2 - 1 (radius 2, half-width 2), about 61% for n = 20 (1.217)
-        for e in (dyn.escape_radius(Poly([-1.0, 0.0, 1.0])), stock_escape[20]):
+        # of the upper half, only the pixels inside the disk: about 29% of it
+        # for n = 20 (radius 1.217, half-width 2)
+        half = (resolution + 1) // 2
+        for e in (dyn.escape_radius(Poly([0.3, -1.0, 0.5, 1.0])), stock_escape[20]):
             stepped = self._tiled_pixels(monkeypatch, e, resolution=resolution)
-            ys = dyn.pixel_centers(0j, 2.0, resolution)[1][:(resolution + 1) // 2]
-            assert stepped == np.count_nonzero(ys * ys <= e.r_escape * e.r_escape) * resolution
-        assert stepped < 0.65 * ((resolution + 1) // 2) * resolution
+            assert stepped == self._inside(e, half, resolution, resolution=resolution)
+        assert stepped < 0.3 * half * resolution
+
+    @pytest.mark.parametrize("coeffs", [
+        [-1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, -3.0, 0.0, 1.0], [0.0, -0.5, 0.0, 0.0, 0.0, 1.0],
+    ], ids=["z2-1", "z2", "z3-3z", "odd-quintic"])
+    @pytest.mark.parametrize("resolution", [64, 512])
+    def test_real_even_or_odd_step_a_quarter(self, monkeypatch, coeffs, resolution):
+        e = dyn.escape_radius(Poly(coeffs))
+        half = (resolution + 1) // 2
+        stepped = self._tiled_pixels(monkeypatch, e, resolution=resolution)
+        assert stepped == self._inside(e, half, half, resolution=resolution)
+        assert stepped <= half * half
+
+    @pytest.mark.parametrize("coeffs", [
+        [RABBIT, 0.0, 1.0], [0.0, 0.9 + 0.2j, 0.0, 1.0], [0.2 - 0.6j, 0.0, -1.0, 0.0, 1.0],
+    ], ids=["rabbit", "odd-complex", "even-quartic"])
+    @pytest.mark.parametrize("resolution", [64, 512])
+    def test_complex_even_or_odd_step_half_the_rows(self, monkeypatch, coeffs, resolution):
+        e = dyn.escape_radius(Poly(coeffs))
+        half = (resolution + 1) // 2
+        stepped = self._tiled_pixels(monkeypatch, e, resolution=resolution)
+        assert stepped == self._inside(e, half, resolution, resolution=resolution)
 
     def test_rows_outside_the_disk_skipped_off_axis(self, monkeypatch, stock_escape):
         # the window of test_family_member_off_axis: rows outside |y| <= 1.217
@@ -313,16 +366,27 @@ class TestRasterMirror:
         ys = dyn.pixel_centers(center, 2.0, 64)[1]
         inside = ys * ys <= e.r_escape * e.r_escape
         assert not inside[0] and not inside[-1]
-        assert stepped == np.count_nonzero(inside) * 64
+        assert stepped == self._inside(e, 64, 64, center=center, resolution=64)
+        assert stepped < np.count_nonzero(inside) * 64
 
     @pytest.mark.parametrize("coeffs, center", [
-        ([RABBIT, 0.0, 1.0], 0j), ([-1.0, 0.0, 1.0], 0.1j),
-    ], ids=["rabbit", "off-axis"])
+        ([-1.0, 0.0, 1.0], 0.1j),
+    ], ids=["off-axis"])
     @pytest.mark.parametrize("resolution", [64, 512])
     def test_others_step_all(self, monkeypatch, coeffs, center, resolution):
+        # every pixel of this window lies inside z^2 - 1's escape disk (radius 3)
         e = dyn.escape_radius(Poly(coeffs))
         stepped = self._tiled_pixels(monkeypatch, e, center=center, resolution=resolution)
         assert stepped == resolution * resolution
+
+    @pytest.mark.parametrize("coeffs", [
+        [-1.0, 0.0, 1.0], [RABBIT, 0.0, 1.0], [0.0, -0.5, 0.0, 0.0, 0.0, 1.0],
+    ], ids=["z2-1", "rabbit", "odd-quintic"])
+    def test_odd_resolution_steps_the_whole_grid(self, monkeypatch, coeffs):
+        # at resolution 513 the pixel rows and columns do not mirror exactly
+        e = dyn.escape_radius(Poly(coeffs))
+        stepped = self._tiled_pixels(monkeypatch, e, resolution=513)
+        assert stepped == self._inside(e, 513, 513, resolution=513)
 
 
 class TestBrolinSampler:
