@@ -3,38 +3,33 @@ diagnostics."""
 
 from .dynamics import (BrolinSample, EscapeData, RasterGrid, brolin_sample,
                        escape_radius, escape_raster, exact_chebyshev_moments,
-                       forward_invariance_check, preimage_count_in_set,
-                       raster_to_pgm)
+                       preimage_count_in_set, raster_to_pgm)
 from .errors import (ConfigError, ConvergenceError, NodeConvergenceError,
                      ValidationError, XjuliaError)
-from .exceptional import (DarbouxData, ExceptionalWeight, ZeroClassification,
-                          classify_zeros, eval_exceptional,
-                          leading_coeff_exceptional, make_x1_preset,
-                          monomial_coeffs, sigma_n, sigma_n_closed_form,
-                          verify_span_property, weight, zero_counting_measure)
+from .exceptional import (DarbouxData, ZeroClassification, classify_zeros,
+                          eval_exceptional, leading_coeff_exceptional,
+                          make_x1_preset, monomial_coeffs, sigma_n,
+                          sigma_n_closed_form, zero_counting_measure)
 from .jacobi import (DEGREE_CAP, JacobiParams, QuadratureRule,
                      eval_jacobi_derivative, eval_orthonormal_jacobi,
                      gauss_jacobi_rule, leading_coeff_jacobi)
-from .measures import (EmpiricalMeasure, arcsine_cdf, arcsine_quantiles,
-                       chebyshev_moments, energy, green_complement_interval,
-                       ks_distance_real, log_potential)
+from .measures import (EmpiricalMeasure, arcsine_cdf, chebyshev_moments,
+                       green_complement_interval, ks_distance_real)
 from .poly import Poly, roots
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BrolinSample", "ConfigError", "ConvergenceError", "DEGREE_CAP",
-    "DarbouxData", "EmpiricalMeasure", "EscapeData", "ExceptionalWeight",
+    "DarbouxData", "EmpiricalMeasure", "EscapeData",
     "JacobiParams", "NodeConvergenceError", "Poly", "QuadratureRule",
     "RasterGrid", "ValidationError", "XjuliaError", "ZeroClassification",
-    "arcsine_cdf", "arcsine_quantiles", "brolin_sample", "chebyshev_moments",
-    "classify_zeros", "energy", "escape_radius", "escape_raster",
+    "arcsine_cdf", "brolin_sample", "chebyshev_moments",
+    "classify_zeros", "escape_radius", "escape_raster",
     "eval_exceptional", "eval_jacobi_derivative", "eval_orthonormal_jacobi",
-    "exact_chebyshev_moments",
-    "forward_invariance_check", "gauss_jacobi_rule",
+    "exact_chebyshev_moments", "gauss_jacobi_rule",
     "green_complement_interval", "ks_distance_real", "leading_coeff_exceptional",
-    "leading_coeff_jacobi", "log_potential", "make_x1_preset", "monomial_coeffs",
+    "leading_coeff_jacobi", "make_x1_preset", "monomial_coeffs",
     "preimage_count_in_set", "raster_to_pgm", "roots", "sigma_n",
-    "sigma_n_closed_form", "verify_span_property", "weight",
-    "zero_counting_measure",
+    "sigma_n_closed_form", "zero_counting_measure",
 ]

@@ -226,15 +226,3 @@ def from_json(obj: dict) -> DarbouxData:
     return make_darboux_data(params, Poly(obj["b"]), Poly(obj["bw"]),
                              obj["eps1"], obj["eps2"],
                              float(obj["lambda_tilde"]))
-
-
-def to_json(data: DarbouxData) -> dict:
-    return {
-        "alpha": data.params.alpha,
-        "beta": data.params.beta,
-        "eps1": data.eps1,
-        "eps2": data.eps2,
-        "b": [float(c.real) for c in data.b.coeffs],
-        "bw": [float(c.real) for c in data.bw.coeffs],
-        "lambda_tilde": data.lambda_tilde,
-    }

