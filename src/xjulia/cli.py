@@ -5,7 +5,9 @@ PGM rasters), brolin (inverse-iteration samples + moment diagnostics), and
 report (aggregated convergence tables with pass/fail verdicts).
 
 Exit codes: 0 success, 1 numerical-contract failure, 2 configuration error.
-Errors are emitted as one JSON object on stderr.
+Errors are emitted as one JSON object on stderr, and nothing else is: numpy's
+floating-point warnings are off, and an artifact value that JSON cannot hold
+(NaN or infinity) is a numerical failure.
 """
 
 import argparse
@@ -18,7 +20,7 @@ import numpy as np
 from . import dynamics, exceptional, measures
 from .config import (DEFAULT_THRESHOLDS, SCHEMA_VERSION, ExperimentConfig, from_json,
                      is_number, validate_config)
-from .errors import ConfigError, XjuliaError
+from .errors import ConfigError, ValidationError, XjuliaError
 from .jacobi import DEGREE_CAP
 from .poly import Poly
 
@@ -62,12 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON experiment config path")
-    p.add_argument("--preset", help="named family preset (x1)")
+    family = p.add_mutually_exclusive_group()
+    family.add_argument("--preset", help="named family preset (x1)")
+    family.add_argument("--raw-poly", help="comma-separated monomial coefficients, ascending")
     p.add_argument("--alpha", type=float, help="preset weight exponent alpha")
     p.add_argument("--beta", type=float, help="preset weight exponent beta")
-    p.add_argument("--raw-poly", help="comma-separated monomial coefficients, ascending")
-    p.add_argument("--n", type=int, help="single family index (shorthand for --n-list N)")
-    p.add_argument("--n-list", help="comma-separated ascending family indices")
+    indices = p.add_mutually_exclusive_group()
+    indices.add_argument("--n", type=int, help="single family index (shorthand for --n-list N)")
+    indices.add_argument("--n-list", help="comma-separated ascending family indices")
     p.add_argument("--samples", type=int, help="inverse-iteration sample count")
     p.add_argument("--burn-in", type=int, help="inverse-iteration burn-in steps")
     p.add_argument("--seed", type=int, help="64-bit RNG seed")
@@ -97,7 +101,7 @@ def resolve_config(args) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError("raw_poly", f"bad coefficient list: {exc}") from exc
         obj["family"] = {"raw_poly": coeffs}
-    elif args.preset is not None:
+    if args.preset is not None:
         fam = {"preset": args.preset,
                "alpha": args.alpha if args.alpha is not None else DEFAULT_ALPHA,
                "beta": args.beta if args.beta is not None else DEFAULT_BETA}
@@ -176,7 +180,10 @@ def _write(path: Path, payload):
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValidationError(f"an artifact value is not finite: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +406,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
-        return _COMMANDS[args.command](cfg)
+        # overflow on a huge raw polynomial is expected: what it leaves is
+        # refused by the solvers' gates or by _json_text, not warned about
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         sys.stderr.write(_json_text({"error": "config", "field": exc.field,
                                      "message": exc.message}))

@@ -148,18 +148,10 @@ class RasterGrid:
     def pixel_centers(self):
         return pixel_centers(self.center, self.half_width, self.resolution)
 
-    def pixel_index(self, z: complex):
-        """(row, col) of the pixel containing z, or None when outside the window."""
-        col = int(np.floor((z.real - self.center.real + self.half_width) / self.pixel_width))
-        row = int(np.floor((self.center.imag + self.half_width - z.imag) / self.pixel_width))
-        if 0 <= row < self.resolution and 0 <= col < self.resolution:
-            return row, col
-        return None
-
 
 def pixel_centers(center: complex, half_width: float, resolution: int):
     """(xs, ys) of the pixel centers, from the left and from the top; ValueError
-    when a center or the pixel width, which pixel_index divides by, overflows."""
+    when a center or the pixel width, RasterGrid.pixel_width, overflows."""
     u = 2.0 * (np.arange(resolution) + 0.5) / resolution
     with np.errstate(over="ignore"):
         xs, ys = center.real + half_width * (u - 1.0), center.imag + half_width * (1.0 - u)
@@ -286,10 +278,6 @@ class BrolinSample:
     """Backward-orbit sample of the balanced measure (post burn-in)."""
 
     points: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
 
     def to_measure(self) -> EmpiricalMeasure:
         return EmpiricalMeasure(self.points)

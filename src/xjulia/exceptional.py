@@ -199,7 +199,7 @@ def normalization_constant(data: DarbouxData) -> float:
     """c0 making the weight a probability measure; quadrature order 200."""
     if "c0" not in data._cache:
         rule = data.quad_rule(BASE_QUAD_ORDER)
-        total = rule.integrate(lambda x: 1.0 / data.b_tilde(x).real ** 2)
+        total = rule.integrate_values(1.0 / data.b_tilde(rule.nodes).real ** 2)
         if not np.isfinite(total) or total <= 0:
             raise ValidationError("weight normalization integral is degenerate")
         data._cache["c0"] = 1.0 / float(total)
@@ -372,10 +372,6 @@ class ZeroClassification:
     m: int
     exceptional_dist: np.ndarray = field(default_factory=lambda: np.empty(0))
 
-    @property
-    def total(self) -> int:
-        return len(self.regular) + len(self.exceptional)
-
 
 def classify_zeros(data: DarbouxData, n: int) -> ZeroClassification:
     """Split the zeros of the n-th transformed family member P_n.
@@ -485,17 +481,12 @@ def monomial_coeffs(data: DarbouxData, n: int) -> Poly:
     are the product expanded.  P_0 = -bw p_0 / sigma_0 keeps plain
     coefficients, since the leading-coefficient formula needs n >= 1.
     """
-    key = ("mono", n)
-    if key not in data._cache:
-        if n == 0:
-            p0 = jacobi.eval_orthonormal_jacobi(data.params, 0, 0.0)
-            p = Poly(-data.bw.coeffs * p0 / sigma_n(data, 0))
-        else:
-            zc = classify_zeros(data, n)
-            p = Poly.product_form(np.concatenate([zc.regular, zc.exceptional]),
-                                  leading_coeff_exceptional(data, n))
-        data._cache[key] = p
-    return data._cache[key]
+    if n == 0:
+        p0 = jacobi.eval_orthonormal_jacobi(data.params, 0, 0.0)
+        return Poly(-data.bw.coeffs * p0 / sigma_n(data, 0))
+    zc = classify_zeros(data, n)
+    return Poly.product_form(np.concatenate([zc.regular, zc.exceptional]),
+                             leading_coeff_exceptional(data, n))
 
 
 # ---------------------------------------------------------------------------

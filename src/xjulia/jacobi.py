@@ -64,10 +64,6 @@ class JacobiParams:
         return float(np.exp((a + b + 1) * np.log(2.0)
                             + lgamma(a + 1) + lgamma(b + 1) - lgamma(a + b + 2)))
 
-    def weight(self, x):
-        x = np.asarray(x, dtype=float)
-        return (1.0 - x) ** self.alpha * (1.0 + x) ** self.beta
-
 
 def _recurrence(alpha: float, beta: float, nmax: int):
     """Monic-recurrence coefficients (a_k, b_k), k = 0..nmax, as read-only
@@ -224,13 +220,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     params: JacobiParams
-
-    @property
-    def order(self) -> int:
-        return len(self.nodes)
-
-    def integrate(self, f) -> float:
-        return float(np.sum(self.weights * f(self.nodes)))
 
     def integrate_values(self, values):
         return np.sum(self.weights * values, axis=-1)

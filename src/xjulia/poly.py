@@ -12,7 +12,6 @@ on Aberth's last values alone; `roots(p)` is its cold solve at w = 0.
 zeros.
 """
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
@@ -66,7 +65,7 @@ class Poly:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        out = horner(self.coeffs, z) if self.zeros is None else self._product(z, False)[0]
+        out = horner(self.coeffs, z) if self.zeros is None else self._product(z)[0]
         return complex(out) if out.shape == () else out
 
     def values(self, z, w=0.0):
@@ -75,7 +74,7 @@ class Poly:
         z = np.asarray(z, dtype=complex)
         if self.zeros is None:
             return horner_with_derivative(self.shifted(w), z)
-        pv, dv = self._product(z, True)
+        pv, dv = self._product(z)
         return pv - w, dv
 
     def noise_floor(self, z, pv, w=0.0):
@@ -91,36 +90,23 @@ class Poly:
         """Ascending coefficients of p - w."""
         return np.concatenate([[self.coeffs[0] - w], self.coeffs[1:]])
 
-    def _product(self, z, derivative):
-        """Rows p = a_d prod (z - zeta_i) and, with derivative, p' = p sum 1/(z - zeta_i),
-        in the shape of z, over blocks of at most 1 MB with one point per row of
-        z - zeta_i, each row reduced on its own from a_d, so no value depends on its
-        neighbours.  At a zero p' is the product of the other factors, 0 at a repeated one."""
-        lead, step = self.coeffs[-1], max(1, (1 << 16) // len(self.zeros))
-        if z.ndim == 1 and len(z) <= step:      # one block, as in every preimage solve
-            return self._product_rows(z, lead, derivative, None)
-        flat = z.ravel()
-        out = np.empty((1 + derivative, flat.size), dtype=complex)
-        for s in range(0, flat.size, step):
-            self._product_rows(flat[s:s + step], lead, derivative, out[:, s:s + step])
-        return out.reshape((len(out),) + z.shape)
-
-    def _product_rows(self, z, lead, derivative, out):
-        """(p,) or (p, p') at the 1-d points z, written into the rows of out
-        when it is given."""
+    def _product(self, z):
+        """(p, p') at z of any shape: p = a_d prod (z - zeta_i) and p' = p sum
+        1/(z - zeta_i), each point's row of z - zeta_i reduced on its own from a_d,
+        so no value depends on its neighbours.  The differences of all the points
+        are held at once, z.size * d complex numbers.  At a zero p' is the product
+        of the other factors, 0 at a repeated one."""
         diff = np.subtract.outer(z, self.zeros)
-        pv = np.multiply.reduce(diff, axis=1, initial=lead,
-                                out=None if out is None else out[0])
-        if not derivative:
-            return (pv,)
-        exact = np.count_nonzero(pv) < len(pv)      # then some z - zeta_i may be 0
-        with np.errstate(divide="ignore", invalid="ignore") if exact else nullcontext():
-            dv = np.multiply(pv, np.reciprocal(diff).sum(axis=1),
-                             out=None if out is None else out[1])
-        for i in np.flatnonzero(pv == 0) if exact else ():
-            rest = diff[i, diff[i] != 0]
+        pv = np.multiply.reduce(diff, axis=-1, initial=self.coeffs[-1])
+        if np.count_nonzero(pv) == pv.size:
+            return pv, pv * np.reciprocal(diff).sum(axis=-1)
+        # some z - zeta_i is 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dv = np.asarray(pv * np.reciprocal(diff).sum(axis=-1))
+        for i in map(tuple, np.argwhere(pv == 0)):
+            rest = diff[i][diff[i] != 0]
             simple = len(rest) == len(self.zeros) - 1
-            dv[i] = np.multiply.reduce(rest, initial=lead) if simple else 0
+            dv[i] = np.multiply.reduce(rest, initial=self.coeffs[-1]) if simple else 0
         return pv, dv
 
     def deriv(self) -> "Poly":

@@ -4,7 +4,7 @@ calls them.  Tests import this module as `oracles` from their own directory."""
 import numpy as np
 
 from xjulia import exceptional as ex
-from xjulia.dynamics import EscapeData
+from xjulia.dynamics import EscapeData, RasterGrid
 from xjulia.errors import ValidationError
 from xjulia.jacobi import DEGREE_CAP
 from xjulia.measures import EmpiricalMeasure
@@ -65,6 +65,15 @@ def boundary_preimage_containment(e: EscapeData):
         z = solver.solve(complex(w))
         worst = max(worst, float(np.max(np.abs(z))) / r)
     return worst <= 1.0, worst
+
+
+def pixel_index(raster: RasterGrid, z: complex):
+    """(row, col) of the raster pixel containing z, or None when outside the window."""
+    col = int(np.floor((z.real - raster.center.real + raster.half_width) / raster.pixel_width))
+    row = int(np.floor((raster.center.imag + raster.half_width - z.imag) / raster.pixel_width))
+    if 0 <= row < raster.resolution and 0 <= col < raster.resolution:
+        return row, col
+    return None
 
 
 def arcsine_quantiles(n: int) -> np.ndarray:

@@ -53,7 +53,7 @@ class TestAcceptance:
             scale = rule.params.weight_mass
             for k in range(5):
                 exact = beta_integral_oracle(alpha, beta, k)
-                got = rule.integrate(lambda x: x ** k)
+                got = rule.integrate_values(rule.nodes ** k)
                 worst_quad = max(worst_quad,
                                  abs(got - exact) / max(abs(exact), 1e-3 * scale))
                 count += 1

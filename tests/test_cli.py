@@ -242,6 +242,13 @@ class TestBrolin:
         assert summary["n_list"] == [5, 8]
         assert len(summary["max_abs_moment"]) == 2
 
+    def test_non_finite_moment_exit_one(self, tmp_path, capsys):
+        # J(1e-60 z^2) has radius 1e60, where T_6 overflows: NaN is not JSON
+        assert run(["brolin", "--raw-poly=0,0,1e-60", "--samples", "50",
+                    "--out", str(tmp_path)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "numerical"
+        assert not (tmp_path / "brolin_raw.json").exists()
+
 
 class TestReport:
     def test_empty_dir_names_zeros(self, tmp_path, capsys):
@@ -389,6 +396,18 @@ class TestConfigResolution:
         assert err["error"] == "config" and err["field"] == "argv"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--raw-poly=0,0,1", "--preset", "x1"], "argv"),
+        (["--raw-poly=0,0,1", "--alpha", "0.5"], "alpha/beta"),
+        (["--raw-poly=0,0,1", "--beta", "1.5"], "alpha/beta"),
+        (["--preset", "x1", "--n", "10", "--n-list", "20"], "argv"),
+    ])
+    def test_conflicting_flags_exit_two(self, tmp_path, capsys, argv, field):
+        # neither flag of a pair is dropped in favour of the other
+        assert run(["julia", *argv, "--resolution", "8", "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["field"] == field
+        assert list(tmp_path.iterdir()) == []
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["zeros", "--help"])
@@ -509,3 +528,20 @@ polynomial = sorted(m for m in set(sys.modules) - with_numpy
     assert read_json(tmp_path / "modules.json") == {"codes": [0, 0], "scipy": [],
                                                     "numpy.polynomial": []}
     assert (tmp_path / "brolin_n8.csv").exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["brolin", "--raw-poly=0,0,1e-300", "--samples", "3"], 1),
+    (["julia", "--raw-poly=1e308,0,1e308", "--resolution", "4"], 0),
+])
+def test_stderr_holds_one_json_object_or_nothing(tmp_path, argv, code):
+    # in a fresh process, since pytest's own capture would hide numpy's warnings
+    path = os.pathsep.join([str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-m", "xjulia.cli", *argv, "--out", str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == code
+    if code:
+        assert json.loads(done.stderr)["error"] == "numerical"
+    else:
+        assert done.stderr == ""

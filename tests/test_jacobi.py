@@ -329,11 +329,11 @@ class TestQuadrature:
 
     def test_x_squared_against_beta_closed_form(self):
         rule = xj.gauss_jacobi_rule(xj.JacobiParams(1.0, 1.0), 2)
-        assert_allclose(rule.integrate(lambda x: x ** 2), 4.0 / 15.0, rtol=1e-13)
+        assert_allclose(rule.integrate_values(rule.nodes ** 2), 4.0 / 15.0, rtol=1e-13)
 
     def test_order_one(self):
         rule = xj.gauss_jacobi_rule(xj.JacobiParams(2.0, 0.5), 1)
-        assert rule.order == 1
+        assert len(rule.nodes) == 1
         assert_allclose(rule.weights.sum(), rule.params.weight_mass, rtol=1e-14)
 
     @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (-0.5, -0.5), (1.5, 0.25),
@@ -344,7 +344,7 @@ class TestQuadrature:
         scale = rule.params.weight_mass
         for k in range(2 * order):
             exact = beta_integral_oracle(alpha, beta, k)
-            got = rule.integrate(lambda x: x ** k)
+            got = rule.integrate_values(rule.nodes ** k)
             # odd moments of symmetric weights vanish; compare those absolutely
             assert abs(got - exact) <= 1e-12 * max(abs(exact), 1e-3 * scale)
 

@@ -96,8 +96,8 @@ class TestProductForm:
         assert p(z).tobytes() == expected
         assert p.values(z)[0].tobytes() == expected
 
-    def test_blocked_evaluation(self):
-        # more points than one block of the difference matrix holds
+    def test_each_point_alone_at_any_shape(self):
+        # 5000 points in one call, each row of z - zeta_i reduced on its own
         zeros = np.cos(np.pi * (np.arange(41) + 0.5) / 41)
         p = Poly.product_form(zeros, leading=3.0)
         z = np.linspace(-1.2, 1.2, 5000) + 0.01j

@@ -118,7 +118,7 @@ class TestClassification:
         for n, zc in stock_classifications.items():
             assert len(zc.regular) == n
             assert len(zc.exceptional) == 1
-            assert zc.total == n + 1
+            assert len(zc.regular) + len(zc.exceptional) == n + 1
 
     def test_roots_satisfy_evaluation(self, stock_family, stock_classifications):
         from xjulia.exceptional import eval_exceptional
