@@ -186,6 +186,15 @@ def _json_text(obj) -> str:
         raise ValidationError(f"an artifact value is not finite: {exc}") from exc
 
 
+def _write_member(path: Path, payload, record: dict):
+    """One family member's data file and, beside it with suffix .json, its
+    record, serialized before either is written: a record that JSON cannot
+    hold raises ValidationError and leaves neither file."""
+    text = _json_text(record)
+    _write(path, payload)
+    _write(path.with_suffix(".json"), text)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -196,13 +205,12 @@ def cmd_zeros(cfg: ExperimentConfig) -> int:
         mu = exceptional.zero_counting_measure(zc)
         ks = measures.ks_distance_real(mu, measures.arcsine_cdf)
         exc_dist = float(zc.exceptional_dist[-1]) if len(zc.exceptional_dist) else None
-        _write(cfg.output_dir / f"zeros_n{n}.csv", exceptional.classification_to_csv(zc))
-        _write(cfg.output_dir / f"zeros_n{n}.json", _json_text({
+        _write_member(cfg.output_dir / f"zeros_n{n}.csv", exceptional.classification_to_csv(zc), {
             "schema_version": SCHEMA_VERSION,
             "n": n,
             "ks": ks,
             "exc_dist": exc_dist,
-        }))
+        })
     return 0
 
 
@@ -214,12 +222,11 @@ def cmd_julia(cfg: ExperimentConfig) -> int:
         raster = dynamics.escape_raster(e, center=center, half_width=grid["half_width"],
                                         resolution=grid["resolution"],
                                         max_iter=grid["max_iter"])
-        _write(cfg.output_dir / f"julia_{label}.pgm", dynamics.raster_to_pgm(raster))
-        _write(cfg.output_dir / f"julia_{label}.json", _json_text({
+        _write_member(cfg.output_dir / f"julia_{label}.pgm", dynamics.raster_to_pgm(raster), {
             "schema_version": SCHEMA_VERSION,
             "n": n,
             "R_p": e.r_escape,
-        }))
+        })
     return 0
 
 
@@ -240,8 +247,7 @@ def cmd_brolin(cfg: ExperimentConfig) -> int:
         max_moms.append(max_abs)
         mean_ims.append(mean_im)
         bounds.append(bound)
-        _write(cfg.output_dir / f"brolin_{label}.csv", mu.to_csv())
-        _write(cfg.output_dir / f"brolin_{label}.json", _json_text({
+        _write_member(cfg.output_dir / f"brolin_{label}.csv", mu.to_csv(), {
             "schema_version": SCHEMA_VERSION,
             "n": n,
             "moments": [[m.real, m.imag] for m in moments],
@@ -249,7 +255,7 @@ def cmd_brolin(cfg: ExperimentConfig) -> int:
             "mean_abs_im": mean_im,
             "bound": bound,
             "R_p": e.r_escape,
-        }))
+        })
     if not cfg.is_raw:
         _write(cfg.output_dir / "brolin_summary.json", _json_text({
             "schema_version": SCHEMA_VERSION,

@@ -369,7 +369,6 @@ class ZeroClassification:
     regular: np.ndarray
     exceptional: np.ndarray
     n: int
-    m: int
     exceptional_dist: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
@@ -417,7 +416,7 @@ def classify_zeros(data: DarbouxData, n: int) -> ZeroClassification:
     if len(data.b_tilde_roots):
         dist = np.min(np.abs(exceptional[:, None] - data.b_tilde_roots[None, :]), axis=1)
         exceptional, dist = exceptional[np.argsort(dist)], np.sort(dist)
-    return ZeroClassification(regular, exceptional, n, data.m, dist)
+    return ZeroClassification(regular, exceptional, n, dist)
 
 
 def zero_sum(data: DarbouxData, n: int) -> complex:

@@ -96,10 +96,10 @@ class Poly:
         so no value depends on its neighbours.  The differences of all the points
         are held at once, z.size * d complex numbers.  At a zero p' is the product
         of the other factors, 0 at a repeated one."""
-        diff = np.subtract.outer(z, self.zeros)
+        diff = z[..., None] - self.zeros
         pv = np.multiply.reduce(diff, axis=-1, initial=self.coeffs[-1])
         if np.count_nonzero(pv) == pv.size:
-            return pv, pv * np.reciprocal(diff).sum(axis=-1)
+            return pv, pv * np.add.reduce(np.reciprocal(diff, out=diff), axis=-1)
         # some z - zeta_i is 0
         with np.errstate(divide="ignore", invalid="ignore"):
             dv = np.asarray(pv * np.reciprocal(diff).sum(axis=-1))
@@ -228,18 +228,25 @@ def aberth(values, noise_floor, z0: np.ndarray):
             return (z, True, *vals)
         if sweep == MAX_SWEEPS:
             return (z, False, *vals)
-        safe = dv.copy()        # the returned derivatives keep an exact zero
-        safe[safe == 0] = 1e-300
-        w = pv / safe
+        if np.count_nonzero(dv) == len(dv):
+            w = pv / dv
+        else:
+            safe = dv.copy()    # the returned derivatives keep an exact zero
+            safe[safe == 0] = 1e-300
+            w = pv / safe
         diff = np.subtract.outer(z, z)
         diff.ravel()[::len(z) + 1] = np.inf
-        corr = w / (1.0 - w * np.divide(1.0, diff, out=diff).sum(axis=1))
-        if not np.isfinite(corr).all():
+        corr = w / (1.0 - w * np.add.reduce(np.divide(1.0, diff, out=diff), axis=1))
+        moved = z - corr
+        scaled = np.abs(corr) / (1.0 + np.abs(moved))
+        worst = scaled.max()
+        if not worst < np.inf:  # a non-finite correction makes worst NaN or inf
             bad = ~np.isfinite(corr)
             corr[bad] = w[bad]
-        z = z - corr
-        scaled = np.abs(corr) / (1.0 + np.abs(z))
-        worst = scaled.max()
+            moved = z - corr
+            scaled = np.abs(corr) / (1.0 + np.abs(moved))
+            worst = scaled.max()
+        z = moved
         if worst <= CONVERGENCE_REL:
             return (z, True, *vals)
         # near critical points the Newton ratio is noise over noise and the
@@ -252,6 +259,23 @@ def aberth(values, noise_floor, z0: np.ndarray):
         pending = scaled if worst <= 1e-9 or stalled >= 10 else None
 
 
+def _fold_pair(z, lead, i, dw):
+    """Starts at w' + dw for the neighbouring stored roots z[i], z[i + 1] of
+    p = w': the roots of the Taylor quadratic of p at their midpoint c.  Since
+    p - w' = lead prod (x - z_j), p(c) - w' = f, p'(c) = f s_1 and p''(c) =
+    f (s_1^2 - s_2) with s_m = sum (c - z_j)^-m, with no evaluation of p.  Exact
+    on a quadratic p; None when p''(c) = 0 or a value is not finite."""
+    c = (z[i] + z[i + 1]) / 2
+    q = 1.0 / (c - z)
+    s1 = q.sum()
+    f = lead * np.prod(c - z)
+    g, k = f * s1, f * (s1 * s1 - (q * q).sum())
+    if not k:
+        return None
+    c, r = c - g / k, np.sqrt((g / k) ** 2 + 2 * (dw - f) / k)
+    return (c - r, c + r) if np.isfinite(c) and np.isfinite(r) else None
+
+
 class PreimageSolver:
     """Aberth solves of p(z) = w for a run of targets w, each started from the
     roots of the nearest earlier target, moved by one Newton step.
@@ -261,19 +285,30 @@ class PreimageSolver:
     where from real points at a real w Aberth would stay: every predicted root
     set by 1e-6, and for a Poly with zeros, the zeros by 1e-3.
 
-    The targets, sorted root sets and p' at those roots of the last
-    SOLVER_MEMORY solves sit in three fixed arrays, overwritten oldest first;
-    unfilled slots hold an infinite target, so they are never nearest.  The
-    targets of one backward orbit fill the Julia set, so the nearest stored
-    root set z' lies within about |w - w'| / |p'| of the new preimages, and
-    the tangent predictor z' + (w - w') / p'(z') of numerical continuation
-    (Allgower & Georg, Numerical Continuation Methods, 1990) closer still; a
-    root whose stored p' is 0 starts at z'.  A solve that does not converge
-    within MAX_SWEEPS from one start, or whose roots `accepts` refuses,
-    retries from the next, a circle around every root last: for a Poly with
-    zeros, of radius rho + (|w| / |a_d|)^(1/d) with rho = max |zeta_i|, since
-    |p(z)| >= |a_d| (|z| - rho)^d beyond rho; the Cauchy circle of p - w
-    otherwise.
+    The targets, sorted root sets, p' at those roots and the half gaps between
+    neighbouring roots of the last SOLVER_MEMORY solves sit in fixed arrays,
+    overwritten oldest first; unfilled slots hold an infinite target, so they
+    are never nearest.  The targets of one backward orbit fill the Julia set,
+    so the nearest stored root set z' lies within about |w - w'| / |p'| of the
+    new preimages, and the tangent predictor z' + (w - w') / p'(z') of
+    numerical continuation (Allgower & Georg, Numerical Continuation Methods,
+    1990) closer still; a root whose stored p' is 0 starts at z'.
+
+    Where w lies past a critical value that w' did not, a real pair of
+    neighbours must turn into a conjugate pair, and their tangent steps drive
+    both onto each other.  So a pair of neighbours in the stored (re, im)
+    order whose steps s close more than half their gap, Re((s_{i+1} - s_i) /
+    (z'_{i+1} - z'_i)) < -1/2, starts from `_fold_pair`, the roots of p's
+    quadratic model at the pair's midpoint, unless a root's p' is 0 or the
+    pair overlaps one already replaced.  Only pairs with |s_{i+1} - s_i| >
+    |z'_{i+1} - z'_i| / 2, one compare against the stored half gaps, are
+    looked at.
+
+    A solve that does not converge within MAX_SWEEPS from one start, or whose
+    roots `accepts` refuses, retries from the next, a circle around every root
+    last: for a Poly with zeros, of radius rho + (|w| / |a_d|)^(1/d) with
+    rho = max |zeta_i|, since |p(z)| >= |a_d| (|z| - rho)^d beyond rho; the
+    Cauchy circle of p - w otherwise.
     """
 
     def __init__(self, poly: Poly):
@@ -282,25 +317,41 @@ class PreimageSolver:
         self.targets = np.full(SOLVER_MEMORY, np.inf, dtype=complex)
         self.solved = np.zeros((SOLVER_MEMORY, self.d), dtype=complex)
         self.slopes = np.zeros((SOLVER_MEMORY, self.d), dtype=complex)
+        self.half_gaps = np.zeros((SOLVER_MEMORY, self.d - 1))
         self.count = 0
-        self.nudge = np.exp(1j * (2.0 * np.pi * np.arange(self.d) / self.d + 0.4))
+        nudge = np.exp(1j * (2.0 * np.pi * np.arange(self.d) / self.d + 0.4))
+        self.nudge = 1e-6 * nudge
+        self.zeros_start = None if poly.zeros is None else poly.zeros + 1e-3 * nudge
         # the sum of the roots of p - w, the same at every w for d >= 2 (Vieta)
         self.root_sum = (complex(poly.zeros.sum()) if poly.zeros is not None
                          else complex(-poly.coeffs[-2] / poly.coeffs[-1]))
 
     def _starts(self, w: complex):
-        nearest = int(np.abs(self.targets - w).argmin())
-        if np.isfinite(self.targets[nearest]):
-            slope = self.slopes[nearest]
-            step = np.divide(w - self.targets[nearest], slope,
-                             out=np.zeros(self.d, dtype=complex), where=slope != 0)
-            warm = self.solved[nearest] + step
-            yield warm + 1e-6 * self.nudge
+        if self.count:
+            nearest = int(np.abs(self.targets - w).argmin())
+            z, slope, dw = self.solved[nearest], self.slopes[nearest], w - self.targets[nearest]
+            if np.count_nonzero(slope) == self.d:
+                step = dw / slope
+            else:
+                step = np.divide(dw, slope, out=np.zeros(self.d, dtype=complex), where=slope != 0)
+            warm = z + step
+            close = np.abs(step[1:] - step[:-1]) > self.half_gaps[nearest]
+            if np.count_nonzero(close):
+                lead, last = self.poly.coeffs[-1], -2
+                for i in np.flatnonzero(close):
+                    gap = z[i + 1] - z[i]
+                    closing = ((step[i + 1] - step[i]) * gap.conjugate()).real
+                    if i > last + 1 and slope[i] and slope[i + 1] and closing < -0.5 * abs(gap) ** 2:
+                        pair = _fold_pair(z, lead, i, dw)
+                        if pair is not None:
+                            warm[i:i + 2] = pair
+                            last = i
+            yield warm + self.nudge
         zeros = self.poly.zeros
         if zeros is None:
             yield initial_circle(self.poly.shifted(w))
         else:
-            yield zeros + 1e-3 * self.nudge
+            yield self.zeros_start
             bound = np.max(np.abs(zeros)) + (abs(w) / abs(self.poly.coeffs[-1])) ** (1.0 / self.d)
             yield initial_circle(self.poly.coeffs, bound)
 
@@ -336,6 +387,7 @@ class PreimageSolver:
                 self.targets[slot] = w
                 self.solved[slot] = z
                 self.slopes[slot] = dv[order]
+                self.half_gaps[slot] = 0.5 * np.abs(z[1:] - z[:-1])
                 self.count += 1
                 return z
         raise ConvergenceError(f"preimage solve failed at w = {w:.6g}")

@@ -248,6 +248,7 @@ class TestBrolin:
                     "--out", str(tmp_path)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "numerical"
         assert not (tmp_path / "brolin_raw.json").exists()
+        assert not (tmp_path / "brolin_raw.csv").exists()
 
 
 class TestReport:

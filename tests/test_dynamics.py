@@ -25,6 +25,25 @@ def nearest_distances(points, queries=None):
     return tree.query(np.column_stack([queries.real, queries.imag]))[0]
 
 
+def evaluations_per_solve(monkeypatch):
+    """A list that gains one entry per PreimageSolver.solve, the number of
+    Poly.values calls that solve makes."""
+    counts = []
+    values, solve = Poly.values, pl.PreimageSolver.solve
+
+    def counted_values(self, z, w=0.0):
+        counts[-1] += 1
+        return values(self, z, w)
+
+    def counted_solve(self, w):
+        counts.append(0)
+        return solve(self, w)
+
+    monkeypatch.setattr(Poly, "values", counted_values)
+    monkeypatch.setattr(pl.PreimageSolver, "solve", counted_solve)
+    return counts
+
+
 def forward_invariance(e, sample, eps):
     """Fraction of one-step forward images within eps of some sample point."""
     return float(np.mean(nearest_distances(sample.points, e.poly(sample.points)) <= eps))
@@ -704,42 +723,60 @@ class TestPreimages:
                                            ([0.0, -3.0, 0.0, 1.0], 2.5)])
     def test_raw_warm_start_leaves_the_real_line(self, monkeypatch, coeffs, w):
         # the preimages of w are complex, and the warm start comes from the real
-        # roots of p = 0: nudged off the real line it settles in 17 and 18
-        # evaluations, where un-nudged it stayed real and took 507 and 48
-        calls = [0]
-        values = Poly.values
-
-        def counted_values(self, z, w=0.0):
-            calls[0] += 1
-            return values(self, z, w)
-
+        # roots of p = 0: with the fold start off, the tangent start nudged off
+        # the real line settles in 17 and 18 evaluations, where un-nudged it
+        # stayed real and took 507 and 48 (the fold start takes 2 and 4)
+        monkeypatch.setattr(pl, "_fold_pair", lambda *args: None)
         solver = pl.PreimageSolver(Poly(coeffs))
         solver.solve(0.0)
-        monkeypatch.setattr(Poly, "values", counted_values)
+        counts = evaluations_per_solve(monkeypatch)
         z = solver.solve(w)
-        assert calls[0] <= 25
+        assert counts[0] <= 25
         assert np.count_nonzero(np.abs(z.imag) > 1e-8) == 2
 
     def test_few_aberth_evaluations_per_solve(self, stock_escape, monkeypatch):
         # a warm start from the nearest stored roots, moved by the tangent
-        # predictor, settles in 2.9 evaluations per solve on this orbit; from
-        # the stored roots alone it took 3.45
-        calls = {"values": 0, "solve": 0}
-        values, solve = Poly.values, pl.PreimageSolver.solve
-
-        def counted_values(self, z, w=0.0):
-            calls["values"] += 1
-            return values(self, z, w)
-
-        def counted_solve(self, w):
-            calls["solve"] += 1
-            return solve(self, w)
-
-        monkeypatch.setattr(Poly, "values", counted_values)
-        monkeypatch.setattr(pl.PreimageSolver, "solve", counted_solve)
+        # predictor and with each fold pair started from its quadratic,
+        # settles in 2.39 evaluations per solve on this orbit; without the
+        # fold starts it took 2.9, from the stored roots alone 3.45
+        counts = evaluations_per_solve(monkeypatch)
         dyn.brolin_sample(stock_escape[40], 100, burn_in=100, seed=0)
-        assert calls["solve"] == 201
-        assert calls["values"] / calls["solve"] <= 3.2
+        assert len(counts) == 201
+        assert sum(counts) / len(counts) <= 3.2
+
+    @pytest.mark.parametrize("coeffs, w0, w, most", [([0.0, 0.0, 1.0], 1.0, -1.0, 3),
+                                                     ([0.0, -3.0, 0.0, 1.0], 0.0, 2.5, 6)])
+    def test_fold_pair_starts_from_its_quadratic(self, monkeypatch, coeffs, w0, w, most):
+        # between w0 and w lies a critical value (0 of z^2, 2 of z^3 - 3z), so
+        # a real root pair turns into a conjugate pair; the tangent steps drive
+        # both onto each other, and from there the solve took 17 and 18
+        # evaluations.  The quadratic through the pair is exact on z^2
+        p = Poly(coeffs)
+        solver = pl.PreimageSolver(p)
+        solver.solve(w0)
+        counts = evaluations_per_solve(monkeypatch)
+        z = solver.solve(w)
+        assert len(counts) == 1 and counts[0] <= most
+        assert np.max(np.abs(p(z) - w)) <= 1e-12
+        pair = z[np.abs(z.imag) > 1e-8]
+        assert len(pair) == 2 and abs(pair[0] - np.conj(pair[1])) <= 1e-12
+        if len(coeffs) == 3:
+            assert np.allclose(sorted(z, key=lambda v: v.imag), [-1j, 1j], rtol=0, atol=1e-15)
+
+    def test_no_fold_tail_on_the_stock_orbits(self, stock_escape, monkeypatch):
+        # an orbit crosses critical values of P_n near x = 1, where a real
+        # root pair must turn into a conjugate pair: from the tangent steps,
+        # 38 of these 1005 solves took 9-19 evaluations, and the n = 50 orbit
+        # 3.22 per solve; from each fold pair's quadratic, none and 2.47
+        counts = evaluations_per_solve(monkeypatch)
+        slow = 0
+        for n in (10, 20, 30, 40, 50):
+            counts.clear()
+            dyn.brolin_sample(stock_escape[n], 100, burn_in=100, seed=0)
+            assert len(counts) == 201
+            slow += sum(c > 8 for c in counts)
+        assert slow <= 2
+        assert np.mean(counts) <= 2.6
 
     @pytest.mark.parametrize("n", [10, 20, 30, 40, 50])
     def test_derivative_on_the_orbit(self, stock_family, stock_escape, stock_samples, n):

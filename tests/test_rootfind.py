@@ -272,7 +272,7 @@ class TestZeroCountingMeasure:
 
     def test_single_zero(self):
         zc = ex.ZeroClassification(regular=np.array([0.0]),
-                                exceptional=np.array([], dtype=complex), n=1, m=0)
+                                exceptional=np.array([], dtype=complex), n=1)
         mu = xj.zero_counting_measure(zc)
         assert mu.size == 1 and mu.weights[0] == 1.0
 
