@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dynamics import pixel_centers
+from .dynamics import MAX_ITER, MAX_RESOLUTION, MAX_SAMPLES, pixel_centers
 from .errors import ConfigError
 from .exceptional import DarbouxData, make_darboux_data, make_x1_preset
 from .jacobi import JacobiParams
@@ -144,7 +144,7 @@ def validate_config(obj: dict) -> ExperimentConfig:
 
     cfg = ExperimentConfig(family=family, n_list=list(n_list))
     if "samples" in obj:
-        cfg.samples = _require_number(obj, "samples", lo=1, hi=10 ** 6, integer=True)
+        cfg.samples = _require_number(obj, "samples", lo=1, hi=MAX_SAMPLES, integer=True)
     if "burn_in" in obj:
         cfg.burn_in = _require_number(obj, "burn_in", lo=1, hi=10 ** 5, integer=True)
     if "seed" in obj:
@@ -157,8 +157,9 @@ def validate_config(obj: dict) -> ExperimentConfig:
             if key not in _GRID_DEFAULTS:
                 raise ConfigError(f"grid.{key}", "unknown field")
         grid.update(obj["grid"])
-        grid["resolution"] = _require_number(grid, "resolution", lo=1, hi=8192, integer=True)
-        grid["max_iter"] = _require_number(grid, "max_iter", lo=1, hi=10000, integer=True)
+        grid["resolution"] = _require_number(grid, "resolution", lo=1, hi=MAX_RESOLUTION,
+                                            integer=True)
+        grid["max_iter"] = _require_number(grid, "max_iter", lo=1, hi=MAX_ITER, integer=True)
         grid["half_width"] = _require_number(grid, "half_width", lo=1e-9)
         grid["center_re"] = _require_number(grid, "center_re")
         grid["center_im"] = _require_number(grid, "center_im")

@@ -26,6 +26,7 @@ _RADIUS_CHECK_POINTS = 200
 _RADIUS_CHECK_SEED = 73111
 # pixels the escape raster iterates together: 16384 complex points are 256 kB
 RASTER_TILE = 16384
+MAX_RESOLUTION, MAX_ITER, MAX_SAMPLES = 8192, 10000, 10 ** 6  # input limits, config's too
 
 
 @dataclass
@@ -186,10 +187,10 @@ def escape_raster(e: EscapeData, center: complex = 0j, half_width: float = 2.0,
     Of a 512^2 window of half-width 2, z^2 - 1 iterates 25% of the pixels,
     the stock family 15-25%.
     """
-    if not (1 <= resolution <= 8192):
-        raise ValueError("resolution must be in [1, 8192]")
-    if not (1 <= max_iter <= 10000):
-        raise ValueError("max_iter must be in [1, 10000]")
+    if not (1 <= resolution <= MAX_RESOLUTION):
+        raise ValueError(f"resolution must be in [1, {MAX_RESOLUTION}]")
+    if not (1 <= max_iter <= MAX_ITER):
+        raise ValueError(f"max_iter must be in [1, {MAX_ITER}]")
     center = complex(center)
     if not (np.isfinite(center) and np.isfinite(half_width) and half_width > 0.0):
         raise ValueError("center must be finite and half_width finite and positive")
@@ -332,7 +333,7 @@ def brolin_sample(e: EscapeData, n_samples: int, burn_in: int = 100,
     a further-jumped stream, at most five times.  One solver, and so one
     memory of warm starts, serves the start and every orbit.
     """
-    if n_samples < 1 or n_samples > 10 ** 6:
+    if n_samples < 1 or n_samples > MAX_SAMPLES:
         raise ValueError("n_samples must be in [1, 1e6]")
     if burn_in < 1:
         raise ValueError("burn_in must be >= 1")

@@ -108,13 +108,13 @@ def _divide_out_interval_factors(b: Poly, eps1: int, eps2: int) -> Poly:
 
 
 def make_darboux_data(params: JacobiParams, b: Poly, bw: Poly, eps1: int, eps2: int,
-                      lambda_tilde: float, validate: bool = True) -> DarbouxData:
+                      lambda_tilde: float) -> DarbouxData:
     """Assemble and gate one family configuration.
 
     Structural checks (monic b, degree gap, pole locations: no zero of b_tilde
-    on [-1, 1]) run always.  Unless validate=False, the orthonormality
-    oracle gate runs, then lambda_tilde is checked: the closed-form norm must
-    match the quadrature one to ORTHO_GATE_TOL at every n up to ORTHO_GATE_INDEX.
+    on [-1, 1]) run first.  Then the orthonormality oracle gate runs, and
+    lambda_tilde is checked: the closed-form norm must match the quadrature
+    one to ORTHO_GATE_TOL at every n up to ORTHO_GATE_INDEX.
     """
     if eps1 not in (-1, 1) or eps2 not in (-1, 1):
         raise ConfigError("eps1/eps2", "must be +1 or -1")
@@ -141,17 +141,16 @@ def make_darboux_data(params: JacobiParams, b: Poly, bw: Poly, eps1: int, eps2: 
     low = np.abs(bt) <= b_tilde.noise_floor(1.0, bt)
     if low.any():
         raise ValidationError(f"b_tilde vanishes on [-1, 1], at {x[np.argmax(low)]:.6g}")
-    if validate:
-        dev, where = orthonormality_deviation(data, ORTHO_GATE_INDEX)
-        if dev > ORTHO_GATE_TOL:
+    dev, where = orthonormality_deviation(data, ORTHO_GATE_INDEX)
+    if dev > ORTHO_GATE_TOL:
+        raise ValidationError(
+            f"orthonormality gate failed at (i, j) = {where}: residual {dev:.3e}")
+    for n in range(first_index(data), ORTHO_GATE_INDEX + 1):
+        gap = sigma_discrepancy(data, n)
+        if not gap <= ORTHO_GATE_TOL:
             raise ValidationError(
-                f"orthonormality gate failed at (i, j) = {where}: residual {dev:.3e}")
-        for n in range(first_index(data), ORTHO_GATE_INDEX + 1):
-            gap = sigma_discrepancy(data, n)
-            if not gap <= ORTHO_GATE_TOL:
-                raise ValidationError(
-                    f"lambda_tilde = {data.lambda_tilde:g} does not give sigma_{n}: "
-                    f"closed form off the quadrature norm by {gap:.3e}")
+                f"lambda_tilde = {data.lambda_tilde:g} does not give sigma_{n}: "
+                f"closed form off the quadrature norm by {gap:.3e}")
     return data
 
 
@@ -176,17 +175,17 @@ def make_x1_preset(params: JacobiParams) -> DarbouxData:
     construction covers either order of alpha and beta (Gomez-Ullate, Kamran &
     Milson, Contemp. Math. 563, 2012, at m = 1): source family (alpha+1, beta-1),
     b = (x - 1)(x - c), bw = ((alpha+1) c - 1) - alpha x, lambda = alpha (beta+1),
-    so b_tilde = c - x, positive for c > 1 and negative for c < -1.  The
-    returned data is accepted only after passing the construction gates.
+    so b_tilde = c - x, positive for c > 1 and negative for c < -1.  Other
+    exponents raise ConfigError; the data returned has passed the construction gates.
     """
     a, bb = params.alpha, params.beta
     if a == bb:
-        raise ValidationError("preset needs alpha != beta (pole undefined)")
+        raise ConfigError("alpha/beta", "preset needs alpha != beta (pole undefined)")
     c = (a + bb) / (bb - a)
     if abs(c) <= 1.0:
-        raise ValidationError(f"pole c = {c:g} lies in [-1, 1]; preset rejected")
+        raise ConfigError("alpha/beta", f"pole c = {c:g} lies in [-1, 1]; preset rejected")
     if min(a, bb) <= 0.0:
-        raise ValidationError("preset requires alpha, beta > 0")
+        raise ConfigError("alpha/beta", "preset requires alpha, beta > 0")
     return make_darboux_data(JacobiParams(a + 1.0, bb - 1.0),
                              Poly([c, -(1.0 + c), 1.0]),          # (x - 1)(x - c)
                              Poly([(a + 1.0) * c - 1.0, -a]), -1, 1, a * (bb + 1.0))

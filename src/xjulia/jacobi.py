@@ -219,7 +219,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    params: JacobiParams
 
     def integrate_values(self, values):
         return np.sum(self.weights * values, axis=-1)
@@ -261,7 +260,7 @@ def gauss_jacobi_rule(params: JacobiParams, order: int) -> QuadratureRule:
     weights = 1.0 / np.sum(table * table, axis=0)
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(nodes, weights, params)
+    return QuadratureRule(nodes, weights)
 
 
 @lru_cache(maxsize=256)

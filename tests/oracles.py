@@ -6,7 +6,7 @@ import numpy as np
 from xjulia import exceptional as ex
 from xjulia.dynamics import EscapeData, RasterGrid
 from xjulia.errors import ValidationError
-from xjulia.jacobi import DEGREE_CAP
+from xjulia.jacobi import DEGREE_CAP, JacobiParams
 from xjulia.measures import EmpiricalMeasure
 from xjulia.poly import Poly, PreimageSolver
 
@@ -20,6 +20,17 @@ def leading_coeff_estimate(data: ex.DarbouxData, n: int) -> float:
     zeros = np.concatenate([zc.regular, zc.exceptional])
     z0 = 2.0 * (1.0 + np.max(np.abs(zeros)))
     return float((ex.eval_exceptional(data, n, z0) / np.prod(z0 - zeros)).real)
+
+
+def ungated_family(params: JacobiParams, b: Poly, bw: Poly, eps1: int, eps2: int,
+                   lambda_tilde: float) -> ex.DarbouxData:
+    """The family make_darboux_data assembles, without its structural checks or
+    orthonormality gate, for configurations the gate refuses; b must still
+    divide by the interval factors eps1 and eps2 name."""
+    b, bw = b.trimmed(), bw.trimmed()
+    b_tilde = ex._divide_out_interval_factors(b, eps1, eps2)
+    return ex.DarbouxData(params=params, b=b, bw=bw, eps1=eps1, eps2=eps2,
+                          lambda_tilde=float(lambda_tilde), m=b_tilde.degree, b_tilde=b_tilde)
 
 
 def verify_span_property(data: ex.DarbouxData, p: Poly):

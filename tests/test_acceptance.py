@@ -49,8 +49,9 @@ class TestAcceptance:
         worst_quad = 0.0
         count = 0
         for alpha, beta in ((0.0, 0.0), (-0.5, -0.5), (1.0, 1.0), (2.5, 0.5)):
-            rule = xj.gauss_jacobi_rule(xj.JacobiParams(alpha, beta), 6)
-            scale = rule.params.weight_mass
+            params = xj.JacobiParams(alpha, beta)
+            rule = xj.gauss_jacobi_rule(params, 6)
+            scale = params.weight_mass
             for k in range(5):
                 exact = beta_integral_oracle(alpha, beta, k)
                 got = rule.integrate_values(rule.nodes ** k)

@@ -9,7 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from xjulia import dynamics
 from xjulia.cli import main
+from xjulia.config import from_json
+from xjulia.exceptional import monomial_coeffs
+from xjulia.poly import Poly
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -74,17 +78,18 @@ class TestZeros:
         assert json.loads(capsys.readouterr().err)["field"] == "n_list"
 
     def test_numerical_failure_exit_one(self, tmp_path, capsys):
-        # structurally valid JSON families of the README's explicit form: one
-        # fails the orthonormality gate, one states a lambda_tilde its norms refute
-        for bw, lambda_tilde, cause in (([3.3, -1.0], 4.0, "orthonormality"),
-                                        ([3.0, -1.0], 99.0, "lambda_tilde")):
+        # structurally valid JSON families: of the README's explicit form, one
+        # fails the orthonormality gate and one states a lambda_tilde its norms
+        # refute; the preset's exponents (1e-9, 1.2) are valid, but its pole,
+        # 1.7e-9 past 1, fails the gate
+        explicit = {"alpha": 2.0, "beta": 2.0, "eps1": -1, "eps2": 1, "b": [2.0, -3.0, 1.0]}
+        for family, cause in (({**explicit, "bw": [3.3, -1.0], "lambda_tilde": 4.0},
+                               "orthonormality"),
+                              ({**explicit, "bw": [3.0, -1.0], "lambda_tilde": 99.0},
+                               "lambda_tilde"),
+                              ({"preset": "x1", "alpha": 1e-9, "beta": 1.2}, "orthonormality")):
             cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({
-                "family": {"alpha": 2.0, "beta": 2.0, "eps1": -1, "eps2": 1,
-                           "b": [2.0, -3.0, 1.0], "bw": bw,
-                           "lambda_tilde": lambda_tilde},
-                "n_list": [5],
-            }))
+            cfg.write_text(json.dumps({"family": family, "n_list": [5]}))
             assert run(["zeros", "--config", str(cfg), "--out", str(tmp_path)]) == 1
             err = json.loads(capsys.readouterr().err)
             assert err["error"] == "numerical"
@@ -118,6 +123,18 @@ class TestZeros:
         capsys.readouterr()
         assert run(["zeros", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert json.loads(capsys.readouterr().err)["field"] == "eps1/eps2"
+
+    @pytest.mark.parametrize("alpha, beta", [("0.5", "0.5"), ("0.5", "-0.3"), ("-0.5", "-0.2")],
+                             ids=["no-pole", "pole-inside", "not-positive"])
+    def test_invalid_preset_parameters_exit_two(self, tmp_path, capsys, alpha, beta):
+        # the x1 preset needs alpha != beta, its pole outside [-1, 1] and
+        # positive exponents: a configuration error, not a numerical failure
+        out = tmp_path / "z"
+        assert run(["zeros", "--preset", "x1", "--alpha", alpha, "--beta", beta,
+                    "--n-list", "5", "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and err["field"] == "alpha/beta"
+        assert not out.exists()
 
     def test_no_regular_zeros_exit_one(self, tmp_path, capsys):
         # P_0 has one zero, outside [-1, 1]: no zero-counting measure exists
@@ -182,6 +199,25 @@ class TestJulia:
         r_p = read_json(out / "julia_n53.json")["R_p"]
         assert np.isfinite(r_p) and 1.0 < r_p < 3.0
 
+    @pytest.mark.parametrize("family, center", [
+        ({"preset": "x1", "alpha": 0.02, "beta": 1.2}, 0.25j),  # rows do not mirror
+        ({"raw_poly": [0.0, -3.0, 0.0, 1.0]}, 0j),             # odd and real: a quarter
+        ({"raw_poly": [-1.0, 0.0, 1.0]}, 0.1),                 # rows mirror, columns not
+    ], ids=["off-axis", "odd", "shifted"])
+    def test_config_window(self, tmp_path, family, center):
+        # the PGM is the raster of the configured window, each symmetry class
+        # of which TestRasterMatchesReference checks against the full loop
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": family, "n_list": [10], "grid": {
+            "center_re": center.real, "center_im": center.imag, "resolution": 64}}))
+        out = tmp_path / "j"
+        assert run(["julia", "--config", str(cfg), "--out", str(out)]) == 0
+        raw = "raw_poly" in family
+        poly = Poly(family["raw_poly"]) if raw else monomial_coeffs(from_json(family), 10)
+        raster = dynamics.escape_raster(dynamics.escape_radius(poly), center=center, resolution=64)
+        pgm = out / ("julia_raw.pgm" if raw else "julia_n10.pgm")
+        assert pgm.read_bytes() == dynamics.raster_to_pgm(raster)
+
     def test_zero_resolution_rejected(self, tmp_path, capsys):
         assert run(["julia", "--raw-poly", "0,0,1", "--resolution", "0",
                     "--out", str(tmp_path)]) == 2
@@ -242,6 +278,16 @@ class TestBrolin:
         assert summary["n_list"] == [5, 8]
         assert len(summary["max_abs_moment"]) == 2
 
+    def test_member_past_product_overflow(self, tmp_path):
+        # degree 54, whose escape radius is found in logs (TestJulia): every
+        # sample point is finite and the radius from the zeros below 3
+        out = tmp_path / "b53"
+        assert run(["brolin", *PRESET_FLAGS, "--n-list", "53", "--samples", "400",
+                    "--out", str(out)]) == 0
+        points = np.loadtxt(out / "brolin_n53.csv", delimiter=",", skiprows=1)
+        assert points.shape == (400, 2) and np.isfinite(points).all()
+        assert read_json(out / "brolin_n53.json")["R_p"] < 3.0
+
     def test_non_finite_moment_exit_one(self, tmp_path, capsys):
         # J(1e-60 z^2) has radius 1e60, where T_6 overflows: NaN is not JSON
         assert run(["brolin", "--raw-poly=0,0,1e-60", "--samples", "50",
@@ -269,6 +315,23 @@ class TestReport:
         err = json.loads(capsys.readouterr().err)
         assert err["field"] == "n_list"
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("family", [
+        # alpha > beta: the same preset formula with b_tilde negative on [-1, 1]
+        {"preset": "x1", "alpha": 3.0, "beta": 1.0},
+        # the README's explicit family in the config wire format
+        {"alpha": 2.0, "beta": 2.0, "eps1": -1, "eps2": 1, "b": [2.0, -3.0, 1.0],
+         "bw": [3.0, -1.0], "lambda_tilde": 4.0},
+    ], ids=["mirrored-preset", "explicit"])
+    def test_zeros_then_report(self, tmp_path, family):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": family, "n_list": [8, 12]}))
+        out = tmp_path / "out"
+        for command in ("zeros", "report"):
+            assert run([command, "--config", str(cfg), "--out", str(out)]) == 0
+        rep = read_json(out / "report.json")
+        assert [row["n"] for row in rep["per_n"]] == [8, 12]
+        assert all(row["ks"] is not None for row in rep["per_n"])
 
     def test_partial_outputs_null_sections(self, tmp_path):
         out = tmp_path / "p"

@@ -18,11 +18,13 @@ def _fresh_family(kind):
     """A family with nothing cached: the stock preset, the preset (3.0, 1.0),
     where b_tilde is negative, or the pure derivative b = 1, bw = 0."""
     if kind == "pure":
-        return ex.make_darboux_data(xj.JacobiParams(0.5, 0.5), Poly([1.0]), Poly([0.0]),
-                                    1, 1, 0.0, validate=False)
-    preset = xj.make_x1_preset(xj.JacobiParams(*{"stock": (0.02, 1.2), "negative": (3.0, 1.0)}[kind]))
-    return ex.make_darboux_data(preset.params, preset.b, preset.bw, preset.eps1, preset.eps2,
-                                preset.lambda_tilde, validate=False)
+        data = ex.make_darboux_data(xj.JacobiParams(0.5, 0.5), Poly([1.0]), Poly([0.0]),
+                                    1, 1, 0.0)
+    else:
+        data = xj.make_x1_preset(
+            xj.JacobiParams(*{"stock": (0.02, 1.2), "negative": (3.0, 1.0)}[kind]))
+    data._cache.clear()
+    return data
 
 
 # b = x^2 - 1 with both interval factors divided out: b_tilde = -1, m = 0, and
@@ -83,7 +85,7 @@ class TestPreset:
         assert data.params.alpha == 2.0 and data.params.beta == 2.0
 
     def test_equal_exponents_rejected(self):
-        with pytest.raises(ValidationError, match="pole"):
+        with pytest.raises(ConfigError, match="pole"):
             xj.make_x1_preset(xj.JacobiParams(1.0, 1.0))
 
     def test_far_pole_instance(self):
@@ -92,11 +94,11 @@ class TestPreset:
         assert_allclose(r, [21.0], rtol=1e-10)
 
     def test_pole_inside_interval_rejected(self):
-        with pytest.raises(ValidationError, match=r"\[-1, 1\]"):
+        with pytest.raises(ConfigError, match=r"\[-1, 1\]"):
             xj.make_x1_preset(xj.JacobiParams(0.5, -0.3))
 
     def test_negative_exponents_rejected(self):
-        with pytest.raises(ValidationError, match="> 0"):
+        with pytest.raises(ConfigError, match="> 0"):
             xj.make_x1_preset(xj.JacobiParams(-0.5, -0.2))
 
     def test_mirror_route(self):
@@ -132,15 +134,13 @@ class TestPreset:
         assert data.m == 1
 
     @pytest.mark.parametrize("zeros", [(1.0, 0.5, 0.5), (1.0, 0.0, 0.0), (1.0, 1.0, 2.0)])
-    @pytest.mark.parametrize("validate", [False, True])
-    def test_double_zero_on_interval_rejected(self, zeros, validate):
+    def test_double_zero_on_interval_rejected(self, zeros):
         # with eps1 = -1, b_tilde = b / (1 - x) keeps b's double zero at 0.5 or 0,
         # which Aberth splits off the axis, or a zero at 1 from b's double zero
-        # there, with one sign on the open interval
+        # there, with one sign on the open interval; refused before the gate runs
         b = Poly(np.polynomial.polynomial.polyfromroots(zeros))
         with pytest.raises(ValidationError, match="vanishes on"):
-            ex.make_darboux_data(xj.JacobiParams(2.0, 2.0), b, Poly([3.0, -1.0]), -1, 1, 4.0,
-                                 validate=validate)
+            ex.make_darboux_data(xj.JacobiParams(2.0, 2.0), b, Poly([3.0, -1.0]), -1, 1, 4.0)
 
     @pytest.mark.parametrize("alpha,beta", [(0.02, 1.2), (1.2, 0.02), (3.0, 1.0)])
     def test_presets_clear_structural_check(self, alpha, beta):
@@ -192,7 +192,7 @@ class TestIntervalFactors:
         # x^2 + 1 has no (1 - x) factor: the remainder 2 is refused
         with pytest.raises(ValidationError, match=r"\(x - 1\).*remainder 2.00e\+00"):
             ex.make_darboux_data(xj.JacobiParams(2.0, 1.0), Poly([1.0, 0.0, 1.0]),
-                                 Poly([0.0]), -1, 1, 0.0, validate=False)
+                                 Poly([0.0]), -1, 1, 0.0)
 
 
 class TestWeight:
@@ -288,7 +288,7 @@ class TestSigma:
     def test_degenerate_transform_rejected(self):
         # b = 1, bw = 0 differentiates: the n = 0 member vanishes identically
         data = ex.make_darboux_data(xj.JacobiParams(0.5, 0.5), Poly([1.0]),
-                                    Poly([0.0]), 1, 1, 0.0, validate=False)
+                                    Poly([0.0]), 1, 1, 0.0)
         with pytest.raises(ValidationError, match="degenerate"):
             ex.sigma_n(data, 0)
         assert ex.first_index(data) == 1
@@ -298,8 +298,8 @@ class TestSigma:
         # doubling c0 (so W -> 2W) scales every norm by sqrt(2)
         clone = ex.make_darboux_data(stock_family.params, stock_family.b,
                                      stock_family.bw, stock_family.eps1,
-                                     stock_family.eps2, stock_family.lambda_tilde,
-                                     validate=False)
+                                     stock_family.eps2, stock_family.lambda_tilde)
+        clone._cache.clear()
         clone._cache["c0"] = 2.0 * ex.normalization_constant(stock_family)
         for n in (0, 3, 11):
             assert_allclose(ex.sigma_n(clone, n),
@@ -379,7 +379,7 @@ class TestDegreesAndLeadingCoeffs:
         params = xj.JacobiParams(2.0, 2.0)
         b = Poly([2.0, -3.0, 1.0])            # (x-1)(x-2)
         for bw in (Poly([3.0]), Poly([1.0, 5.0])):    # B = 0, B = 5
-            data = ex.make_darboux_data(params, b, bw, -1, 1, 4.0, validate=False)
+            data = oracles.ungated_family(params, b, bw, -1, 1, 4.0)
             for n in (4, 10, 20):
                 lead = xj.leading_coeff_exceptional(data, n)
                 est = oracles.leading_coeff_estimate(data, n)
@@ -428,8 +428,8 @@ class TestDegreesAndLeadingCoeffs:
     def test_degree_zero_member_refused(self):
         # P_0 is a multiple of bw, of degree 0 when bw is 0 or a constant: no
         # zero to sum, refused as classify_zeros refuses it
-        constant = ex.make_darboux_data(xj.JacobiParams(2.0, 2.0), Poly([2.0, -3.0, 1.0]),
-                                        Poly([3.0]), -1, 1, 4.0, validate=False)
+        constant = oracles.ungated_family(xj.JacobiParams(2.0, 2.0), Poly([2.0, -3.0, 1.0]),
+                                          Poly([3.0]), -1, 1, 4.0)
         for data in (from_json(SQUARE_DERIVATIVE), constant):
             for f in (ex.zero_sum, xj.classify_zeros):
                 with pytest.raises(ValueError, match="degree must be >= 1"):

@@ -332,16 +332,18 @@ class TestQuadrature:
         assert_allclose(rule.integrate_values(rule.nodes ** 2), 4.0 / 15.0, rtol=1e-13)
 
     def test_order_one(self):
-        rule = xj.gauss_jacobi_rule(xj.JacobiParams(2.0, 0.5), 1)
+        params = xj.JacobiParams(2.0, 0.5)
+        rule = xj.gauss_jacobi_rule(params, 1)
         assert len(rule.nodes) == 1
-        assert_allclose(rule.weights.sum(), rule.params.weight_mass, rtol=1e-14)
+        assert_allclose(rule.weights.sum(), params.weight_mass, rtol=1e-14)
 
     @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (-0.5, -0.5), (1.5, 0.25),
                                             (3.0, 3.0), (-0.9, 4.0)])
     def test_exactness_against_beta_integrals(self, alpha, beta):
         order = 9
-        rule = xj.gauss_jacobi_rule(xj.JacobiParams(alpha, beta), order)
-        scale = rule.params.weight_mass
+        params = xj.JacobiParams(alpha, beta)
+        rule = xj.gauss_jacobi_rule(params, order)
+        scale = params.weight_mass
         for k in range(2 * order):
             exact = beta_integral_oracle(alpha, beta, k)
             got = rule.integrate_values(rule.nodes ** k)

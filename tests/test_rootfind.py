@@ -12,6 +12,8 @@ from xjulia.errors import ConvergenceError
 from xjulia.exceptional import classification_to_csv
 from xjulia.poly import Poly, aberth, initial_circle
 
+import oracles
+
 
 def match_roots(found, expected):
     """Greedy nearest matching; returns worst pairing distance."""
@@ -193,9 +195,9 @@ class TestClassification:
     @pytest.mark.parametrize("n", [0, 1, 30])
     def test_zero_sum_with_short_bw(self, n):
         # deg bw = 1 < deg b - 1: B = 0, and P_0 has bw's single zero
-        data = ex.make_darboux_data(xj.JacobiParams(0.3, 0.7),
-                                    Poly.from_roots([2.0, -3.0, 1.5]), Poly([0.5, 1.0]),
-                                    1, 1, 0.0, validate=False)
+        data = oracles.ungated_family(xj.JacobiParams(0.3, 0.7),
+                                      Poly.from_roots([2.0, -3.0, 1.5]), Poly([0.5, 1.0]),
+                                      1, 1, 0.0)
         zc = xj.classify_zeros(data, n)
         found = np.concatenate([zc.regular, zc.exceptional])
         assert len(found) == (1 if n == 0 else n + 2)
