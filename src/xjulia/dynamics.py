@@ -167,8 +167,10 @@ def escape_raster(e: EscapeData, center: complex = 0j, half_width: float = 2.0,
 
     An orbit leaves at step k when its squared modulus is not <= r_escape^2,
     inf and NaN included.  Pixels whose x * x + y * y fails that test get the
-    count 0 uniterated; the rest start from exactly those parts, in tiles of
-    RASTER_TILE points.  A tile retires an orbit equal to its checkpoint
+    count 0 uniterated; the rest, read off that disk mask in bands of rows
+    holding at most RASTER_TILE of them, start from exactly those parts at
+    step 1.  A step is horner in place, with no zero coefficient added and no
+    unit lead multiplied.  A tile retires an orbit equal to its checkpoint
     (saved at steps 0, 1, 2, 4, ...: Brent's cycle detection) with the count
     max_iter: the step is elementwise complex + and x, so the orbit repeats
     values that never escaped.  When r_escape^2 is not below
@@ -208,17 +210,21 @@ def escape_raster(e: EscapeData, center: complex = 0j, half_width: float = 2.0,
     n_cols = half if point and real else resolution
     # capped, so an r_escape whose square overflows still escapes inf and NaN only
     r_sq = min(e.r_escape * e.r_escape, np.finfo(float).max)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # int32 halves the index list that stays alive beside the tiles
-        inside = np.flatnonzero(np.add.outer(ys[:n_rows] * ys[:n_rows],
-                                             xs[:n_cols] * xs[:n_cols]) <= r_sq).astype(np.int32)
-        for start in range(0, inside.size, RASTER_TILE):
-            rows, cols = np.divmod(inside[start:start + RASTER_TILE], n_cols)
-            cur = np.empty(rows.size, dtype=complex)
-            cur.real, cur.imag = xs[cols], ys[rows]
-            raster.counts[rows, cols] = _escape_tile(coeffs, r_sq, cur, max_iter)
-            del cur   # freed before the next tile allocates: a lower peak RSS
     counts = raster.counts
+    with np.errstate(over="ignore", invalid="ignore"):
+        inside = np.add.outer(ys[:n_rows] * ys[:n_rows], xs[:n_cols] * xs[:n_cols]) <= r_sq
+        # bands of rows with at most RASTER_TILE inside pixels, a row's <= MAX_RESOLUTION
+        ends = np.cumsum(np.count_nonzero(inside, axis=1))
+        top = done = 0
+        while done < ends[-1]:
+            bottom = int(np.searchsorted(ends, done + RASTER_TILE, side="right"))
+            band = inside[top:bottom]
+            cur = np.empty(ends[bottom - 1] - done, dtype=complex)
+            cur.real = np.broadcast_to(xs[:n_cols], band.shape)[band]
+            cur.imag = np.broadcast_to(ys[top:bottom, None], band.shape)[band]
+            counts[top:bottom, :n_cols][band] = _escape_tile(coeffs, r_sq, cur, max_iter)
+            del cur   # freed before the next tile allocates: a lower peak RSS
+            top, done = bottom, ends[bottom - 1]
     if n_cols < resolution:
         counts[:n_rows, resolution - n_cols:] = counts[:n_rows, :n_cols][:, ::-1]
     if n_rows < resolution:
@@ -228,38 +234,43 @@ def escape_raster(e: EscapeData, center: complex = 0j, half_width: float = 2.0,
 
 
 def _escape_tile(coeffs, r_sq, cur, max_iter):
-    """Escape counts of the orbits from the points cur."""
-    counts = np.full(cur.size, max_iter, dtype=np.int32)
+    """Escape counts of the orbits from the points cur, which all passed the step-0
+    test; besides compaction and the guard, a step allocates only the leavers' indices."""
+    n = n_live = cur.size
+    counts, idx = np.full(n, max_iter, dtype=np.int32), np.arange(n)
     guard = not r_sq < OVERFLOW_GUARD * OVERFLOW_GUARD
-    idx = np.arange(cur.size)
-    live = np.ones(cur.size, dtype=bool)
-    n_live = cur.size
-    saved = np.full_like(cur, np.nan)
-    for k in range(max_iter):
-        mag_sq = np.square(cur.real)
-        mag_sq += np.square(cur.imag)
-        inside = mag_sq <= r_sq
-        stay = inside & live
-        # and not equal to the checkpoint: both parts compared on the float
-        # view, as complex == is several times slower
-        stay &= np.equal(cur.view(float), saved.view(float)).view(np.uint16) != 257
-        n_stay = np.count_nonzero(stay)
-        if n_stay < n_live:
-            counts[idx[live & ~inside]] = k
-            live, n_live = stay, n_stay
-            if n_live == 0:
-                return counts
-            if n_live <= 0.75 * live.size:
-                keep = np.flatnonzero(live)
-                idx, cur, saved = idx.take(keep), cur.take(keep), saved.take(keep)
-                live = np.ones(keep.size, dtype=bool)
-        if k & (k - 1) == 0:
-            np.copyto(saved, cur)
-        cur = horner(coeffs, cur)
+    saved = cur.copy()   # the checkpoint of step 0
+    nxt, pairs = np.empty_like(cur), np.empty(2 * n, dtype=bool)
+    inside, stay, live = np.empty(n, dtype=bool), np.empty(n, dtype=bool), np.ones(n, dtype=bool)
+    for k in range(1, max_iter):
+        cur, nxt = horner(coeffs, cur, out=nxt), cur
+        # the squares reuse the spent step's memory: two buffers fewer per tile
+        mag_sq, im_sq = nxt.view(float)[:n], nxt.view(float)[n:]
         if guard:
             bad = ~(np.abs(cur.real) <= OVERFLOW_GUARD) | ~(np.abs(cur.imag) <= OVERFLOW_GUARD)
-            if bad.any():
-                cur[bad] = 2.0 * OVERFLOW_GUARD
+            cur[bad] = 2.0 * OVERFLOW_GUARD
+        np.square(cur.real, out=mag_sq)
+        mag_sq += np.square(cur.imag, out=im_sq)
+        np.less_equal(mag_sq, r_sq, out=inside)
+        # and not equal to the checkpoint: both parts compared on the float
+        # view, as complex == is several times slower
+        np.equal(cur.view(float), saved.view(float), out=pairs)
+        np.not_equal(pairs.view(np.uint16), 257, out=stay)
+        stay &= inside
+        stay &= live
+        n_stay = np.count_nonzero(stay)
+        if n_stay < n_live:
+            counts[idx[np.greater(live, inside, out=inside)]] = k   # live & ~inside
+            live, stay, n_live = stay, live, n_stay
+            if n_live == 0:
+                return counts
+            if n_live <= 0.75 * n:
+                n, idx, saved, cur = n_live, idx[live], saved[live], cur[live]
+                nxt, pairs = nxt[:n], pairs[:2 * n]
+                inside, stay, live = inside[:n], stay[:n], live[:n]
+                live.fill(True)
+        if k & (k - 1) == 0:
+            np.copyto(saved, cur)
     return counts
 
 

@@ -111,24 +111,23 @@ def make_darboux_data(params: JacobiParams, b: Poly, bw: Poly, eps1: int, eps2: 
                       lambda_tilde: float) -> DarbouxData:
     """Assemble and gate one family configuration.
 
-    Structural checks (monic b, degree gap, pole locations: no zero of b_tilde
-    on [-1, 1]) run first.  Then the orthonormality oracle gate runs, and
-    lambda_tilde is checked: the closed-form norm must match the quadrature
-    one to ORTHO_GATE_TOL at every n up to ORTHO_GATE_INDEX.
+    Out-of-domain input (eps not +-1, b not monic, deg b < deg bw + 1, a
+    shifted exponent <= -1) raises ConfigError; the structural checks (b
+    divisible as eps requires, b_tilde zero-free on [-1, 1]), the orthonormality
+    gate and the closed-form sigma_n check up to ORTHO_GATE_INDEX raise ValidationError.
     """
     if eps1 not in (-1, 1) or eps2 not in (-1, 1):
         raise ConfigError("eps1/eps2", "must be +1 or -1")
     b = b.trimmed()
     bw = bw.trimmed()
     if not b.is_monic(1e-10):
-        raise ValidationError(f"b must be monic (leading {b.leading_coeff():.6g})")
+        raise ConfigError("b", f"must be monic (leading {b.leading_coeff():.6g})")
     if b.degree < bw.degree + 1 and not _is_zero(bw):
-        raise ValidationError(f"deg b = {b.degree} must be >= deg bw + 1 = {bw.degree + 1}")
-    wp_alpha = params.alpha + eps1
-    wp_beta = params.beta + eps2
+        raise ConfigError("b/bw", f"deg b = {b.degree} must be >= deg bw + 1 = {bw.degree + 1}")
+    wp_alpha, wp_beta = params.alpha + eps1, params.beta + eps2
     if wp_alpha <= -1 or wp_beta <= -1:
-        raise ValidationError(
-            f"shifted weight exponents ({wp_alpha:g}, {wp_beta:g}) must exceed -1")
+        raise ConfigError("alpha/beta",
+                          f"shifted weight exponents ({wp_alpha:g}, {wp_beta:g}) must exceed -1")
 
     b_tilde = _divide_out_interval_factors(b, eps1, eps2)
     data = DarbouxData(params=params, b=b, bw=bw, eps1=eps1, eps2=eps2,

@@ -162,18 +162,28 @@ def expansion_error(d: int) -> float:
     return np.finfo(float).eps / 2.0 + k * u_long / (1.0 - k * u_long)
 
 
-def horner(coeffs, z):
+def horner(coeffs, z, out=None):
     """Value of the monomial-basis polynomial with ascending coeffs at array z,
-    accumulated in place; at a Python number, in Python arithmetic."""
+    accumulated in out (new when None; not z's memory) with no zero coefficient
+    added and no unit lead multiplied, so at finite z only zero signs differ
+    from stepping every coefficient; at a Python number, in Python arithmetic."""
     if not isinstance(z, np.ndarray):
         acc = coeffs[-1]
         for ck in coeffs[-2::-1]:
             acc = acc * z + ck
         return acc
-    out = np.full(z.shape, coeffs[-1], dtype=complex)
-    for ck in coeffs[-2::-1]:
-        np.multiply(out, z, out=out)
-        np.add(out, ck, out=out)
+    out = np.empty(z.shape, dtype=complex) if out is None else out
+    if len(coeffs) == 1:
+        out.fill(coeffs[0])
+    elif coeffs[-1] == 1:
+        np.copyto(out, z)
+    else:
+        np.multiply(coeffs[-1], z, out=out)
+    for k in range(len(coeffs) - 2, -1, -1):
+        if coeffs[k]:
+            np.add(out, coeffs[k], out=out)
+        if k:
+            np.multiply(out, z, out=out)
     return out
 
 

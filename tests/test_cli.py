@@ -136,6 +136,22 @@ class TestZeros:
         assert err["error"] == "config" and err["field"] == "alpha/beta"
         assert not out.exists()
 
+    @pytest.mark.parametrize("change, field", [
+        ({"alpha": -0.5}, "alpha/beta"), ({"b": [2.0, -3.0, 2.0]}, "b"),
+        ({"bw": [3.0, -1.0, 0.0, 1.0]}, "b/bw"),
+    ], ids=["shifted-exponent", "non-monic-b", "degree-gap"])
+    def test_out_of_domain_family_exit_two(self, tmp_path, capsys, change, field):
+        # the README's explicit family with a shifted exponent -1.5, a lead 2
+        # on b, or deg bw = deg b + 1: configuration errors, not numerical ones
+        family = {"alpha": 2.0, "beta": 2.0, "eps1": -1, "eps2": 1, "b": [2.0, -3.0, 1.0],
+                  "bw": [3.0, -1.0], "lambda_tilde": 4.0, **change}
+        cfg, out = tmp_path / "cfg.json", tmp_path / "z"
+        cfg.write_text(json.dumps({"family": family, "n_list": [5]}))
+        assert run(["zeros", "--config", str(cfg), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and err["field"] == field
+        assert not out.exists()
+
     def test_no_regular_zeros_exit_one(self, tmp_path, capsys):
         # P_0 has one zero, outside [-1, 1]: no zero-counting measure exists
         assert run(["zeros", *PRESET_FLAGS, "--n", "0", "--out", str(tmp_path)]) == 1

@@ -324,14 +324,15 @@ class TestRasterMatchesReference:
         window = {"half_width": 0.1, "resolution": 64, "max_iter": 1000}
         stepped = [0]
 
-        def counted(coeffs, z):
+        def counted(coeffs, z, out=None):
             stepped[0] += z.size
-            return horner(coeffs, z)
+            return horner(coeffs, z, out=out)
 
         monkeypatch.setattr(dyn, "horner", counted)
         counts = dyn.escape_raster(e, **window).counts
         assert np.all(counts == 1000)
-        assert stepped[0] < 0.1 * 64 * 64 * 1000
+        # a raster that stopped calling horner would step nothing and pass the bound
+        assert 0 < stepped[0] < 0.1 * 64 * 64 * 1000
         monkeypatch.undo()
         assert np.array_equal(counts, _reference_counts(e, **window))
 
@@ -349,6 +350,7 @@ class TestRasterMirror:
         tile = dyn._escape_tile
 
         def spy(coeffs, r_sq, cur, max_iter):
+            assert 0 < cur.size <= dyn.RASTER_TILE
             pixels[0] += cur.size
             return tile(coeffs, r_sq, cur, max_iter)
 

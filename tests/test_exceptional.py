@@ -573,7 +573,7 @@ class TestJson:
                           "lambda_tilde": 99.0})
 
     def test_non_monic_b_rejected(self):
-        with pytest.raises(ValidationError, match="monic"):
+        with pytest.raises(ConfigError, match="monic"):
             from_json({"alpha": 2.0, "beta": 2.0, "eps1": -1, "eps2": 1,
                           "b": [2.0, -3.0, 2.0], "bw": [3.0, -1.0],
                           "lambda_tilde": 4.0})

@@ -49,6 +49,44 @@ class TestBasics:
         assert p.is_monic()
 
 
+def dense_horner(coeffs, z):
+    """Horner stepping every coefficient from a filled lead: the oracle."""
+    out = np.full(z.shape, coeffs[-1], dtype=complex)
+    for ck in coeffs[-2::-1]:
+        out = out * z + ck
+    return out
+
+
+class TestHorner:
+    COEFFS = [[0.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [0.2 - 0.6j, 0.0, -1.0, 0.0, 1.0],
+              [0.0, -3.0, 0.0, 2.0], [0.3, 0.0, 0.0, -1.5, 0.0, 0.5 + 0.25j], [1.0, 2.0, 3.0]]
+    IDS = ["z2", "z2-1", "even-unit", "odd-lead2", "sparse-complex-lead", "dense"]
+
+    @pytest.mark.parametrize("coeffs", COEFFS, ids=IDS)
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_dense_oracle(self, coeffs, kind):
+        # zero coefficients are not added and a unit lead is not multiplied:
+        # the same values as the dense loop, up to the signs of zeros
+        rng = np.random.default_rng(8)
+        z = rng.uniform(-1.5, 1.5, 200)
+        if kind == "complex":
+            z = z + 1j * rng.uniform(-1.5, 1.5, 200)
+        coeffs = np.array(coeffs, dtype=complex)
+        expected = dense_horner(coeffs, z)
+        assert np.array_equal(horner(coeffs, z), expected)
+        out = np.empty(z.shape, dtype=complex)
+        assert horner(coeffs, z, out=out) is out
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("constant", [1.0, 2.5 + 1j])
+    def test_constant(self, constant):
+        z = np.array([0.3 + 0.1j, 2.0, -1.7j])
+        assert np.array_equal(horner(np.array([constant]), z), np.full(3, constant))
+        out = np.empty(3, dtype=complex)
+        assert horner(np.array([constant]), z, out=out) is out
+        assert np.array_equal(out, np.full(3, constant))
+
+
 class TestProductForm:
     ROOTS = [0.3, -0.7 + 0.2j, -0.7 - 0.2j, 1.1, -0.05j]
 
