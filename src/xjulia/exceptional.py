@@ -9,15 +9,15 @@ and rejects anything that fails it.  sigma_n is *defined* as the quadrature
 norm of b p_n' - bw p_n; the closed form sqrt(c0 (n(n+alpha+beta+1)+lambda))
 is the cross-check that validates the configured lambda.
 
-Inner products against W of members up to degree n (sigma_n and the Gram
-matrix) take the Gauss rule of order max(200, 2 (n + m) + 60) and slice one
-cached table pass per rule, run to the top degree it serves (70 - m at 200).
+Every inner product against W takes the one Gauss rule of order QUAD_ORDER.
+c0 and the norms sigma_n for n + m up to the degree cap (n at least to
+ORTHO_GATE_INDEX) are fixed when the family is built, from one table pass
+whose rows also feed the gate's Gram matrix.
 
 The zeros of P_n are found by Aberth on the recurrence itself, split into
 regular and exceptional, and give P_n its root-product form.
 """
 
-from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -29,12 +29,17 @@ from .jacobi import DEGREE_CAP, JacobiParams, cached_rule, gauss_nodes
 from .measures import EmpiricalMeasure
 from .poly import MAX_SWEEPS, RESIDUAL_REL, Poly, aberth, horner, roots
 
-# Base quadrature order for the rational inner products; geometric convergence
-# in the order makes this ample for poles at distance >~ 1e-2 from [-1, 1].
-BASE_QUAD_ORDER = 200
-
 ORTHO_GATE_INDEX = 10
 ORTHO_GATE_TOL = 1e-8
+
+# Order of the Gauss-Jacobi rule of w^(alpha+e1, beta+e2) that every inner
+# product against W takes.  It integrates the polynomial part of P_i P_j W
+# exactly for i, j <= max(ORTHO_GATE_INDEX, DEGREE_CAP - m), with 60
+# nodes to spare for 1/b_tilde^2, whose error falls like rho^(-2 QUAD_ORDER)
+# for a pole at c, rho = |c| + sqrt(c^2 - 1).  x1 families pass the gate with
+# the pole 1.7e-3 past +-1 (alpha = 1e-3, beta = 1.2) and fail it at 8.3e-4
+# (alpha = 5e-4, residual 3.6e-7).
+QUAD_ORDER = 200
 
 # Newton steps newton_refiner may take; it stops earlier once |P_n(z) - w|
 # stops falling or reaches the rounding level of the recurrence.
@@ -48,7 +53,7 @@ EDGE_TOL = 1e-12
 
 @dataclass
 class DarbouxData:
-    """One transformed family.  Immutable after construction.
+    """One transformed family.
 
     params is the *source* classical family; the weight W lives at the shifted
     exponents (alpha + eps1, beta + eps2).  m = deg b_tilde is the codimension.
@@ -57,6 +62,10 @@ class DarbouxData:
     numbers alike; b_tilde_roots, the zeros of b_tilde; and top = (B, C, b_(D-1)),
     for D = deg b bw's coefficients at x^(D-1), x^(D-2) and b's at x^(D-1), 0
     where absent, which decide the top two coefficients of P_n (zero_sum).
+    Fixed when make_darboux_data builds it (_fix_inner_products): c0, which
+    makes W a probability measure, and sigmas, sigma_0 on to
+    max(ORTHO_GATE_INDEX, DEGREE_CAP - m) as computed, unchecked for
+    degeneracy (sigma_n checks).
     """
 
     params: JacobiParams
@@ -70,7 +79,8 @@ class DarbouxData:
     multipliers: tuple = field(init=False, repr=False, compare=False)
     b_tilde_roots: np.ndarray = field(init=False, repr=False, compare=False)
     top: tuple = field(init=False, repr=False, compare=False)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    c0: float = field(init=False, repr=False, compare=False)
+    sigmas: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.multipliers = tuple(c.coeffs.tolist() for c in
@@ -85,10 +95,6 @@ class DarbouxData:
     @property
     def weight_params(self) -> JacobiParams:
         return JacobiParams(self.params.alpha + self.eps1, self.params.beta + self.eps2)
-
-    def quad_rule(self, order: int):
-        wp = self.weight_params
-        return cached_rule(wp.alpha, wp.beta, order)
 
 
 def _divide_out_interval_factors(b: Poly, eps1: int, eps2: int) -> Poly:
@@ -112,9 +118,10 @@ def make_darboux_data(params: JacobiParams, b: Poly, bw: Poly, eps1: int, eps2: 
     """Assemble and gate one family configuration.
 
     Out-of-domain input (eps not +-1, b not monic, deg b < deg bw + 1, a
-    shifted exponent <= -1) raises ConfigError; the structural checks (b
-    divisible as eps requires, b_tilde zero-free on [-1, 1]), the orthonormality
-    gate and the closed-form sigma_n check up to ORTHO_GATE_INDEX raise ValidationError.
+    shifted exponent <= -1, m > DEGREE_CAP, which leaves no member inside the
+    cap) raises ConfigError; the structural checks (b divisible as eps
+    requires, b_tilde zero-free on [-1, 1]), the orthonormality gate and the
+    closed-form sigma_n check up to ORTHO_GATE_INDEX raise ValidationError.
     """
     if eps1 not in (-1, 1) or eps2 not in (-1, 1):
         raise ConfigError("eps1/eps2", "must be +1 or -1")
@@ -130,6 +137,9 @@ def make_darboux_data(params: JacobiParams, b: Poly, bw: Poly, eps1: int, eps2: 
                           f"shifted weight exponents ({wp_alpha:g}, {wp_beta:g}) must exceed -1")
 
     b_tilde = _divide_out_interval_factors(b, eps1, eps2)
+    if b_tilde.degree > DEGREE_CAP:
+        raise ConfigError("b", f"m = deg b_tilde = {b_tilde.degree} exceeds the degree cap "
+                               f"{DEGREE_CAP}: no member fits under it")
     data = DarbouxData(params=params, b=b, bw=bw, eps1=eps1, eps2=eps2,
                        lambda_tilde=float(lambda_tilde), m=b_tilde.degree,
                        b_tilde=b_tilde)
@@ -140,7 +150,8 @@ def make_darboux_data(params: JacobiParams, b: Poly, bw: Poly, eps1: int, eps2: 
     low = np.abs(bt) <= b_tilde.noise_floor(1.0, bt)
     if low.any():
         raise ValidationError(f"b_tilde vanishes on [-1, 1], at {x[np.argmax(low)]:.6g}")
-    dev, where = orthonormality_deviation(data, ORTHO_GATE_INDEX)
+    passed = _fix_inner_products(data)
+    dev, where = orthonormality_deviation(data, ORTHO_GATE_INDEX, passed)
     if dev > ORTHO_GATE_TOL:
         raise ValidationError(
             f"orthonormality gate failed at (i, j) = {where}: residual {dev:.3e}")
@@ -193,62 +204,39 @@ def make_x1_preset(params: JacobiParams) -> DarbouxData:
 # ---------------------------------------------------------------------------
 # weight normalization and norms
 
-def normalization_constant(data: DarbouxData) -> float:
-    """c0 making the weight a probability measure; quadrature order 200."""
-    if "c0" not in data._cache:
-        rule = data.quad_rule(BASE_QUAD_ORDER)
-        total = rule.integrate_values(1.0 / data.b_tilde(rule.nodes).real ** 2)
-        if not np.isfinite(total) or total <= 0:
-            raise ValidationError("weight normalization integral is degenerate")
-        data._cache["c0"] = 1.0 / float(total)
-    return data._cache["c0"]
+def _table_pass(data: DarbouxData, kmax: int):
+    """(rule, bt, rows): the order-QUAD_ORDER rule, b_tilde at its nodes and
+    the rows b p_k' - bw p_k there in float64, k = 0..kmax, from one table pass."""
+    wp = data.weight_params
+    rule = cached_rule(wp.alpha, wp.beta, QUAD_ORDER)
+    x = rule.nodes
+    p, dp = jacobi.jacobi_table(data.params, kmax, x, 1)
+    bc, _, bwc, _ = data.multipliers
+    return rule, data.b_tilde(x).real, horner(bc, x).real * dp - horner(bwc, x).real * p
 
 
-def quad_order(data: DarbouxData, n: int) -> int:
-    """Order of the Gauss rule for inner products against W of members up to
-    degree n; the 60 nodes past the polynomial part's n + m + 1 serve 1/b_tilde^2."""
-    return max(BASE_QUAD_ORDER, 2 * (n + data.m) + 60)
-
-
-_RulePass = namedtuple("_RulePass", "rule bt rows norms")
-
-
-def _rule_pass(data: DarbouxData, n: int) -> _RulePass:
-    """n's rule record, cached: the rule, b_tilde at its nodes, the rows
-    b p_k' - bw p_k there in float64 from one table pass to the top k on the
-    rule, and their norms, which define sigma_k (not yet checked for degeneracy)."""
-    if n < 0:
-        raise ValueError(f"need a degree >= 0, got {n}")
-    order = quad_order(data, n)
-    key = ("pass", order)
-    if key not in data._cache:
-        top = n
-        while quad_order(data, top + 1) == order:
-            top += 1
-        rule = data.quad_rule(order)
-        x = rule.nodes
-        p, dp = jacobi.jacobi_table(data.params, top, x, 1)
-        bc, _, bwc, _ = data.multipliers
-        rows = horner(bc, x).real * dp - horner(bwc, x).real * p
-        bt = data.b_tilde(x).real
-        norm_sq = normalization_constant(data) * rule.integrate_values(rows * rows / bt ** 2)
-        data._cache[key] = _RulePass(rule, bt, rows, np.sqrt(norm_sq).tolist())
-    return data._cache[key]
-
-
-def _family_rows(data: DarbouxData, kmax: int):
-    """(kmax's rule record, P_k = (b p_k' - bw p_k) / sigma_k at its nodes for
-    k = first_index..kmax, sliced from the record's pass)."""
-    rec = _rule_pass(data, kmax)
-    lo = first_index(data)
-    sig = np.array([sigma_n(data, k) for k in range(lo, kmax + 1)])
-    return rec, rec.rows[lo:kmax + 1] / sig[:, None]
+def _fix_inner_products(data: DarbouxData):
+    """Set data.c0 and data.sigmas from one table pass to degree
+    max(ORTHO_GATE_INDEX, DEGREE_CAP - m), and return that pass."""
+    rule, bt, rows = passed = _table_pass(data, max(ORTHO_GATE_INDEX, DEGREE_CAP - data.m))
+    total = rule.integrate_values(1.0 / bt ** 2)
+    if not np.isfinite(total) or total <= 0:
+        raise ValidationError("weight normalization integral is degenerate")
+    data.c0 = 1.0 / float(total)
+    data.sigmas = tuple(np.sqrt(data.c0 * rule.integrate_values(rows * rows / bt ** 2)).tolist())
+    return passed
 
 
 def sigma_n(data: DarbouxData, n: int) -> float:
     """L2(W) norm of b p_n' - bw p_n, by quadrature (the defining normalizer),
-    from n's rule record; one not positive and finite raises ValidationError."""
-    norm = _rule_pass(data, n).norms[n]
+    as fixed at construction; a degree past data.sigmas raises ValueError,
+    and a norm not positive and finite ValidationError."""
+    if n < 0:
+        raise ValueError(f"need a degree >= 0, got {n}")
+    if n >= len(data.sigmas):
+        raise ValueError(f"sigma_{n} lies past the degree cap ({DEGREE_CAP}): "
+                         f"the family's norms end at sigma_{len(data.sigmas) - 1}")
+    norm = data.sigmas[n]
     if not 0.0 < norm < np.inf:
         raise ValidationError(f"degenerate transform: ||A p_{n}|| ~ 0")
     return norm
@@ -256,9 +244,8 @@ def sigma_n(data: DarbouxData, n: int) -> float:
 
 def sigma_n_closed_form(data: DarbouxData, n: int) -> float:
     """sqrt(c0 (n(n+alpha+beta+1) + lambda)) with the configured lambda."""
-    c0 = normalization_constant(data)
     s = data.params.alpha + data.params.beta
-    val = c0 * (n * (n + s + 1) + data.lambda_tilde)
+    val = data.c0 * (n * (n + s + 1) + data.lambda_tilde)
     if val <= 0:
         raise ValidationError(f"closed-form norm undefined at n={n} (negative argument)")
     return float(np.sqrt(val))
@@ -388,8 +375,6 @@ def classify_zeros(data: DarbouxData, n: int) -> ZeroClassification:
     twice and another missed.  A zero is regular
     iff |Im| <= 1e-8 and Re inside the open interval with a 1e-12 edge margin.
     """
-    if n + data.m > DEGREE_CAP:
-        raise ValueError(f"n + m exceeds the desk-scale degree cap ({DEGREE_CAP})")
     degree = exceptional_degree(data, n)
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -489,15 +474,21 @@ def monomial_coeffs(data: DarbouxData, n: int) -> Poly:
 # ---------------------------------------------------------------------------
 # structural oracles
 
-def inner_product_matrix(data: DarbouxData, kmax: int) -> np.ndarray:
-    """Gram matrix <P_i, P_j>_W for first_index(data) <= i, j <= kmax."""
-    rec, rows = _family_rows(data, kmax)
-    return normalization_constant(data) * (rows * (rec.rule.weights / rec.bt ** 2)) @ rows.T
+def inner_product_matrix(data: DarbouxData, kmax: int, passed=None) -> np.ndarray:
+    """Gram matrix <P_i, P_j>_W for first_index(data) <= i, j <= kmax, from
+    passed, a _table_pass (rule, bt, rows) to kmax or beyond, or from a pass
+    of its own; row k is divided by sigma_k."""
+    rule, bt, rows = _table_pass(data, kmax) if passed is None else passed
+    lo = first_index(data)
+    sig = np.array([sigma_n(data, k) for k in range(lo, kmax + 1)])
+    rows = rows[lo:kmax + 1] / sig[:, None]
+    return data.c0 * (rows * (rule.weights / bt ** 2)) @ rows.T
 
 
-def orthonormality_deviation(data: DarbouxData, kmax: int):
-    """(max |G - I|, argmax index pair) over the Gram matrix."""
-    g = inner_product_matrix(data, kmax)
+def orthonormality_deviation(data: DarbouxData, kmax: int, passed=None):
+    """(max |G - I|, argmax index pair) over the Gram matrix of
+    inner_product_matrix(data, kmax, passed)."""
+    g = inner_product_matrix(data, kmax, passed)
     dev = np.abs(g - np.eye(len(g)))
     ij = np.unravel_index(np.argmax(dev), dev.shape)
     lo = first_index(data)

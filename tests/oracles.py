@@ -29,8 +29,10 @@ def ungated_family(params: JacobiParams, b: Poly, bw: Poly, eps1: int, eps2: int
     divide by the interval factors eps1 and eps2 name."""
     b, bw = b.trimmed(), bw.trimmed()
     b_tilde = ex._divide_out_interval_factors(b, eps1, eps2)
-    return ex.DarbouxData(params=params, b=b, bw=bw, eps1=eps1, eps2=eps2,
+    data = ex.DarbouxData(params=params, b=b, bw=bw, eps1=eps1, eps2=eps2,
                           lambda_tilde=float(lambda_tilde), m=b_tilde.degree, b_tilde=b_tilde)
+    ex._fix_inner_products(data)
+    return data
 
 
 def verify_span_property(data: ex.DarbouxData, p: Poly):
@@ -46,13 +48,14 @@ def verify_span_property(data: ex.DarbouxData, p: Poly):
         raise ValueError("polynomial degree too large for the scan")
     l_max = n + 2 * data.b.degree + 5
 
-    c0 = ex.normalization_constant(data)
-    rec, rows = ex._family_rows(data, l_max)
-    x, bt = rec.rule.nodes, rec.bt
+    c0, lo = data.c0, ex.first_index(data)
+    rule, bt, rows = ex._table_pass(data, l_max)
+    rows = rows[lo:] / np.array([ex.sigma_n(data, k) for k in range(lo, l_max + 1)])[:, None]
+    x = rule.nodes
     b2p = data.b(x).real ** 2 * p(x).real
-    norm = float(np.sqrt(c0 * rec.rule.integrate_values(b2p * b2p / bt ** 2)))
+    norm = float(np.sqrt(c0 * rule.integrate_values(b2p * b2p / bt ** 2)))
     residuals = np.zeros(l_max + 1)
-    residuals[ex.first_index(data):] = np.abs(c0 * rec.rule.integrate_values(b2p * rows / bt ** 2))
+    residuals[lo:] = np.abs(c0 * rule.integrate_values(b2p * rows / bt ** 2))
     above = np.nonzero(residuals > 1e-8 * norm)[0]
     if len(above) == 0:
         return 0, residuals

@@ -1,5 +1,7 @@
 """Construction and structural oracles of the transformed families."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,17 +16,25 @@ from xjulia.poly import Poly, horner
 import oracles
 
 
-def _fresh_family(kind):
-    """A family with nothing cached: the stock preset, the preset (3.0, 1.0),
-    where b_tilde is negative, or the pure derivative b = 1, bw = 0."""
+def _family(kind):
+    """The stock preset, the preset (3.0, 1.0), where b_tilde is negative, or
+    the pure derivative b = 1, bw = 0."""
     if kind == "pure":
-        data = ex.make_darboux_data(xj.JacobiParams(0.5, 0.5), Poly([1.0]), Poly([0.0]),
+        return ex.make_darboux_data(xj.JacobiParams(0.5, 0.5), Poly([1.0]), Poly([0.0]),
                                     1, 1, 0.0)
-    else:
-        data = xj.make_x1_preset(
-            xj.JacobiParams(*{"stock": (0.02, 1.2), "negative": (3.0, 1.0)}[kind]))
-    data._cache.clear()
-    return data
+    return xj.make_x1_preset(
+        xj.JacobiParams(*{"stock": (0.02, 1.2), "negative": (3.0, 1.0)}[kind]))
+
+
+def _top(data):
+    """The last degree whose sigma the family fixes at construction."""
+    return max(ex.ORTHO_GATE_INDEX, xj.DEGREE_CAP - data.m)
+
+
+def _rule(data, order=ex.QUAD_ORDER):
+    """The Gauss rule of data's weight exponents, of the inner products' order by default."""
+    wp = data.weight_params
+    return jacobi.cached_rule(wp.alpha, wp.beta, order)
 
 
 # b = x^2 - 1 with both interval factors divided out: b_tilde = -1, m = 0, and
@@ -53,17 +63,16 @@ def _transform_single_degree(data, k, x):
 
 
 def _sigma_single_degree(data, k):
-    rule = data.quad_rule(ex.quad_order(data, k))
+    rule = _rule(data)
     vals = _transform_single_degree(data, k, rule.nodes)
     bt = data.b_tilde(rule.nodes).real
-    c0 = ex.normalization_constant(data)
-    return float(np.sqrt(c0 * float(rule.integrate_values(vals * vals / bt ** 2))))
+    return float(np.sqrt(data.c0 * float(rule.integrate_values(vals * vals / bt ** 2))))
 
 
 def _count_passes(data, monkeypatch):
     """A list that records each recurrence pass from here on (True for a table
-    pass), with data's order-200 rule, which makes passes of its own, built."""
-    data.quad_rule(ex.BASE_QUAD_ORDER)
+    pass), with data's order-QUAD_ORDER rule, which makes passes of its own, built."""
+    _rule(data)
     passes = []
     stacked_pass = jacobi._stacked_pass
 
@@ -133,6 +142,23 @@ class TestPreset:
         data = xj.make_x1_preset(xj.JacobiParams(alpha, beta))
         assert data.m == 1
 
+    def test_pole_near_interval_passes_gate(self):
+        # the pole sits 1.7e-3 past 1, where the order-QUAD_ORDER rule still
+        # resolves 1/b_tilde^2: the gate's residual reads 8.4e-10 (at alpha =
+        # 5e-4, 8.3e-4 past, it reads 3.6e-7 and the gate refuses)
+        data = xj.make_x1_preset(xj.JacobiParams(1e-3, 1.2))
+        assert 0.0 < data.b_tilde(1.0).real <= 2e-3
+        dev, _ = ex.orthonormality_deviation(data, ex.ORTHO_GATE_INDEX)
+        assert dev <= ex.ORTHO_GATE_TOL
+
+    def test_codimension_past_degree_cap_refused(self):
+        # b = x^61 + 2 with eps = (1, 1) is its own b_tilde: m = 61 leaves no
+        # member inside the cap, refused before any inner product
+        b = Poly([2.0] + [0.0] * xj.DEGREE_CAP + [1.0])
+        with pytest.raises(ConfigError, match="degree cap") as err:
+            ex.make_darboux_data(xj.JacobiParams(0.5, 0.5), b, Poly([0.0]), 1, 1, 0.0)
+        assert err.value.field == "b"
+
     @pytest.mark.parametrize("zeros", [(1.0, 0.5, 0.5), (1.0, 0.0, 0.0), (1.0, 1.0, 2.0)])
     def test_double_zero_on_interval_rejected(self, zeros):
         # with eps1 = -1, b_tilde = b / (1 - x) keeps b's double zero at 0.5 or 0,
@@ -198,22 +224,26 @@ class TestIntervalFactors:
 class TestWeight:
     # W = c0 * w / b_tilde^2, with w the Jacobi weight at the shifted exponents
     def test_normalized_mass(self, stock_family):
-        rule = stock_family.quad_rule(2 * ex.BASE_QUAD_ORDER)
-        mass = ex.normalization_constant(stock_family) * rule.integrate_values(
+        rule = _rule(stock_family, 2 * ex.QUAD_ORDER)
+        mass = stock_family.c0 * rule.integrate_values(
             1.0 / stock_family.b_tilde(rule.nodes).real ** 2)
         assert abs(mass - 1.0) <= 1e-10
 
     def test_positive_on_interval(self, stock_family):
         x = np.linspace(-0.99, 0.99, 201)
         wp = stock_family.weight_params
-        w = (ex.normalization_constant(stock_family) * (1.0 - x) ** wp.alpha * (1.0 + x) ** wp.beta
+        w = (stock_family.c0 * (1.0 - x) ** wp.alpha * (1.0 + x) ** wp.beta
              / stock_family.b_tilde(x).real ** 2)
         assert np.all(w > 0)
 
-    def test_c0_cached_and_positive(self, stock_family):
-        c0 = ex.normalization_constant(stock_family)
-        assert c0 > 0
-        assert ex.normalization_constant(stock_family) == c0
+    @pytest.mark.parametrize("kind", ["stock", "negative", "pure"])
+    def test_c0_is_inverse_rule_mass(self, kind):
+        # c0 is 1 over the order-QUAD_ORDER rule's integral of w / b_tilde^2,
+        # bit for bit, and positive
+        data = _family(kind)
+        rule = _rule(data)
+        assert data.c0 == 1.0 / float(rule.integrate_values(1.0 / data.b_tilde(rule.nodes).real ** 2))
+        assert data.c0 > 0
 
 
 class TestOrthonormality:
@@ -222,20 +252,20 @@ class TestOrthonormality:
         assert dev <= 1e-8
 
     def test_gate_takes_one_pass(self, stock_family, monkeypatch):
-        # the gate's Gram rows and sigma_0..sigma_10 are slices of the order-200
-        # rule's one table pass; the rule, with passes of its own, is built beforehand
+        # c0, every sigma the family keeps and the gate's Gram rows come from
+        # one table pass; the rule, with passes of its own, is built beforehand
         passes = _count_passes(stock_family, monkeypatch)
         xj.make_x1_preset(xj.JacobiParams(0.02, 1.2))
         assert passes == [True]
 
     @pytest.mark.parametrize("kind", ["stock", "negative", "pure"])
     def test_gram_matrix_matches_single_degree_rows(self, kind):
-        data = _fresh_family(kind)
-        rule = data.quad_rule(ex.quad_order(data, 15))
+        data = _family(kind)
+        rule = _rule(data)
         x = rule.nodes
         rows = np.array([_transform_single_degree(data, k, x) / _sigma_single_degree(data, k)
                          for k in range(ex.first_index(data), 16)])
-        want = ex.normalization_constant(data) * (rows * (rule.weights / data.b_tilde(x).real ** 2)) @ rows.T
+        want = data.c0 * (rows * (rule.weights / data.b_tilde(x).real ** 2)) @ rows.T
         assert np.array_equal(ex.inner_product_matrix(data, 15), want)
 
     def test_gate_rejects_wrong_bw(self):
@@ -256,34 +286,38 @@ class TestSigma:
         assert ex.sigma_n(stock_family, 0) > 0
 
     def test_negative_index_refused(self, stock_family):
-        # the record's norms are a list: -1 must not read its last entry
+        # the norms are a tuple: -1 must not read its last entry
         with pytest.raises(ValueError, match="degree >= 0"):
             ex.sigma_n(stock_family, -1)
 
     @pytest.mark.parametrize("kind", ["stock", "negative", "pure"])
     def test_one_pass_caches_single_degree_sigmas(self, kind):
-        # sigma_59 reads the order-200 rule's pass, which runs to 70 - m, the top
-        # degree on that rule: sigma_k for every k up to it is the single-degree
-        # pass's bit for bit, and the next degree takes a larger rule; the pure
-        # derivative's sigma_0 vanishes, so it raises when asked for
-        data = _fresh_family(kind)
-        lo, top = ex.first_index(data), 70 - data.m
-        ex.sigma_n(data, 59)
-        assert list(data._cache) == ["c0", ("pass", ex.BASE_QUAD_ORDER)]
-        assert len(data._cache[("pass", ex.BASE_QUAD_ORDER)].rows) == top + 1
-        assert ex.quad_order(data, top) == ex.BASE_QUAD_ORDER < ex.quad_order(data, top + 1)
+        # construction's one table pass runs to top = max(ORTHO_GATE_INDEX,
+        # DEGREE_CAP - m): sigma_k for every k up to it is the single-degree
+        # pass's bit for bit, and the next degree, past the cap, raises; the
+        # pure derivative's sigma_0 vanishes, so it raises when asked for
+        data = _family(kind)
+        lo, top = ex.first_index(data), _top(data)
+        assert len(data.sigmas) == top + 1
         for k in range(lo, top + 1):
             assert ex.sigma_n(data, k) == _sigma_single_degree(data, k)
+        with pytest.raises(ValueError, match="degree cap"):
+            ex.sigma_n(data, top + 1)
         if lo:
             with pytest.raises(ValidationError, match="degenerate"):
                 ex.sigma_n(data, 0)
 
-    def test_sigmas_to_fifty_take_one_pass(self, monkeypatch):
-        # sigma_0..sigma_50 all lie on the order-200 rule, read from its one pass
-        data = _fresh_family("stock")
-        passes = _count_passes(data, monkeypatch)
-        [ex.sigma_n(data, n) for n in range(51)]
-        assert passes == [True]
+    def test_reading_sigmas_takes_no_pass(self, stock_family, monkeypatch):
+        # sigma_0..sigma_top were fixed when the family was built
+        passes = _count_passes(stock_family, monkeypatch)
+        [ex.sigma_n(stock_family, n) for n in range(_top(stock_family) + 1)]
+        assert passes == []
+
+    def test_rule_order_covers_the_cap(self):
+        # the rule integrates the polynomial part of P_i P_j W exactly for i,
+        # j <= top with 60 nodes to spare, at the largest top + m,
+        # DEGREE_CAP + ORTHO_GATE_INDEX; raising the cap must raise the order
+        assert 2 * (xj.DEGREE_CAP + ex.ORTHO_GATE_INDEX) + 60 <= ex.QUAD_ORDER
 
     def test_degenerate_transform_rejected(self):
         # b = 1, bw = 0 differentiates: the n = 0 member vanishes identically
@@ -295,15 +329,13 @@ class TestSigma:
         assert ex.sigma_n(data, 1) > 0
 
     def test_scaling_homogeneity(self, stock_family):
-        # doubling c0 (so W -> 2W) scales every norm by sqrt(2)
-        clone = ex.make_darboux_data(stock_family.params, stock_family.b,
-                                     stock_family.bw, stock_family.eps1,
-                                     stock_family.eps2, stock_family.lambda_tilde)
-        clone._cache.clear()
-        clone._cache["c0"] = 2.0 * ex.normalization_constant(stock_family)
-        for n in (0, 3, 11):
-            assert_allclose(ex.sigma_n(clone, n),
-                            np.sqrt(2.0) * ex.sigma_n(stock_family, n), rtol=1e-12)
+        # W = c0 w / b_tilde^2 carries no scale of b_tilde: doubling b_tilde
+        # makes c0 four times as large and leaves every sigma_k, bit for bit,
+        # since scaling by a power of two rounds exactly
+        clone = dataclasses.replace(stock_family, b_tilde=Poly(2.0 * stock_family.b_tilde.coeffs))
+        ex._fix_inner_products(clone)
+        assert clone.c0 == 4.0 * stock_family.c0
+        assert clone.sigmas == stock_family.sigmas
 
 
 class TestEvaluation:
@@ -514,20 +546,19 @@ class TestSpanProperty:
         assert np.all(residuals == 0.0)
 
     @pytest.mark.parametrize("multiplier", ["p7", "constant", "zero"])
-    def test_residuals_match_single_degree_rows(self, multiplier):
+    def test_residuals_match_single_degree_rows(self, stock_family, multiplier):
         # the coefficients <b^2 p, P_l>_W, l <= deg p + 2 deg b + 5, read rows
-        # sliced from the cached pass: bit for bit those of single-degree passes
-        # on the rule quad_order gives l_max
-        data = _fresh_family("stock")
+        # from one table pass: bit for bit those of single-degree passes on the
+        # order-QUAD_ORDER rule
+        data = stock_family
         p = {"p7": _p7(data.params), "constant": Poly([1.0]), "zero": Poly([0.0])}[multiplier]
         l_max = p.degree + 2 * data.b.degree + 5
-        rule = data.quad_rule(ex.quad_order(data, l_max))
+        rule = _rule(data)
         x = rule.nodes
         rows = np.array([_transform_single_degree(data, k, x) / _sigma_single_degree(data, k)
                          for k in range(l_max + 1)])
         b2p = data.b(x).real ** 2 * p(x).real
-        want = np.abs(ex.normalization_constant(data)
-                      * rule.integrate_values(b2p * rows / data.b_tilde(x).real ** 2))
+        want = np.abs(data.c0 * rule.integrate_values(b2p * rows / data.b_tilde(x).real ** 2))
         assert np.array_equal(oracles.verify_span_property(data, p)[1], want)
 
 
